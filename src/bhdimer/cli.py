@@ -85,6 +85,10 @@ class ScenarioSpec:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
+        if not 0.0 < self.theta_c < 1.0:
+            raise ValueError(f"theta_c must be in (0, 1), got {self.theta_c}")
+        if not 0.0 < self.theta_r <= 1.0:
+            raise ValueError(f"theta_r must be in (0, 1], got {self.theta_r}")
         parse_state(self.initial, self.config.n_total)  # fail early
         if self.out is not None:
             object.__setattr__(self, "out", Path(self.out))
@@ -276,7 +280,7 @@ def _summarize(spec: ScenarioSpec, series: ObservableSeries, include_envelope: b
     regime = classify(cfg)
     t = series.t
 
-    try:
+    if len(series) >= 3 * spec.window:
         report = collapse_revival_time(
             t,
             series.imbalance,
@@ -301,7 +305,7 @@ def _summarize(spec: ScenarioSpec, series: ObservableSeries, include_envelope: b
         }
         if include_envelope:
             cr["envelope"] = [[float(a), float(b)] for a, b in report.envelope]
-    except ValueError:
+    else:
         cr = {
             "detected": False,
             "t_cr": None,
@@ -455,6 +459,10 @@ def sweep(
 ) -> dict:
     """Cross product of ratios and initial states; cells fail independently.
 
+    A cell whose input is invalid (ValueError) or whose eigensolver fails
+    (ConvergenceError) is recorded with status "error"; any other exception
+    is a program fault and propagates.
+
     Returns the combined summary, keyed by (ratio token, initial). When
     out_dir is given each cell writes its own series file there and the
     combined summary lands in out_dir/summary.json.
@@ -479,7 +487,7 @@ def sweep(
             entry["status"] = "ok"
             # Cell files carry their own envelopes; keep the table compact.
             entry["summary"] = _strip_envelope(cell_summary)
-        except Exception as exc:  # keep the other cells running
+        except (ValueError, ConvergenceError) as exc:  # keep the other cells running
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry

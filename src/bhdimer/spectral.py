@@ -5,24 +5,19 @@ point costs two real matrix-vector products,
 
     |psi(t)> = sum_n a_n exp(-i lam_n t) |psi_n>,    a_n = <psi_n|psi(0)>.
 
-The eigensolver is the implicit-shift QL iteration for real symmetric
-tridiagonal matrices (EISPACK imtql2 lineage): Wilkinson shift from the
-leading 2x2 of the active block, plane rotations chased through the block,
-rotations accumulated into the eigenvector matrix. Cost is O(dim^2) for the
-eigenvalues plus the accumulation work for the eigenvectors, which keeps
-dimensions in the low thousands interactive.
-
-Before iterating, the off-diagonal is mapped to -|e| by a diagonal +-1
-similarity. The iteration then sees bit-identical input for either sign of
-the tunneling coupling, so the equivalence "flip e_j and c_n -> (-1)^n c_n"
-holds exactly in floating point, not merely to round-off.
+The eigenpairs come from LAPACK through numpy.linalg.eigh. Before that, the
+off-diagonal is mapped to -|e| by a diagonal +-1 similarity. The solver then
+sees bit-identical input for either sign of the tunneling coupling, so the
+equivalence "flip e_j and c_n -> (-1)^n c_n" holds exactly in floating
+point, not merely to round-off.
 
 A mirror-symmetric matrix (palindromic diagonal and off-diagonal, as the
-dimer produces at zero bias) with nonzero couplings has a simple spectrum
-whose eigenvectors are exactly even or odd under index reversal. The solver
-detects that structure and projects each eigenvector onto its parity
-sector, so trajectories from interchanged modes mirror each other down to
-summation round-off rather than eigenvector accuracy.
+dimer produces at zero bias) commutes with index reversal. It is
+diagonalized as two half-size tridiagonal blocks, one per parity sector, so
+every eigenvector is exactly even or odd under index reversal and
+trajectories from interchanged modes mirror each other down to summation
+round-off rather than eigenvector accuracy. Any other matrix goes to eigh
+whole.
 """
 
 from __future__ import annotations
@@ -31,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, eigh
 
 __all__ = [
     "ConvergenceError",
@@ -41,11 +37,11 @@ __all__ = [
     "evolve_series",
 ]
 
-_EPS = float(np.finfo(np.float64).eps)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class ConvergenceError(RuntimeError):
-    """QL iteration failed to deflate an eigenvalue within the sweep cap."""
+    """LAPACK's symmetric eigensolver did not converge on a Hamiltonian block."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,151 +100,89 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
-def _ql_implicit_shift(d: list, e: list, z: np.ndarray, sweep_cap: int) -> None:
-    """Implicit-shift QL on (d, e) in place; rotations accumulate into z.
+def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
+    # LAPACK reads only the lower triangle.
+    a = np.diag(d)
+    i = np.arange(e.size)
+    a[i + 1, i] = e
+    try:
+        return eigh(a, UPLO="L")
+    except LinAlgError as exc:
+        raise ConvergenceError(
+            f"LAPACK eigh failed on a {d.size}x{d.size} tridiagonal block: {exc}"
+        ) from exc
 
-    d: diagonal, length n. e: off-diagonal padded with a trailing 0.0 to
-    length n. z: (n, n) array whose columns get rotated (identity on entry
-    yields the eigenvectors). On exit d holds the unordered eigenvalues.
+
+def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
+    """Eigenpairs of a mirror-symmetric tridiagonal matrix, ascending.
+
+    In the basis (e_i +- e_{n-1-i})/sqrt2 the matrix splits into an even and
+    an odd tridiagonal block of half size; only the entries at the centre
+    differ from the top-left corner of the matrix. For even n the centre pair
+    is coupled by e_{m-1}, which lands on the last diagonal entry as +-e_{m-1}.
+    For odd n the centre basis vector is even, and its coupling to the even
+    combination next to it is sqrt2 e_{m-1}. Each block eigenvector maps back
+    by copying (or negating) its entries into the mirrored half, so every
+    column is exactly palindromic or antipalindromic.
     """
-    n = len(d)
-    tmp = np.empty(n)
-    tmp2 = np.empty(n)
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                if abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
-                    break
-                m += 1
-            if m == l:
-                break
-            if sweeps >= sweep_cap:
-                raise ConvergenceError(
-                    f"eigenvalue {l} of {n}: off-diagonal {e[l]:.3e} still "
-                    f"significant after {sweep_cap} implicit QL sweeps"
-                )
-            sweeps += 1
+    n = d.size
+    m = n // 2
+    n_even = n - m
+    d_even = d[:n_even].copy()
+    e_even = e[: n_even - 1].copy()
+    d_odd = d[:m].copy()
+    if n % 2:
+        e_even[m - 1] *= math.sqrt(2.0)
+    else:
+        d_even[m - 1] += e[m - 1]
+        d_odd[m - 1] -= e[m - 1]
+    lam_even, y = _tridiagonal_eigh(d_even, e_even)
+    lam_odd, z = _tridiagonal_eigh(d_odd, e[: m - 1])
 
-            # Wilkinson shift from the leading 2x2 of the active block.
-            p = d[l]
-            g = (d[l + 1] - p) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - p + e[l] / (g + (r if g >= 0.0 else -r))
+    lam = np.concatenate((lam_even, lam_odd))
+    order = np.argsort(lam, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    even, odd = column[:n_even], column[n_even:]
 
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                # Order the rotation quotient by magnitude for stability.
-                if abs(f) > abs(g):
-                    c = g / f
-                    r = math.hypot(c, 1.0)
-                    e[i + 1] = f * r
-                    s = 1.0 / r
-                    c *= s
-                else:
-                    s = f / g
-                    r = math.hypot(s, 1.0)
-                    e[i + 1] = g * r
-                    c = 1.0 / r
-                    s *= c
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-
-                # Rotate eigenvector columns i and i+1.
-                zi = z[:, i]
-                zi1 = z[:, i + 1]
-                np.copyto(tmp, zi1)
-                np.multiply(zi, s, out=zi1)
-                np.multiply(tmp, c, out=tmp2)
-                zi1 += tmp2
-                np.multiply(zi, c, out=zi)
-                np.multiply(tmp, s, out=tmp2)
-                zi -= tmp2
-
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
+    # Scatter straight into the merged column order: no n x n temporaries.
+    v = np.empty((n, n), order="F")
+    v[:m, even] = y[:m] * _SQRT_HALF
+    v[:m, odd] = z * _SQRT_HALF
+    v[n - m :, even] = v[m - 1 :: -1, even]
+    v[n - m :, odd] = -v[m - 1 :: -1, odd]
+    if n % 2:
+        v[m, even] = y[m]
+        v[m, odd] = 0.0
+    return lam[order], v
 
 
-def _is_mirror_symmetric(d: np.ndarray, e: np.ndarray) -> bool:
-    return (
-        e.size > 0
-        and bool(np.all(e != 0.0))
-        and np.array_equal(d, d[::-1])
-        and np.array_equal(e, e[::-1])
-    )
-
-
-def _project_onto_parity(v: np.ndarray) -> np.ndarray:
-    # Each column of a mirror-symmetric matrix's eigenbasis is +-palindromic;
-    # keep the dominant parity component and renormalize. Self-trapping makes
-    # adjacent levels quasi-degenerate below round-off; the solver then
-    # returns an arbitrary (e.g. left/right localized) mix of the even and
-    # odd doublet members, so a mixed column and its neighbor are rebuilt
-    # from the even and odd parts of the mix instead of projected separately,
-    # which would send both onto the same parity.
-    n = v.shape[1]
-    rev = v[::-1, :]
-    parity_overlap = np.einsum("ij,ij->j", v, rev)
-    w = np.empty_like(v)
-    m = 0
-    while m < n:
-        col = v[:, m]
-        rcol = rev[:, m]
-        if abs(parity_overlap[m]) < 0.5 and m + 1 < n:
-            even = 0.5 * (col + rcol)
-            odd = 0.5 * (col - rcol)
-            w[:, m] = even / np.sqrt(even @ even)
-            w[:, m + 1] = odd / np.sqrt(odd @ odd)
-            m += 2
-        else:
-            sign = 1.0 if parity_overlap[m] >= 0.0 else -1.0
-            proj = 0.5 * (col + sign * rcol)
-            w[:, m] = proj / np.sqrt(proj @ proj)
-            m += 1
-    return w
-
-
-def eigendecompose(h, sweep_cap: int = 50) -> SpectralDecomposition:
+def eigendecompose(h) -> SpectralDecomposition:
     """Full eigendecomposition of a TridiagonalHamiltonian.
 
-    Eigenvalues come back ascending with eigenvector columns permuted to
-    match. The sign of each eigenvector is fixed by making its entry of
+    Eigenvalues come back ascending (ties in the order even block, odd
+    block). The sign of each eigenvector is fixed by making its entry of
     largest magnitude (lowest index on ties) positive, so repeated runs are
     reproducible bit for bit.
 
-    Raises ConvergenceError if any eigenvalue needs more than sweep_cap QL
-    sweeps (does not happen for finite input in practice).
+    Raises ConvergenceError if LAPACK fails to converge (does not happen for
+    finite input in practice).
     """
-    n = h.dim
-    d0 = np.asarray(h.diagonal, dtype=np.float64)
+    d = np.asarray(h.diagonal, dtype=np.float64)
     e0 = np.asarray(h.offdiagonal, dtype=np.float64)
 
     # Diagonal +-1 similarity making every off-diagonal entry -|e|.
     signs = np.cumprod(np.concatenate(([1.0], np.where(e0 > 0.0, -1.0, 1.0))))
+    e = -np.abs(e0)
 
-    d = d0.tolist()
-    e = (-np.abs(e0)).tolist()
-    e.append(0.0)
-    z = np.eye(n, order="F")
-    _ql_implicit_shift(d, e, z, sweep_cap)
-
-    lam = np.asarray(d)
-    order = np.argsort(lam, kind="stable")
-    lam = np.ascontiguousarray(lam[order])
-    v = z[:, order]
+    if e.size and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
+        lam, v = _parity_eigh(d, e)
+    else:
+        lam, v = _tridiagonal_eigh(d, e)
+        v = np.asfortranarray(v)  # column-major, as the parity path builds it
     v *= signs[:, None]
-    if _is_mirror_symmetric(d0, e0):
-        v = _project_onto_parity(v)
 
+    n = lam.size
     dominant = np.argmax(np.abs(v), axis=0)
     flip = v[dominant, np.arange(n)] < 0.0
     v[:, flip] *= -1.0

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from bhdimer import cli
 from bhdimer.cli import (
     CSV_HEADER,
     PRESETS,
@@ -100,6 +101,25 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             small_spec(initial="fock:9,0")
 
+    @pytest.mark.parametrize(
+        "thetas",
+        [
+            dict(theta_c=0.0),
+            dict(theta_c=1.0),
+            dict(theta_c=2.0),
+            dict(theta_c=math.nan),
+            dict(theta_r=0.0),
+            dict(theta_r=1.5),
+            dict(theta_r=math.nan),
+        ],
+    )
+    def test_thresholds_out_of_range_rejected(self, thetas):
+        with pytest.raises(ValueError, match="theta_"):
+            small_spec(**thetas)
+
+    def test_theta_r_one_accepted(self):
+        assert small_spec(theta_r=1.0).theta_r == 1.0
+
 
 class TestRunScenario:
     def test_csv_shape_and_format(self, tmp_path):
@@ -179,6 +199,32 @@ class TestRunScenario:
         assert len(spec.out.read_text().splitlines()) == 2
 
 
+    def test_bad_theta_is_not_reported_as_short_series(self):
+        # A long enough series with an out-of-range threshold once came back
+        # as "series_too_short" with a zero exit.
+        with pytest.raises(ValueError, match="theta_c"):
+            run_scenario(
+                small_spec(
+                    config=CouplingConfig(20, k=1.0, e_j=1.0),
+                    initial="fock:20,0",
+                    steps=2000,
+                    theta_c=2.0,
+                )
+            )
+
+    def test_short_series_reported(self):
+        _, summary = run_scenario(small_spec(steps=50, window=21))
+        assert summary["collapse_revival"]["reason"] == "series_too_short"
+
+    def test_detector_errors_propagate(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("detector fault")
+
+        monkeypatch.setattr(cli, "collapse_revival_time", fail)
+        with pytest.raises(ValueError, match="detector fault"):
+            run_scenario(small_spec())
+
+
 class TestSweep:
     def test_degenerate_sweep_matches_single_run(self, tmp_path):
         base = small_spec()
@@ -221,6 +267,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(small_spec(), [], ["cat"])
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_program_fault_propagates(self, monkeypatch, jobs):
+        def fault(spec):
+            raise TypeError("program fault")
+
+        monkeypatch.setattr(cli, "run_scenario", fault)
+        with pytest.raises(TypeError, match="program fault"):
+            sweep(small_spec(), ["0.25", "1"], ["cat"], jobs=jobs)
+
 
 class TestMain:
     def test_list_presets(self, capsys):
@@ -243,6 +298,19 @@ class TestMain:
         rc = main(["--n", "10", "--ratio", "1", "--initial", "fock:3,3"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--theta-c", "2.0"],
+            ["--theta-r", "0"],
+            ["--theta-c", "2.0", "--initials", "fock:20,0;cat"],
+        ],
+    )
+    def test_bad_threshold_returns_error(self, capsys, extra):
+        rc = main(["--n", "20", "--ratio", "1", "--steps", "2000", *extra])
+        assert rc == 2
+        assert "theta_" in capsys.readouterr().err
 
     def test_single_run_prints_summary(self, tmp_path, capsys):
         rc = main(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bhdimer import spectral
+from bhdimer.cli import main
 from bhdimer.model import CouplingConfig, build_hamiltonian
 from bhdimer.observables import (
     entanglement_entropy,
@@ -31,13 +33,18 @@ def orthonormality_deviation(v):
     return np.abs(v.T @ v - np.eye(v.shape[0])).max()
 
 
-def max_residual(h, decomp):
-    v = decomp.eigenvectors
-    hv = h.diagonal[:, None] * v
-    if h.offdiagonal.size:
-        hv[:-1] += h.offdiagonal[:, None] * v[1:]
-        hv[1:] += h.offdiagonal[:, None] * v[:-1]
-    return np.linalg.norm(hv - decomp.eigenvalues[None, :] * v, axis=0).max()
+def max_residual(h, decomp, chunk=256):
+    # Column chunks keep the temporaries small at large N.
+    worst = 0.0
+    for j in range(0, decomp.dim, chunk):
+        v = decomp.eigenvectors[:, j : j + chunk]
+        hv = h.diagonal[:, None] * v
+        if h.offdiagonal.size:
+            hv[:-1] += h.offdiagonal[:, None] * v[1:]
+            hv[1:] += h.offdiagonal[:, None] * v[:-1]
+        hv -= decomp.eigenvalues[None, j : j + chunk] * v
+        worst = max(worst, np.linalg.norm(hv, axis=0).max())
+    return worst
 
 
 class TestEigendecompose:
@@ -77,10 +84,18 @@ class TestEigendecompose:
         _, d = decompose(80, k=0.7, dmu=-0.4, e_j=1.9)
         assert np.all(np.diff(d.eigenvalues) >= 0.0)
 
-    def test_sweep_cap_exhaustion_is_diagnosed(self):
+    def test_lapack_failure_is_diagnosed(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(spectral, "eigh", fail)
         h = build_hamiltonian(CouplingConfig(12, k=1.0, e_j=1.0))
-        with pytest.raises(ConvergenceError, match="QL sweeps"):
-            eigendecompose(h, sweep_cap=0)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            eigendecompose(h)
+        rc = main(["--n", "12", "--ratio", "1", "--t-max", "5", "--steps", "100",
+                   "--window", "21"])
+        assert rc == 1
+        assert "solver failure" in capsys.readouterr().err
 
     @given(
         n=st.integers(1, 60),
@@ -100,6 +115,43 @@ class TestEigendecompose:
         reference = np.linalg.eigvalsh(h.to_dense())
         scale = max(1.0, np.abs(reference).max())
         np.testing.assert_allclose(d.eigenvalues, reference, atol=1e-12 * scale)
+
+
+class TestLargeN:
+    """Invariants of the parity-block solver at sizes beyond the presets."""
+
+    N = 4000
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        return decompose(self.N, k=1.0, e_j=float(self.N))
+
+    def test_every_eigenvector_has_exact_parity(self, large):
+        v = large[1].eigenvectors
+        rev = v[::-1]
+        assert all(
+            np.array_equal(rev[:, j], v[:, j]) or np.array_equal(rev[:, j], -v[:, j])
+            for j in range(v.shape[1])
+        )
+
+    def test_tunneling_sign_flip_is_bitwise(self, large):
+        n = self.N
+        _, d_plus = large
+        _, d_minus = decompose(n, k=1.0, e_j=-float(n))
+        psi = fock(n - 100, 100)
+        flipped = StateVector((-1.0) ** np.arange(n + 1) * psi.coefficients)
+        for t in (0.3, 2.0):
+            a = evolve(d_plus, psi, t)
+            b = evolve(d_minus, flipped, t)
+            assert np.array_equal(a.probabilities(), b.probabilities())
+
+    def test_residual(self, large):
+        h, d = large
+        assert max_residual(h, d) <= 1e-9 * max(1.0, np.abs(d.eigenvalues).max())
+
+    def test_orthonormality(self):
+        _, d = decompose(2000, k=1.0, e_j=2000.0)
+        assert orthonormality_deviation(d.eigenvectors) <= 1e-10
 
 
 class TestEvolve:
