@@ -42,8 +42,8 @@ from .analysis import (
     time_averaged_imbalance,
 )
 from .model import CouplingConfig, build_hamiltonian
-from .observables import ObservableSeries, compute_series
-from .spectral import ConvergenceError, eigendecompose, evolve_series
+from .observables import ObservableSeries, reduce_blocks
+from .spectral import ConvergenceError, GridPropagator, eigendecompose
 from .states import parse_state
 
 __all__ = [
@@ -275,7 +275,16 @@ def _scenario_dict(spec: ScenarioSpec) -> dict:
     }
 
 
-def _summarize(spec: ScenarioSpec, series: ObservableSeries, include_envelope: bool) -> dict:
+def _json_dict(d: dict) -> dict:
+    return {key: _json_value(value) for key, value in d.items()}
+
+
+def _summarize(
+    spec: ScenarioSpec,
+    series: ObservableSeries,
+    propagator: GridPropagator,
+    include_envelope: bool,
+) -> dict:
     cfg = spec.config
     regime = classify(cfg)
     t = series.t
@@ -326,20 +335,22 @@ def _summarize(spec: ScenarioSpec, series: ObservableSeries, include_envelope: b
             "phase": regime.phase.value,
         },
         "collapse_revival": cr,
-        "time_averages": {
+        "time_averages": _json_dict({
             "imbalance_scaled": time_averaged_imbalance(t, series.imbalance_scaled),
             "variance": time_averaged_imbalance(t, series.variance),
             "entanglement_bits": time_averaged_imbalance(t, series.entanglement_bits),
-        },
-        "extrema": {
-            "max_entanglement_bits": float(series.entanglement_bits.max()),
-            "min_variance": float(series.variance.min()),
-            "max_abs_imbalance_scaled": float(np.abs(series.imbalance_scaled).max()),
-        },
-        "diagnostics": {
-            "max_norm_error": float(series.norm_error.max()),
+        }),
+        "extrema": _json_dict({
+            "max_entanglement_bits": series.entanglement_bits.max(),
+            "min_variance": series.variance.min(),
+            "max_abs_imbalance_scaled": np.abs(series.imbalance_scaled).max(),
+        }),
+        "diagnostics": _json_dict({
+            "max_norm_error": series.norm_error.max(),
             "energy_drift_rel": drift / max(1.0, abs(float(energy[0]))),
-        },
+            "kept_components": propagator.kept_components,
+            "dropped_weight": propagator.dropped_weight,
+        }),
         "delta_mu_dominant_initial": delta_mu_dominance(
             cfg, parse_state(spec.initial, cfg.n_total)
         ),
@@ -351,6 +362,11 @@ def run_scenario(spec: ScenarioSpec) -> tuple[ObservableSeries, dict]:
 
     An empty system (N = 0) has no dynamics, so its series collapses to the
     single row t = 0 with every observable equal to zero.
+
+    The trajectory is propagated and reduced to observables block by block
+    (GridPropagator, reduce_blocks), so memory does not grow with the number
+    of steps beyond the output columns. Raises ValueError when the phases
+    max|lambda| * t_max overflow.
     """
     cfg = spec.config
     h = build_hamiltonian(cfg)
@@ -359,11 +375,12 @@ def run_scenario(spec: ScenarioSpec) -> tuple[ObservableSeries, dict]:
         t = np.array([0.0])
     else:
         t = np.linspace(0.0, spec.t_max, spec.steps)
-    decomp = eigendecompose(h)
-    states = evolve_series(decomp, psi0, t)
-    series = compute_series(states, t, h)
+    propagator = GridPropagator(eigendecompose(h), psi0)
+    # np.linspace's own step: its t_j is j * dt except the last, which is t_max.
+    dt = spec.t_max / (spec.steps - 1)
+    series = reduce_blocks(propagator.blocks(dt, t.size), t, h)
 
-    summary = _summarize(spec, series, include_envelope=spec.out is not None)
+    summary = _summarize(spec, series, propagator, include_envelope=spec.out is not None)
     if spec.out is not None:
         _write_output(spec, series, summary)
     return series, summary

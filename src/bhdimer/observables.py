@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TridiagonalHamiltonian, imbalance_diagonal
+from .model import (
+    CouplingConfig,
+    TridiagonalHamiltonian,
+    build_hamiltonian,
+    imbalance_diagonal,
+)
 from .spectral import StateVector
 
 __all__ = [
@@ -31,6 +36,7 @@ __all__ = [
     "entanglement_entropy",
     "expectation_imbalance",
     "record",
+    "reduce_blocks",
     "variance_imbalance",
 ]
 
@@ -95,26 +101,63 @@ class ObservableSeries:
         return [ObservableRecord(*(float(v) for v in row)) for row in zip(*cols)]
 
 
-def _normalized_probabilities(state: StateVector) -> np.ndarray:
-    p = state.probabilities()
-    total = p.sum()
-    if total == 0.0:
+def _block_columns(cr: np.ndarray, ci: np.ndarray, h: TridiagonalHamiltonian) -> tuple:
+    """Every observable column but t for the coefficient rows cr + i ci.
+
+    This is the one implementation of the formulas; the scalar functions,
+    record and compute_series are views of it.
+    """
+    n_total = h.n_total
+    p = cr * cr
+    p += ci * ci
+    total = p.sum(axis=1)
+    if np.any(total == 0.0):
         raise ValueError("state has zero norm")
-    return p / total
+    p /= total[:, None]
+    d = imbalance_diagonal(n_total)
+    moments = p @ np.column_stack((d, d**2, h.diagonal))
+    imbalance = moments[:, 0] + 0.0
+    variance = np.maximum(moments[:, 1] - imbalance**2, 0.0)
+    energy = moments[:, 2]
+    if h.offdiagonal.size:
+        cross = cr[:, :-1] * cr[:, 1:]
+        cross += ci[:, :-1] * ci[:, 1:]
+        energy += 2.0 * (cross @ h.offdiagonal) / total
+    return (
+        imbalance,
+        imbalance / n_total if n_total else np.zeros_like(imbalance),
+        variance,
+        _entropy_bits(p),
+        np.abs(np.sqrt(total) - 1.0),
+        energy,
+    )
 
 
-def expectation_imbalance(state: StateVector) -> float:
-    """<N1 - N2> = sum_n p_n (N - 2n)."""
-    p = _normalized_probabilities(state)
-    return float(p @ imbalance_diagonal(state.n_total)) + 0.0
+def reduce_blocks(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries:
+    """Observables along a trajectory delivered as consecutive (cr, ci) blocks.
 
-
-def variance_imbalance(state: StateVector) -> float:
-    """<(N1-N2)^2> - <N1-N2>^2, clamped at zero against round-off."""
-    p = _normalized_probabilities(state)
-    d = imbalance_diagonal(state.n_total)
-    var = float(p @ d**2) - float(p @ d) ** 2
-    return var if var > 0.0 else 0.0
+    Each block holds the real and imaginary coefficient parts of successive
+    grid times, one row per time; the rows of all blocks together must match
+    t_grid. Blocks are reduced as they arrive, so memory holds the output
+    columns and one block.
+    """
+    t = np.asarray(t_grid, dtype=np.float64)
+    if t.ndim != 1:
+        raise ValueError("t_grid must be one-dimensional")
+    columns = np.empty((len(ObservableSeries.COLUMNS) - 1, t.size))
+    row = 0
+    for cr, ci in blocks:
+        if cr.shape[1] != h.dim:
+            raise ValueError("state dimension does not match Hamiltonian")
+        n = cr.shape[0]
+        if row + n > t.size:
+            raise ValueError("t_grid and states must have equal length")
+        for column, values in zip(columns, _block_columns(cr, ci, h)):
+            column[row : row + n] = values
+        row += n
+    if row != t.size:
+        raise ValueError("t_grid and states must have equal length")
+    return ObservableSeries(t, *columns)
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -126,11 +169,6 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1) + 0.0
 
 
-def entanglement_entropy(state: StateVector) -> float:
-    """Mode entanglement in bits, in [0, log2(N+1)]."""
-    return float(_entropy_bits(_normalized_probabilities(state)))
-
-
 def record(state: StateVector, t: float, h: TridiagonalHamiltonian) -> ObservableRecord:
     """Bundle all observables of one state at time t under Hamiltonian h."""
     if h.dim != state.dim:
@@ -138,30 +176,28 @@ def record(state: StateVector, t: float, h: TridiagonalHamiltonian) -> Observabl
             f"state dimension {state.dim} does not match Hamiltonian "
             f"dimension {h.dim}"
         )
-    n_total = state.n_total
-    c = state.coefficients
-    p_raw = state.probabilities()
-    total = p_raw.sum()
-    if total == 0.0:
-        raise ValueError("state has zero norm")
-    p = p_raw / total
-    d = imbalance_diagonal(n_total)
+    c = state.coefficients[None, :]
+    return reduce_blocks([(c.real, c.imag)], [float(t)], h).records()[0]
 
-    imbalance = float(p @ d) + 0.0
-    var = float(p @ d**2) - imbalance**2
-    energy = float(h.diagonal @ p)
-    if h.offdiagonal.size:
-        cross = (np.conj(c[:-1]) * c[1:]).real
-        energy += 2.0 * float(h.offdiagonal @ cross) / total
-    return ObservableRecord(
-        t=float(t),
-        imbalance=imbalance,
-        imbalance_scaled=imbalance / n_total if n_total else 0.0,
-        variance=var if var > 0.0 else 0.0,
-        entanglement_bits=float(_entropy_bits(p)),
-        norm_error=abs(float(np.sqrt(total)) - 1.0),
-        energy=energy,
-    )
+
+def _free_record(state: StateVector) -> ObservableRecord:
+    # The energy-free observables need no couplings: use the zero Hamiltonian.
+    return record(state, 0.0, build_hamiltonian(CouplingConfig(state.n_total)))
+
+
+def expectation_imbalance(state: StateVector) -> float:
+    """<N1 - N2> = sum_n p_n (N - 2n)."""
+    return _free_record(state).imbalance
+
+
+def variance_imbalance(state: StateVector) -> float:
+    """<(N1-N2)^2> - <N1-N2>^2, clamped at zero against round-off."""
+    return _free_record(state).variance
+
+
+def entanglement_entropy(state: StateVector) -> float:
+    """Mode entanglement in bits, in [0, log2(N+1)]."""
+    return _free_record(state).entanglement_bits
 
 
 def compute_series(states, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries:
@@ -174,34 +210,10 @@ def compute_series(states, t_grid, h: TridiagonalHamiltonian) -> ObservableSerie
     states = list(states)
     if t.ndim != 1 or t.size != len(states):
         raise ValueError("t_grid and states must have equal length")
-    if t.size == 0:
-        empty = np.empty(0)
-        return ObservableSeries(*([empty] * 7))
+    if not states:
+        return reduce_blocks([], t, h)
     for s in states:
         if s.dim != h.dim:
             raise ValueError("state dimension does not match Hamiltonian")
-
-    n_total = h.n_total
     c = np.stack([s.coefficients for s in states])
-    p_raw = c.real**2 + c.imag**2
-    total = p_raw.sum(axis=1)
-    if np.any(total == 0.0):
-        raise ValueError("state has zero norm")
-    p = p_raw / total[:, None]
-    d = imbalance_diagonal(n_total)
-
-    imbalance = p @ d + 0.0
-    variance = np.maximum(p @ d**2 - imbalance**2, 0.0)
-    energy = p @ h.diagonal
-    if h.offdiagonal.size:
-        cross = (np.conj(c[:, :-1]) * c[:, 1:]).real
-        energy += 2.0 * (cross @ h.offdiagonal) / total
-    return ObservableSeries(
-        t=t,
-        imbalance=imbalance,
-        imbalance_scaled=imbalance / n_total if n_total else np.zeros_like(imbalance),
-        variance=variance,
-        entanglement_bits=_entropy_bits(p),
-        norm_error=np.abs(np.sqrt(total) - 1.0),
-        energy=energy,
-    )
+    return reduce_blocks([(c.real, c.imag)], t, h)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,3 +401,56 @@ class TestMain:
             ]
         )
         assert rc == 1
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-JSON constant {name} in output")
+
+
+class TestNonFiniteOutput:
+    def test_phase_overflow_is_a_usage_error(self, capsys):
+        # k = 1e306 keeps H finite, but max|lambda| * t_max overflows.
+        rc = main(["--n", "20", "--k", "1e306", "--ej", "1", "--steps", "200"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "error:" in err and "not finite" in err
+
+    def test_phase_overflow_fails_only_its_sweep_cell(self, tmp_path):
+        summary = sweep(small_spec(), ["1e307", "0.25"], ["fock:8,0"], out_dir=tmp_path)
+        bad, good = summary["cells"]
+        assert bad["status"] == "error" and "not finite" in bad["error"]
+        assert good["status"] == "ok"
+        json.loads((tmp_path / "summary.json").read_text(), parse_constant=_reject_constant)
+
+    def test_summary_maps_non_finite_values_to_null(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "time_averaged_imbalance", lambda t, x: math.nan)
+        spec = small_spec(tmp_path, fmt="json")
+        _, summary = run_scenario(spec)
+        assert summary["time_averages"] == {
+            "imbalance_scaled": None,
+            "variance": None,
+            "entanglement_bits": None,
+        }
+        payload = json.loads(spec.out.read_text(), parse_constant=_reject_constant)
+        assert payload["summary"]["time_averages"]["variance"] is None
+
+    def test_summary_reports_truncation(self):
+        _, summary = run_scenario(small_spec(initial="cat"))
+        diag = summary["diagnostics"]
+        assert isinstance(diag["kept_components"], int)
+        assert 1 <= diag["kept_components"] <= 5  # even sector of N = 8
+        assert 0.0 <= diag["dropped_weight"] <= 1e-28
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_cli_without_warnings(self, tmp_path):
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bhdimer", "--list-presets"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "fig-rabi" in proc.stdout
