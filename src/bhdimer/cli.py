@@ -15,12 +15,19 @@ valid.
 Output is deterministic: rerunning a scenario reproduces the files byte for
 byte. CSV carries the series only (12 significant digits, LF endings) with
 the summary in a ".summary.json" sidecar; JSON files bundle spec, summary
-and series together.
+and series together. Every file is exactly what `f"{v:.11e}"` rows and
+`json.dumps(..., indent=2)` would give, but the long lists (series rows and
+the collapse/revival envelope) are streamed to the file ROW_CHUNK rows at a
+time through one C-level %-format of a repeated row template: "%.11e" is
+the routine behind f"{v:.11e}", and "%r" of a finite float is what json
+writes for it. A series or envelope value that is not finite is refused
+before any file is opened.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import re
@@ -58,6 +65,20 @@ __all__ = [
 ]
 
 CSV_HEADER = "t,imbalance,imbalance_scaled,variance,entanglement_bits,norm_error,energy"
+CSV_ROW = ",".join(["%.11e"] * len(ObservableSeries.COLUMNS)) + "\n"
+
+# Rows per %-format call of the writer: bounds the text and the float
+# objects alive at once, whatever the number of steps.
+ROW_CHUNK = 1024
+
+# Stand-ins for the streamed lists in the json.dumps text, with the
+# brackets and fields of one list item.
+_SERIES = "@series@"
+_ENVELOPE = "@envelope@"
+_ITEMS = {
+    _SERIES: ("{}", [f"{json.dumps(name)}: %r" for name in ObservableSeries.COLUMNS]),
+    _ENVELOPE: ("[]", ["%r", "%r"]),
+}
 
 DEFAULT_STEPS = 10_000
 
@@ -313,7 +334,7 @@ def _summarize(
             "envelope_points": int(report.envelope.shape[0]),
         }
         if include_envelope:
-            cr["envelope"] = [[float(a), float(b)] for a, b in report.envelope]
+            cr["envelope"] = report.envelope.tolist()
     else:
         cr = {
             "detected": False,
@@ -386,42 +407,68 @@ def run_scenario(spec: ScenarioSpec) -> tuple[ObservableSeries, dict]:
     return series, summary
 
 
-def _format_row(values) -> str:
-    return ",".join(f"{v:.11e}" for v in values)
+def _write_rows(f, rows: np.ndarray, template: str, skip: int) -> None:
+    """Write template % row for every row of `rows`, ROW_CHUNK rows per
+    %-format call, leaving out the first `skip` characters."""
+    for start in range(0, rows.shape[0], ROW_CHUNK):
+        chunk = rows[start : start + ROW_CHUNK]
+        text = (template * chunk.shape[0]) % tuple(chunk.ravel().tolist())
+        f.write(text[skip:] if start == 0 else text)
 
 
-def _series_rows(series: ObservableSeries):
-    return zip(
-        series.t,
-        series.imbalance,
-        series.imbalance_scaled,
-        series.variance,
-        series.entanglement_bits,
-        series.norm_error,
-        series.energy,
-    )
+def _json_parts(payload: dict, lists: dict) -> list:
+    """json.dumps(payload, indent=2) + "\n" as writer parts.
+
+    `lists` maps each placeholder string in the payload, in text order, to
+    the rows of the non-empty list it stands for. Each list becomes a
+    (rows, template, skip) part whose template copies indent=2's layout of
+    one item at the placeholder's depth, led by its "," separator (skipped
+    for the first item).
+    """
+    text = json.dumps(payload, indent=2) + "\n"
+    parts = []
+    for name in lists:
+        head, text = text.split(json.dumps(name), 1)
+        line = head[head.rfind("\n") + 1 :]
+        indent = len(line) - len(line.lstrip(" "))
+        (open_, close), fields = _ITEMS[name]
+        item = "\n" + " " * (indent + 2)
+        field = "\n" + " " * (indent + 4)
+        template = "," + item + open_ + ",".join(field + f for f in fields) + item + close
+        parts += [head + "[", (lists[name], template, 1), "\n" + " " * indent + "]"]
+    parts.append(text)
+    return parts
+
+
+def _write_parts(path: Path, parts) -> None:
+    """Write text parts and streamed (rows, template, skip) parts in order."""
+    with open(path, "w", newline="\n") as f:
+        for part in parts:
+            if isinstance(part, str):
+                f.write(part)
+            else:
+                _write_rows(f, *part)
 
 
 def _write_output(spec: ScenarioSpec, series: ObservableSeries, summary: dict) -> None:
     out = spec.out
+    rows = np.column_stack([getattr(series, name) for name in ObservableSeries.COLUMNS])
+    cr = summary["collapse_revival"]
+    lists = {}
+    if "envelope" in cr:
+        lists[_ENVELOPE] = np.array(cr["envelope"], dtype=np.float64).reshape(-1, 2)
+        summary = dict(summary, collapse_revival=dict(cr, envelope=_ENVELOPE))
+    if not all(np.isfinite(a).all() for a in (rows, *lists.values())):
+        raise ValueError(f"{out}: the series or the envelope holds a non-finite value")
+    payload = {"spec": _scenario_dict(spec), "summary": summary}
     out.parent.mkdir(parents=True, exist_ok=True)
     if spec.fmt == "csv":
-        lines = [CSV_HEADER]
-        lines.extend(_format_row(row) for row in _series_rows(series))
-        out.write_text("\n".join(lines) + "\n", newline="\n")
-        sidecar = out.with_name(out.stem + ".summary.json")
-        payload = {"spec": _scenario_dict(spec), "summary": summary}
-        sidecar.write_text(json.dumps(payload, indent=2) + "\n", newline="\n")
+        _write_parts(out, [CSV_HEADER + "\n", (rows, CSV_ROW, 0)])
+        out = out.with_name(out.stem + ".summary.json")
     else:
-        payload = {
-            "spec": _scenario_dict(spec),
-            "summary": summary,
-            "series": [
-                dict(zip(ObservableSeries.COLUMNS, map(float, row)))
-                for row in _series_rows(series)
-            ],
-        }
-        out.write_text(json.dumps(payload, indent=2) + "\n", newline="\n")
+        payload["series"] = _SERIES
+        lists[_SERIES] = rows
+    _write_parts(out, _json_parts(payload, lists))
 
 
 def read_series(path) -> ObservableSeries:
@@ -433,12 +480,10 @@ def read_series(path) -> ObservableSeries:
             name: np.array([row[name] for row in rows]) for name in ObservableSeries.COLUMNS
         }
         return ObservableSeries(**cols)
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
+    header, _, body = text.partition("\n")
+    if header != CSV_HEADER:
         raise ValueError(f"{path} does not carry the expected CSV header")
-    data = np.array(
-        [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    ).reshape(-1, 7)
+    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2).reshape(-1, 7)
     return ObservableSeries(*(data[:, i] for i in range(7)))
 
 
@@ -478,7 +523,8 @@ def sweep(
 
     A cell whose input is invalid (ValueError) or whose eigensolver fails
     (ConvergenceError) is recorded with status "error"; any other exception
-    is a program fault and propagates.
+    is a program fault and propagates. `jobs` (>= 1) cells run at once on
+    threads.
 
     Returns the combined summary, keyed by (ratio token, initial). When
     out_dir is given each cell writes its own series file there and the
@@ -488,6 +534,8 @@ def sweep(
     initials = list(initials)
     if not ratio_tokens or not initials:
         raise ValueError("sweep needs at least one ratio and one initial state")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir) if out_dir is not None else None
 
     cells = [(rt, init) for rt in ratio_tokens for init in initials]
@@ -518,8 +566,7 @@ def sweep(
     summary = {"base": _scenario_dict(replace(base, out=None)), "cells": entries}
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "summary.json"
-        path.write_text(json.dumps(summary, indent=2) + "\n", newline="\n")
+        _write_parts(out_dir / "summary.json", _json_parts(summary, {}))
     return summary
 
 

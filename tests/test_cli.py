@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +273,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(small_spec(), [], ["cat"])
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_sweep_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep(small_spec(), ["0.25"], ["cat"], jobs=jobs)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_program_fault_propagates(self, monkeypatch, jobs):
         def fault(spec):
@@ -402,9 +409,40 @@ class TestMain:
         )
         assert rc == 1
 
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):
+        rc = main(["--n", "4", "--ratios", "1,2", "--jobs", "-3", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert "jobs" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 def _reject_constant(name):
     raise AssertionError(f"non-JSON constant {name} in output")
+
+
+def _poison(monkeypatch, where):
+    """Put one NaN into the reduced series or into the envelope."""
+    if where == "series":
+        real = cli.reduce_blocks
+
+        def poisoned(*args):
+            series = real(*args)
+            variance = series.variance.copy()
+            variance[len(variance) // 2] = math.nan
+            return dataclasses.replace(series, variance=variance)
+
+        monkeypatch.setattr(cli, "reduce_blocks", poisoned)
+    else:
+        real = cli.collapse_revival_time
+
+        def poisoned(*args, **kwargs):
+            report = real(*args, **kwargs)
+            envelope = report.envelope.copy()
+            envelope[-1, 1] = math.nan
+            return dataclasses.replace(report, envelope=envelope)
+
+        monkeypatch.setattr(cli, "collapse_revival_time", poisoned)
 
 
 class TestNonFiniteOutput:
@@ -442,6 +480,31 @@ class TestNonFiniteOutput:
         assert 1 <= diag["kept_components"] <= 5  # even sector of N = 8
         assert 0.0 <= diag["dropped_weight"] <= 1e-28
 
+    @pytest.mark.parametrize("where", ["series", "envelope"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_series_refused_before_any_file(self, tmp_path, monkeypatch, where, fmt):
+        _poison(monkeypatch, where)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_scenario(small_spec(tmp_path / "out", fmt=fmt))
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_series_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        _poison(monkeypatch, "series")
+        rc = main(["--n", "8", "--ratio", "0.25", "--steps", "400", "--window", "21",
+                   "--out", str(tmp_path / "run.json"), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert "error:" in err and "non-finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_series_fails_only_its_sweep_cell(self, tmp_path, monkeypatch):
+        _poison(monkeypatch, "series")
+        summary = sweep(small_spec(), ["0.25"], ["fock:8,0", "cat"], out_dir=tmp_path)
+        assert [c["status"] for c in summary["cells"]] == ["error", "error"]
+        assert all("non-finite" in c["error"] for c in summary["cells"])
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+        json.loads((tmp_path / "summary.json").read_text(), parse_constant=_reject_constant)
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_cli_without_warnings(self, tmp_path):
@@ -454,3 +517,112 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert "fig-rabi" in proc.stdout
+
+
+def _oracle(spec, series, summary) -> dict:
+    """File name -> text that the stdlib encoders give for one run: one
+    f"{v:.11e}" per CSV value, json.dumps(indent=2) for every JSON file."""
+    rows = list(zip(*(getattr(series, name) for name in series.COLUMNS)))
+    payload = {"spec": cli._scenario_dict(spec), "summary": summary}
+    if spec.fmt == "csv":
+        lines = [CSV_HEADER, *(",".join(f"{v:.11e}" for v in row) for row in rows)]
+        return {
+            spec.out.name: "\n".join(lines) + "\n",
+            spec.out.stem + ".summary.json": json.dumps(payload, indent=2) + "\n",
+        }
+    payload["series"] = [dict(zip(series.COLUMNS, map(float, row))) for row in rows]
+    return {spec.out.name: json.dumps(payload, indent=2) + "\n"}
+
+
+def _written(directory) -> dict:
+    return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
+
+
+def _assert_matches_oracle(spec, series, summary):
+    expected = {name: text.encode() for name, text in _oracle(spec, series, summary).items()}
+    assert _written(spec.out.parent) == expected
+
+
+class TestByteFormat:
+    """The streamed writer gives exactly the stdlib encoders' bytes."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "steps,window",
+        [
+            (15, 21),  # series below one chunk, too short for an envelope
+            (16, 3),  # series exactly one chunk, envelope below it
+            (20, 3),  # series above one chunk, envelope exactly one
+            (36, 3),  # envelope an exact multiple of the chunk
+            (48, 3),  # series an exact multiple of the chunk
+            (400, 21),  # many chunks of both
+        ],
+    )
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, fmt, steps, window):
+        monkeypatch.setattr(cli, "ROW_CHUNK", 16)
+        spec = small_spec(tmp_path, fmt=fmt, steps=steps, window=window)
+        series, summary = run_scenario(spec)
+        assert ("envelope" in summary["collapse_revival"]) == (steps >= 3 * window)
+        _assert_matches_oracle(spec, series, summary)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunks", [1, 2.5])
+    def test_module_chunk(self, tmp_path, fmt, chunks):
+        spec = small_spec(tmp_path, fmt=fmt, steps=int(chunks * cli.ROW_CHUNK))
+        _assert_matches_oracle(spec, *run_scenario(spec))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_system(self, tmp_path, fmt):
+        spec = ScenarioSpec(
+            config=CouplingConfig(0, k=1.0, delta_mu=0.5, e_j=1.0),
+            initial="fock:0,0",
+            t_max=10.0,
+            steps=100,
+            out=tmp_path / f"empty.{fmt}",
+            fmt=fmt,
+        )
+        _assert_matches_oracle(spec, *run_scenario(spec))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_null_summary_value(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "time_averaged_imbalance", lambda t, x: math.nan)
+        spec = small_spec(tmp_path, fmt=fmt)
+        series, summary = run_scenario(spec)
+        assert summary["time_averages"]["variance"] is None
+        _assert_matches_oracle(spec, series, summary)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_directory(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "ROW_CHUNK", 64)
+        base = small_spec(fmt=fmt)
+        ratios, initials = ["0.25", "1"], ["fock:8,0", "cat"]
+        summary = sweep(base, ratios, initials, out_dir=tmp_path / "sweep", jobs=2)
+        expected = {"summary.json": json.dumps(summary, indent=2) + "\n"}
+        for ratio in ratios:
+            for initial in initials:
+                spec = cli._sweep_cell(base, ratio, initial, tmp_path / "single")
+                expected.update(_oracle(spec, *run_scenario(spec)))
+        assert _written(tmp_path / "sweep") == {k: v.encode() for k, v in expected.items()}
+
+    def test_write_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch):
+        # tracemalloc sees the text, the float objects and numpy's buffers.
+        # Writing ten times the steps may add the seven output columns and a
+        # few chunks of rendered rows (about 64 bytes per value), no more.
+        real = cli._write_output
+        peaks = []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                real(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_write_output", traced)
+        short, long = 4_000, 40_000
+        for steps in (short, short, long):  # the first run warms caches
+            run_scenario(small_spec(tmp_path, fmt="json", steps=steps))
+        growth = peaks[2] - peaks[1]
+        chunk = cli.ROW_CHUNK * 7 * 64
+        assert growth <= 7 * 8 * (long - short) + 3 * chunk
