@@ -13,6 +13,10 @@ collapses to the Shannon entropy of the basis weights,
     E = -sum_n p_n log2 p_n,
 
 bounded by log2(N+1) (uniform weights) and 0 (a single Fock state).
+
+reduce_blocks allocates one workspace of block size per call (the
+probabilities, one float scratch and the entropy mask) and reduces every
+block in it, so a long run allocates only length-rows columns per block.
 """
 
 from __future__ import annotations
@@ -101,33 +105,50 @@ class ObservableSeries:
         return [ObservableRecord(*(float(v) for v in row)) for row in zip(*cols)]
 
 
-def _block_columns(cr: np.ndarray, ci: np.ndarray, h: TridiagonalHamiltonian) -> tuple:
+def _block_columns(
+    cr: np.ndarray,
+    ci: np.ndarray,
+    h: TridiagonalHamiltonian,
+    weights: np.ndarray,
+    p: np.ndarray,
+    work: np.ndarray,
+    mask: np.ndarray,
+) -> tuple:
     """Every observable column but t for the coefficient rows cr + i ci.
 
     This is the one implementation of the formulas; the scalar functions,
-    record and compute_series are views of it.
+    record and compute_series are views of it. weights holds the columns
+    (d, d^2, diagonal) of the moments; p, work and mask are C-contiguous
+    scratch arrays of the block's shape, overwritten here.
     """
     n_total = h.n_total
-    p = cr * cr
-    p += ci * ci
+    np.multiply(cr, cr, out=p)
+    np.multiply(ci, ci, out=work)
+    p += work
     total = p.sum(axis=1)
     if np.any(total == 0.0):
         raise ValueError("state has zero norm")
     p /= total[:, None]
-    d = imbalance_diagonal(n_total)
-    moments = p @ np.column_stack((d, d**2, h.diagonal))
+    moments = p @ weights
     imbalance = moments[:, 0] + 0.0
     variance = np.maximum(moments[:, 1] - imbalance**2, 0.0)
     energy = moments[:, 2]
+    entropy = _entropy_bits(p, work, mask)
     if h.offdiagonal.size:
-        cross = cr[:, :-1] * cr[:, 1:]
-        cross += ci[:, :-1] * ci[:, 1:]
+        # p is free now: the two products go into contiguous (rows, dim-1)
+        # views of the scratch.
+        shape = (cr.shape[0], cr.shape[1] - 1)
+        cross = work.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+        cross_i = p.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+        np.multiply(cr[:, :-1], cr[:, 1:], out=cross)
+        np.multiply(ci[:, :-1], ci[:, 1:], out=cross_i)
+        cross += cross_i
         energy += 2.0 * (cross @ h.offdiagonal) / total
     return (
         imbalance,
         imbalance / n_total if n_total else np.zeros_like(imbalance),
         variance,
-        _entropy_bits(p),
+        entropy,
         np.abs(np.sqrt(total) - 1.0),
         energy,
     )
@@ -145,6 +166,9 @@ def reduce_blocks(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries
     if t.ndim != 1:
         raise ValueError("t_grid must be one-dimensional")
     columns = np.empty((len(ObservableSeries.COLUMNS) - 1, t.size))
+    d = imbalance_diagonal(h.n_total)
+    weights = np.column_stack((d, d**2, h.diagonal))
+    p = work = mask = None
     row = 0
     for cr, ci in blocks:
         if cr.shape[1] != h.dim:
@@ -152,17 +176,23 @@ def reduce_blocks(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries
         n = cr.shape[0]
         if row + n > t.size:
             raise ValueError("t_grid and states must have equal length")
-        for column, values in zip(columns, _block_columns(cr, ci, h)):
-            column[row : row + n] = values
+        if p is None or n > p.shape[0]:
+            p, work = np.empty((2, n, h.dim))
+            mask = np.empty((n, h.dim), dtype=bool)
+        values = _block_columns(cr, ci, h, weights, p[:n], work[:n], mask[:n])
+        for column, value in zip(columns, values):
+            column[row : row + n] = value
         row += n
     if row != t.size:
         raise ValueError("t_grid and states must have equal length")
     return ObservableSeries(t, *columns)
 
 
-def _entropy_bits(p: np.ndarray) -> np.ndarray:
-    terms = np.zeros_like(p)
-    mask = p > _ENTROPY_FLOOR
+def _entropy_bits(p: np.ndarray, terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    # terms and mask are scratch of p's shape. log2 writes only where the
+    # mask holds, so every other term is cleared first.
+    np.greater(p, _ENTROPY_FLOOR, out=mask)
+    terms.fill(0.0)
     np.log2(p, out=terms, where=mask)
     terms *= p
     # -sum p log2 p; the trailing +0.0 turns -0.0 into +0.0.

@@ -7,10 +7,12 @@ from hypothesis.extra.numpy import arrays
 
 from bhdimer.model import CouplingConfig, build_hamiltonian
 from bhdimer.observables import (
+    ObservableSeries,
     compute_series,
     entanglement_entropy,
     expectation_imbalance,
     record,
+    reduce_blocks,
     variance_imbalance,
 )
 from bhdimer.spectral import StateVector, eigendecompose, evolve, evolve_series
@@ -203,6 +205,28 @@ class TestComputeSeries:
         states = evolve_series(d, fock(2, 0), [0.0, 1.0])
         with pytest.raises(ValueError):
             compute_series(states, [0.0], h)
+
+
+class TestReduceBlocks:
+    def test_workspace_reuse_matches_blocks_alone(self):
+        # A dense block, then a shorter one with exact zeros and sub-floor
+        # weights where the first had weight: stale scratch from the first
+        # block (entropy terms, mask, row slices) would show in the second.
+        n = 7
+        h = build_hamiltonian(CouplingConfig(n, k=0.7, delta_mu=0.2, e_j=1.1))
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((2, 5, n + 1))
+        sparse = np.zeros((2, 3, n + 1))
+        sparse[0, :, 2] = 1.0
+        sparse[:, 1, 5] = rng.standard_normal(2)
+        sparse[1, 2, ::3] = 1e-160  # weight 1e-320, below the entropy floor
+        t = np.arange(8.0)
+        both = reduce_blocks([(dense[0], dense[1]), (sparse[0], sparse[1])], t, h)
+        first = reduce_blocks([(dense[0], dense[1])], t[:5], h)
+        second = reduce_blocks([(sparse[0], sparse[1])], t[5:], h)
+        for name in ObservableSeries.COLUMNS:
+            want = np.concatenate((getattr(first, name), getattr(second, name)))
+            assert np.array_equal(getattr(both, name), want), name
 
 
 class TestTrajectorySymmetries:
