@@ -11,12 +11,16 @@ drops the eigencomponents of smallest weight |a_n|^2 while their total stays
 within DROPPED_WEIGHT_MAX, which bounds the error of every coefficient by
 sqrt(DROPPED_WEIGHT_MAX) = 1e-14 (each row of V has unit norm). The dropped
 set includes the exact zeros of a parity sector the initial state does not
-touch. It then walks the grid in blocks of rows: the phases of a block are
-one table exp(-i lam k dt), k < rows, built once and multiplied by
-a_n exp(-i lam_n t_s) at the block start t_s, and the coefficients of the
-whole block come from one real matrix product with the kept eigenvectors.
-Memory stays at a few blocks whatever the grid length, and the time is
-spent in BLAS and numpy ufuncs, which release the GIL.
+touch. It then walks the grid in blocks of block_rows(dim, steps) rows:
+the phases of a block are one table exp(-i lam k dt), k < rows, built once
+and multiplied by a_n exp(-i lam_n t_s) at the block start t_s, and the
+coefficients of the whole block come from one real matrix product with the
+kept eigenvectors. A block holds about BLOCK_ELEMENTS values per float
+array, small enough for the elementwise passes of the propagation and the
+observables to stay in cache, and at least 64 rows, so the product keeps a
+tall matrix at large dim. Memory stays at a few blocks whatever the grid
+length, and the time is spent in BLAS and numpy ufuncs, which release the
+GIL.
 
 The eigenpairs come from LAPACK through numpy.linalg.eigh. Before that, the
 off-diagonal is mapped to -|e| by a diagonal +-1 similarity. The solver then
@@ -48,6 +52,7 @@ __all__ = [
     "GridPropagator",
     "SpectralDecomposition",
     "StateVector",
+    "block_rows",
     "eigendecompose",
     "evolve",
     "evolve_series",
@@ -57,8 +62,9 @@ _SQRT_HALF = math.sqrt(0.5)
 
 # Largest total weight sum |a_n|^2 that GridPropagator may drop.
 DROPPED_WEIGHT_MAX = 1e-28
-# Grid times per block: rows * dim stays near 2^18 doubles (2 MiB) per array.
-BLOCK_ELEMENTS = 2**18
+# Grid times per block: rows * dim stays near 2^16 doubles (512 KiB) per
+# array, unless block_rows' floor of 64 rows applies.
+BLOCK_ELEMENTS = 2**16
 
 
 class ConvergenceError(RuntimeError):
@@ -270,6 +276,16 @@ def evolve_series(decomp: SpectralDecomposition, initial: StateVector, t_grid) -
     return [StateVector(_propagate(v, lam, a, tj)) for tj in t]
 
 
+def block_rows(dim: int, steps: int) -> int:
+    """Grid times per block of GridPropagator.blocks for a dim-sized state.
+
+    BLOCK_ELEMENTS // dim, but at least 64, so that the stacked real and
+    imaginary phases give BLAS 128 rows at large dim; never more than steps
+    (one block for a short grid) and never less than 1.
+    """
+    return max(1, min(steps, max(64, BLOCK_ELEMENTS // dim)))
+
+
 class GridPropagator:
     """One initial state propagated over the uniform grid t_j = j*dt.
 
@@ -316,7 +332,7 @@ class GridPropagator:
                 "phases overflow: max|lambda| * t_max is not finite "
                 f"(max|lambda| = {lam_max:.3g}, t_max = {t_max:.3g})"
             )
-        rows = max(1, min(steps, BLOCK_ELEMENTS // dim))
+        rows = block_rows(dim, steps)
         table = np.exp(np.multiply.outer(np.arange(rows) * dt, lam) * -1j)
         z = np.empty_like(table)
         x = np.empty((2 * rows, lam.size))

@@ -9,13 +9,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bhdimer import spectral
 from bhdimer.cli import ScenarioSpec, run_scenario
 from bhdimer.model import CouplingConfig, build_hamiltonian
 from bhdimer.observables import ObservableSeries, compute_series
 from bhdimer.spectral import (
-    BLOCK_ELEMENTS,
     DROPPED_WEIGHT_MAX,
     GridPropagator,
+    block_rows,
     eigendecompose,
     evolve_series,
 )
@@ -32,6 +33,11 @@ def spec(n, initial, k=1.0, e_j=7.0, dmu=0.0, t_max=20.0, steps=1500):
     )
 
 
+def full_rows(dim):
+    """Rows of a full block of GridPropagator.blocks at this dimension."""
+    return block_rows(dim, 2**62)
+
+
 def columns(series):
     return {name: getattr(series, name) for name in ObservableSeries.COLUMNS}
 
@@ -46,7 +52,7 @@ def reference_series(s: ScenarioSpec):
 
 def test_tunneling_sign_flip_is_bitwise():
     n = 60
-    steps = BLOCK_ELEMENTS // (n + 1) + 703  # two blocks, the second partial
+    steps = full_rows(n + 1) + 703  # two blocks, the second partial
     a, _ = run_scenario(spec(n, "fock:45,15", e_j=7.0, steps=steps))
     b, _ = run_scenario(spec(n, "fock:45,15", e_j=-7.0, steps=steps))
     for name, col in columns(a).items():
@@ -64,15 +70,15 @@ def test_mirror_symmetry_at_zero_bias():
 @pytest.mark.parametrize(
     "n,initial,dmu,steps",
     [
-        (200, "fock:150,50", 0.3, 2 * (BLOCK_ELEMENTS // 201) + 17),
-        (200, "me", 0.0, 3 * (BLOCK_ELEMENTS // 201) - 1),
+        (200, "fock:150,50", 0.3, 2 * full_rows(201) + 17),
+        (200, "me", 0.0, 3 * full_rows(201) - 1),
         (0, "fock:0,0", 0.5, 100),
         (1, "fock:1,0", 0.0, 333),
         (1, "fock:0,1", 0.2, 333),
     ],
 )
 def test_matches_reference_path(n, initial, dmu, steps):
-    rows = BLOCK_ELEMENTS // (n + 1)
+    rows = full_rows(n + 1)
     assert n == 0 or steps % rows != 0 or steps < rows
     s = spec(n, initial, k=1.0, e_j=0.5 * max(n, 1), dmu=dmu, steps=steps)
     got, _ = run_scenario(s)
@@ -101,6 +107,19 @@ def test_truncation_is_reported_per_state():
     assert fock.kept_components < 101
     assert 0.0 < fock.dropped_weight <= DROPPED_WEIGHT_MAX
     assert 1 <= uniform.kept_components <= 51  # even sector of N = 100
+
+
+def test_blocks_keep_a_row_floor(monkeypatch):
+    # BLOCK_ELEMENTS // dim would give 10 rows; the floor keeps 64.
+    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 1024)
+    n = 100
+    propagator = GridPropagator(
+        eigendecompose(build_hamiltonian(CouplingConfig(n, k=1.0, e_j=1.0))),
+        parse_state("fock:100,0", n),
+    )
+    assert block_rows(n + 1, 200) == 64
+    assert [cr.shape[0] for cr, _ in propagator.blocks(0.01, 200)] == [64, 64, 64, 8]
+    assert [cr.shape[0] for cr, _ in propagator.blocks(0.01, 63)] == [63]
 
 
 def test_phase_overflow_is_rejected():
