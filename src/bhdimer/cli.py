@@ -472,19 +472,47 @@ def _write_output(spec: ScenarioSpec, series: ObservableSeries, summary: dict) -
 
 
 def read_series(path) -> ObservableSeries:
-    """Read back a series file written by this module (CSV or JSON)."""
+    """Read back a series file written by this module (CSV or JSON).
+
+    A JSON file must have the indent=2 layout the writer produces, with
+    "series" as its last top-level member: only that list is decoded, not
+    the spec and summary before it. Any other layout is a ValueError.
+    """
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        rows = json.loads(text)["series"]
-        cols = {
-            name: np.array([row[name] for row in rows]) for name in ObservableSeries.COLUMNS
-        }
-        return ObservableSeries(**cols)
+        return _read_json_series(path, text)
     header, _, body = text.partition("\n")
     if header != CSV_HEADER:
         raise ValueError(f"{path} does not carry the expected CSV header")
     data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2).reshape(-1, 7)
     return ObservableSeries(*(data[:, i] for i in range(7)))
+
+
+# In an indent=2 file only a top-level key follows a raw newline and exactly
+# two spaces, and no JSON string holds a raw newline.
+_SERIES_MEMBER = '\n  "series": '
+
+
+def _read_json_series(path, text: str) -> ObservableSeries:
+    start = text.rfind(_SERIES_MEMBER)
+    if start < 0:
+        raise ValueError(f"{path} has no top-level series in the indent=2 layout")
+    try:
+        rows, end = json.JSONDecoder().raw_decode(text, start + len(_SERIES_MEMBER))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: the series is not valid JSON: {exc}") from exc
+    if text[end:] != "\n}\n":
+        raise ValueError(f"{path}: the series is not the last member of the file")
+    try:
+        cols = {
+            name: np.array([row[name] for row in rows], dtype=np.float64)
+            for name in ObservableSeries.COLUMNS
+        }
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{path}: a series row is not an object holding every column ({exc!r})"
+        ) from exc
+    return ObservableSeries(**cols)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,37 @@ class TestRunScenario:
         for name in back.COLUMNS:
             np.testing.assert_array_equal(getattr(back, name), getattr(series, name))
 
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda payload: json.dumps(payload),
+            lambda payload: json.dumps(
+                {"spec": payload["spec"], "summary": payload["summary"]}, indent=2
+            )
+            + "\n",
+            lambda payload: json.dumps(payload, indent=2) + "\n{}\n",
+            lambda payload: json.dumps(
+                dict(
+                    payload,
+                    series=[
+                        {k: v for k, v in row.items() if k != "energy"} if j == 1 else row
+                        for j, row in enumerate(payload["series"])
+                    ],
+                ),
+                indent=2,
+            )
+            + "\n",
+        ],
+        ids=["compact", "no-series", "trailing-data", "row-missing-key"],
+    )
+    def test_json_read_back_requires_the_written_layout(self, tmp_path, layout):
+        spec = small_spec(tmp_path, fmt="json")
+        run_scenario(spec)
+        bad = tmp_path / "bad.json"
+        bad.write_text(layout(json.loads(spec.out.read_text())))
+        with pytest.raises(ValueError, match="bad.json"):
+            read_series(bad)
+
     def test_json_structure(self, tmp_path):
         spec = small_spec(tmp_path, fmt="json")
         run_scenario(spec)
