@@ -165,14 +165,7 @@ class TestRunScenario:
             + "\n",
             lambda payload: json.dumps(payload, indent=2) + "\n{}\n",
             lambda payload: json.dumps(
-                dict(
-                    payload,
-                    series=[
-                        {k: v for k, v in row.items() if k != "energy"} if j == 1 else row
-                        for j, row in enumerate(payload["series"])
-                    ],
-                ),
-                indent=2,
+                dict(payload, series=[{"t": 0.0}] + payload["series"]), indent=2
             )
             + "\n",
         ],
