@@ -70,8 +70,8 @@ def test_mirror_symmetry_at_zero_bias():
 @pytest.mark.parametrize(
     "n,initial,dmu,steps",
     [
-        (200, "fock:150,50", 0.3, 2 * full_rows(201) + 17),
-        (200, "me", 0.0, 3 * full_rows(201) - 1),
+        (200, "fock:150,50", 0.3, 8 * full_rows(201) + 17),
+        (200, "me", 0.0, 12 * full_rows(201) - 1),
         (0, "fock:0,0", 0.5, 100),
         (1, "fock:1,0", 0.0, 333),
         (1, "fock:0,1", 0.2, 333),
