@@ -61,9 +61,6 @@ class Regime(enum.Enum):
         return self.value
 
 
-_REGIME_ORDER = {regime: index for index, regime in enumerate(Regime)}
-
-
 class Phase(enum.Enum):
     DELOCALIZED = "delocalized"
     THRESHOLD = "threshold"
@@ -80,11 +77,6 @@ class RegimeReport:
     ratio: float
     regime: Regime
     phase: Phase
-
-
-def regime_order(regime: Regime) -> int:
-    """Position of a regime in the rabi -> fock ordering (for monotonicity)."""
-    return _REGIME_ORDER[regime]
 
 
 def classify(config: CouplingConfig) -> RegimeReport:

@@ -474,7 +474,8 @@ def _write_output(spec: ScenarioSpec, series: ObservableSeries, summary: dict) -
 def read_series(path) -> ObservableSeries:
     """Read back a series file written by this module (CSV or JSON).
 
-    A JSON file must have the indent=2 layout the writer produces, with
+    A CSV file must hold the header and at least one row of 7 values per
+    line. A JSON file must have the indent=2 layout the writer produces, with
     "series" as its last top-level member: only that list is decoded, not
     the spec and summary before it. Any other layout is a ValueError.
     """
@@ -484,8 +485,10 @@ def read_series(path) -> ObservableSeries:
     header, _, body = text.partition("\n")
     if header != CSV_HEADER:
         raise ValueError(f"{path} does not carry the expected CSV header")
-    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2).reshape(-1, 7)
-    return ObservableSeries(*(data[:, i] for i in range(7)))
+    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    if data.shape[1] != 7:
+        raise ValueError(f"{path}: the CSV body does not hold rows of 7 values")
+    return ObservableSeries(*data.T)
 
 
 # In an indent=2 file only a top-level key follows a raw newline and exactly

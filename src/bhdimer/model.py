@@ -123,27 +123,6 @@ class TridiagonalHamiltonian:
             a[idx + 1, idx] = self.offdiagonal
         return a
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H @ x without densifying; x may be real or complex."""
-        x = np.asarray(x)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {x.shape}")
-        y = self.diagonal * x
-        if self.offdiagonal.size:
-            y[:-1] += self.offdiagonal * x[1:]
-            y[1:] += self.offdiagonal * x[:-1]
-        return y
-
-    def quadratic_form(self, x: np.ndarray) -> float:
-        """Re <x|H|x> via the tridiagonal structure (no matvec allocation)."""
-        x = np.asarray(x)
-        p = x.real**2 + x.imag**2 if np.iscomplexobj(x) else x * x
-        value = float(self.diagonal @ p)
-        if self.offdiagonal.size:
-            cross = (np.conj(x[:-1]) * x[1:]).real
-            value += 2.0 * float(self.offdiagonal @ cross)
-        return value
-
 
 def imbalance_diagonal(n_total: int) -> np.ndarray:
     """Diagonal of the relative-number operator N1 - N2: (N, N-2, ..., -N)."""

@@ -100,10 +100,6 @@ class ObservableSeries:
     def __len__(self) -> int:
         return self.t.size
 
-    def records(self) -> list:
-        cols = [getattr(self, name) for name in self.COLUMNS]
-        return [ObservableRecord(*(float(v) for v in row)) for row in zip(*cols)]
-
 
 def _block_columns(
     cr: np.ndarray,
@@ -201,13 +197,9 @@ def _entropy_bits(p: np.ndarray, terms: np.ndarray, mask: np.ndarray) -> np.ndar
 
 def record(state: StateVector, t: float, h: TridiagonalHamiltonian) -> ObservableRecord:
     """Bundle all observables of one state at time t under Hamiltonian h."""
-    if h.dim != state.dim:
-        raise ValueError(
-            f"state dimension {state.dim} does not match Hamiltonian "
-            f"dimension {h.dim}"
-        )
     c = state.coefficients[None, :]
-    return reduce_blocks([(c.real, c.imag)], [float(t)], h).records()[0]
+    row = reduce_blocks([(c.real, c.imag)], [float(t)], h)
+    return ObservableRecord(*(float(getattr(row, name)[0]) for name in row.COLUMNS))
 
 
 def _free_record(state: StateVector) -> ObservableRecord:
@@ -236,14 +228,8 @@ def compute_series(states, t_grid, h: TridiagonalHamiltonian) -> ObservableSerie
     states and t_grid must have equal length; each row of the result matches
     record(states[j], t_grid[j], h) to round-off.
     """
-    t = np.asarray(t_grid, dtype=np.float64)
     states = list(states)
-    if t.ndim != 1 or t.size != len(states):
-        raise ValueError("t_grid and states must have equal length")
     if not states:
-        return reduce_blocks([], t, h)
-    for s in states:
-        if s.dim != h.dim:
-            raise ValueError("state dimension does not match Hamiltonian")
+        return reduce_blocks([], t_grid, h)
     c = np.stack([s.coefficients for s in states])
-    return reduce_blocks([(c.real, c.imag)], t, h)
+    return reduce_blocks([(c.real, c.imag)], t_grid, h)

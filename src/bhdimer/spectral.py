@@ -4,14 +4,17 @@ Propagation works in the energy eigenbasis: diagonalize once, then
 
     |psi(t)> = sum_n a_n exp(-i lam_n t) |psi_n>,    a_n = <psi_n|psi(0)>.
 
-`evolve` and `evolve_series` evaluate this at arbitrary times, two real
-matrix-vector products per time. `GridPropagator` serves the uniform grid
-t_j = j*dt that every scenario runs on. It computes the overlaps once and
+`GridPropagator` is the one implementation. It computes the overlaps once and
 drops the eigencomponents of smallest weight |a_n|^2 while their total stays
 within DROPPED_WEIGHT_MAX, which bounds the error of every coefficient by
 sqrt(DROPPED_WEIGHT_MAX) = 1e-14 (each row of V has unit norm). The dropped
 set includes the exact zeros of a parity sector the initial state does not
-touch. It then walks the grid in blocks of block_rows(dim, steps) rows:
+touch. Times whose phases max|lam| * |t| overflow are refused.
+
+`evolve` and `evolve_series` are GridPropagator.at: two real vector-matrix
+products per time, so a state from one equals the same time from the other
+bit for bit. `blocks` serves the uniform grid t_j = j*dt that every scenario
+runs on. It walks the grid in blocks of block_rows(dim, steps) rows:
 the phases of a block are one table exp(-i lam k dt), k < rows, built once
 and multiplied by a_n exp(-i lam_n t_s) at the block start t_s, and the
 coefficients of the whole block come from one real matrix product with the
@@ -94,11 +97,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
-
-    def probabilities(self) -> np.ndarray:
-        """|c_n|^2, computed as re^2 + im^2 (no intermediate modulus)."""
-        c = self.coefficients
-        return c.real**2 + c.imag**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,61 +217,32 @@ def eigendecompose(h) -> SpectralDecomposition:
     return SpectralDecomposition(lam, v)
 
 
-def _real_matvec_complex(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Real matrix times complex vector as two real products; avoids numpy
-    # upcasting (and copying) the matrix to complex on every call.
-    return m @ x.real + 1j * (m @ x.imag)
-
-
-def _propagate(v: np.ndarray, lam: np.ndarray, a: np.ndarray, t: float) -> np.ndarray:
-    return _real_matvec_complex(v, a * np.exp(lam * (-1j * t)))
-
-
-def _check_dims(decomp: SpectralDecomposition, initial: StateVector) -> None:
-    if initial.dim != decomp.dim:
-        raise ValueError(
-            f"state dimension {initial.dim} does not match decomposition "
-            f"dimension {decomp.dim}"
-        )
-
-
 def evolve(decomp: SpectralDecomposition, initial: StateVector, t: float) -> StateVector:
-    """State at time t from a normalized initial state.
+    """State at time t from a normalized initial state: GridPropagator.at(t).
 
-    Unitary by construction up to round-off: the returned norm matches the
-    input norm to ~1e-12 for dimensions in the thousands, and t = 0
-    reproduces the initial coefficients up to the same round-off.
+    Eigencomponents of total weight <= DROPPED_WEIGHT_MAX are dropped, so
+    each coefficient is within 1e-14 of the exact sum plus round-off; the
+    norm matches the input norm to ~1e-12 for dimensions in the thousands.
+    Raises ValueError when max|lambda| * |t| is not finite.
     """
-    _check_dims(decomp, initial)
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
-    v = decomp.eigenvectors
-    a = _real_matvec_complex(v.T, initial.coefficients)
-    return StateVector(_propagate(v, decomp.eigenvalues, a, t))
+    return GridPropagator(decomp, initial).at(t)
 
 
 def evolve_series(decomp: SpectralDecomposition, initial: StateVector, t_grid) -> list:
-    """States at each grid time; the overlaps a_n are computed once.
+    """States at each grid time from one GridPropagator: [p.at(tj) for tj].
 
-    Element j equals evolve(decomp, initial, t_grid[j]) bit for bit, because
-    both paths run the identical per-time arithmetic. An empty grid yields an
-    empty list.
+    Element j equals evolve(decomp, initial, t_grid[j]) bit for bit, with the
+    same dropped weight. An empty grid yields an empty list.
     """
-    _check_dims(decomp, initial)
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError("t_grid must be one-dimensional")
-    if t.size == 0:
-        return []
     if not np.all(np.isfinite(t)):
         raise ValueError("t_grid must contain only finite values")
     if np.any(np.diff(t) < 0.0):
         raise ValueError("t_grid must be nondecreasing")
-    v = decomp.eigenvectors
-    lam = decomp.eigenvalues
-    a = _real_matvec_complex(v.T, initial.coefficients)
-    return [StateVector(_propagate(v, lam, a, tj)) for tj in t]
+    propagator = GridPropagator(decomp, initial)
+    return [propagator.at(tj) for tj in t]
 
 
 def block_rows(dim: int, steps: int) -> int:
@@ -287,20 +256,26 @@ def block_rows(dim: int, steps: int) -> int:
 
 
 class GridPropagator:
-    """One initial state propagated over the uniform grid t_j = j*dt.
+    """One initial state propagated to single times (at) or over a uniform
+    grid (blocks).
 
     kept_components  eigencomponents the propagation keeps
     dropped_weight   sum of |a_n|^2 over the dropped ones, <= DROPPED_WEIGHT_MAX
 
     Both depend only on the decomposition and the initial state, so they are
-    deterministic. The coefficients differ from evolve's by at most
-    sqrt(dropped_weight) plus round-off.
+    deterministic. The coefficients differ from the exact sum over all
+    eigencomponents by at most sqrt(dropped_weight) plus round-off.
     """
 
     def __init__(self, decomp: SpectralDecomposition, initial: StateVector):
-        _check_dims(decomp, initial)
-        v = decomp.eigenvectors
-        a = _real_matvec_complex(v.T, initial.coefficients)
+        if initial.dim != decomp.dim:
+            raise ValueError(
+                f"state dimension {initial.dim} does not match decomposition "
+                f"dimension {decomp.dim}"
+            )
+        v, c = decomp.eigenvectors, initial.coefficients
+        # Two real products: numpy would otherwise copy v to complex.
+        a = v.T @ c.real + 1j * (v.T @ c.imag)
         weight = a.real**2 + a.imag**2
         order = np.argsort(weight, kind="stable")
         dropped = np.cumsum(weight[order])
@@ -311,8 +286,29 @@ class GridPropagator:
         self.kept_components = int(keep.size)
         self.dropped_weight = float(dropped[n_drop - 1]) if n_drop else 0.0
         self._lam = decomp.eigenvalues[keep]
+        self._lam_max = float(np.abs(self._lam).max())
         self._a = a[keep]
         self._vt = np.ascontiguousarray(v[:, keep].T)
+
+    def _check_phases(self, t_max: float) -> None:
+        # exp(-i lam t) is NaN once lam * t overflows (or t is not finite).
+        if not math.isfinite(self._lam_max * t_max):
+            raise ValueError(
+                "phases overflow: max|lambda| * t_max is not finite "
+                f"(max|lambda| = {self._lam_max:.3g}, t_max = {t_max:.3g})"
+            )
+
+    def at(self, t: float) -> StateVector:
+        """State at time t, from one vector-matrix product per real and
+        imaginary part. Raises ValueError when max|lambda| * |t| is not finite.
+
+        Not a one-row block: BLAS may round a gemm row differently for
+        different block heights, and evolve_series must give evolve's states.
+        """
+        t = float(t)
+        self._check_phases(abs(t))
+        z = self._a * np.exp(self._lam * (-1j * t))
+        return StateVector(z.real @ self._vt + 1j * (z.imag @ self._vt))
 
     def blocks(self, dt: float, steps: int):
         """Yield (cr, ci) for successive blocks of the grid t_j = j*dt, j < steps.
@@ -326,12 +322,7 @@ class GridPropagator:
         """
         lam, vt = self._lam, self._vt
         dim = vt.shape[1]
-        lam_max, t_max = float(np.abs(lam).max()), dt * max(steps - 1, 0)
-        if not math.isfinite(lam_max * t_max):
-            raise ValueError(
-                "phases overflow: max|lambda| * t_max is not finite "
-                f"(max|lambda| = {lam_max:.3g}, t_max = {t_max:.3g})"
-            )
+        self._check_phases(dt * max(steps - 1, 0))
         rows = block_rows(dim, steps)
         table = np.exp(np.multiply.outer(np.arange(rows) * dt, lam) * -1j)
         z = np.empty_like(table)

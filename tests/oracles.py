@@ -31,6 +31,17 @@ def propagate_dense(h_dense: np.ndarray, c0: np.ndarray, t: float) -> np.ndarray
     return expm_scaling_squaring(-1j * t * h_dense) @ c0
 
 
+def probabilities(coefficients) -> np.ndarray:
+    """|c_n|^2, computed as re^2 + im^2 (no intermediate modulus)."""
+    c = np.asarray(coefficients)
+    return c.real**2 + c.imag**2
+
+
+def quadratic_form(h_dense: np.ndarray, x: np.ndarray) -> float:
+    """Re <x|H|x> with the dense matrix."""
+    return float((np.conj(x) @ h_dense @ x).real)
+
+
 def brute_force_moments(coefficients) -> tuple[float, float]:
     """(mean, variance) of N1 - N2 by direct summation over the basis."""
     c = np.asarray(coefficients)

@@ -11,7 +11,6 @@ from bhdimer.analysis import (
     collapse_revival_time,
     delta_mu_dominance,
     envelope,
-    regime_order,
     time_averaged_imbalance,
 )
 from bhdimer.model import CouplingConfig
@@ -66,7 +65,8 @@ class TestClassify:
         lo, hi = sorted((r1, r2))
         a = classify(config_for_ratio(n, lo))
         b = classify(config_for_ratio(n, hi))
-        assert regime_order(a.regime) <= regime_order(b.regime)
+        order = list(Regime)
+        assert order.index(a.regime) <= order.index(b.regime)
 
 
 class TestEnvelope:

@@ -179,6 +179,18 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="bad.json"):
             read_series(bad)
 
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    @pytest.mark.parametrize(
+        "body",
+        ["1.0\n" * 14, ",".join(["1.0"] * 14) + "\n", ""],
+        ids=["one-per-line", "fourteen-per-line", "header-only"],
+    )
+    def test_csv_read_back_requires_seven_columns(self, tmp_path, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(CSV_HEADER + "\n" + body)
+        with pytest.raises(ValueError, match="bad.csv"):
+            read_series(bad)
+
     def test_json_structure(self, tmp_path):
         spec = small_spec(tmp_path, fmt="json")
         run_scenario(spec)
@@ -216,14 +228,13 @@ class TestRunScenario:
         )
         series, summary = run_scenario(spec)
         assert len(series) == 1
-        row = series.records()[0]
         assert (
-            row.t,
-            row.imbalance,
-            row.imbalance_scaled,
-            row.variance,
-            row.entanglement_bits,
-            row.energy,
+            series.t[0],
+            series.imbalance[0],
+            series.imbalance_scaled[0],
+            series.variance[0],
+            series.entanglement_bits[0],
+            series.energy[0],
         ) == (0.0,) * 6
         assert summary["collapse_revival"]["reason"] == "series_too_short"
         assert len(spec.out.read_text().splitlines()) == 2

@@ -96,19 +96,6 @@ class TestTridiagonalHamiltonian:
         np.testing.assert_array_equal(np.diag(a), h.diagonal)
         np.testing.assert_array_equal(np.diag(a, 1), h.offdiagonal)
 
-    def test_matvec_matches_dense(self):
-        h = build_hamiltonian(CouplingConfig(6, k=0.9, delta_mu=-0.2, e_j=1.4))
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=7) + 1j * rng.normal(size=7)
-        np.testing.assert_allclose(h.matvec(x), h.to_dense() @ x, atol=1e-14)
-
-    def test_quadratic_form_matches_dense(self):
-        h = build_hamiltonian(CouplingConfig(5, k=2.0, delta_mu=0.4, e_j=0.8))
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=6) + 1j * rng.normal(size=6)
-        expected = (np.conj(x) @ h.to_dense() @ x).real
-        assert h.quadratic_form(x) == pytest.approx(expected, rel=1e-13)
-
 
 class TestImbalanceDiagonal:
     def test_examples(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from bhdimer.model import CouplingConfig, build_hamiltonian
 from bhdimer.observables import (
+    ObservableRecord,
     ObservableSeries,
     compute_series,
     entanglement_entropy,
@@ -193,11 +195,15 @@ class TestComputeSeries:
         h = build_hamiltonian(CouplingConfig(n, k=1.0, e_j=2.0))
         d = eigendecompose(h)
         t = np.linspace(0.0, 2.0, 9)
-        series = compute_series(evolve_series(d, cat(n), t), t, h)
-        recs = series.records()
-        assert len(recs) == len(series) == 9
-        assert recs[3].t == t[3]
-        assert recs[3].variance == series.variance[3]
+        states = evolve_series(d, cat(n), t)
+        series = compute_series(states, t, h)
+        assert len(series) == 9
+        # record fills ObservableRecord from the columns in COLUMNS order.
+        fields = tuple(f.name for f in dataclasses.fields(ObservableRecord))
+        assert fields == series.COLUMNS
+        r = record(states[3], t[3], h)
+        assert r.t == t[3]
+        assert r.variance == pytest.approx(series.variance[3], abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         h = build_hamiltonian(CouplingConfig(2, e_j=1.0))

@@ -1,7 +1,12 @@
-"""The fused uniform-grid path of run_scenario: GridPropagator + reduce_blocks.
+"""The fused uniform-grid path of run_scenario: GridPropagator.blocks + reduce_blocks.
 
-These checks run on run_scenario itself, not on the evolve_series /
-compute_series reference path that the acceptance criteria exercise.
+These checks run on run_scenario itself. The evolve_series / compute_series
+path that the acceptance criteria exercise shares GridPropagator's overlaps
+and truncation with it, so test_matches_reference_path compares what stays
+independent: the block phase table exp(-i lam k dt) exp(-i lam t_s) against
+direct phases exp(-i lam t_j), and one gemm per block against one gemv per
+time and part. The truncation is checked against the dense
+scaling-and-squaring oracle of tests/oracles.py.
 """
 
 import tracemalloc
@@ -18,9 +23,12 @@ from bhdimer.spectral import (
     GridPropagator,
     block_rows,
     eigendecompose,
+    evolve,
     evolve_series,
 )
 from bhdimer.states import parse_state
+
+from oracles import brute_force_moments, propagate_dense
 
 
 def spec(n, initial, k=1.0, e_j=7.0, dmu=0.0, t_max=20.0, steps=1500):
@@ -107,6 +115,21 @@ def test_truncation_is_reported_per_state():
     assert fock.kept_components < 101
     assert 0.0 < fock.dropped_weight <= DROPPED_WEIGHT_MAX
     assert 1 <= uniform.kept_components <= 51  # even sector of N = 100
+
+
+def test_truncated_path_matches_dense_oracle():
+    # A Fock start at ej = 1e4 keeps 98 of 101 components (dropped weight
+    # ~7e-29); dropping up to 1e-6 instead moves the imbalance by over 1e-6.
+    s = spec(100, "fock:100,0", k=1.0, e_j=1e4, t_max=0.02, steps=41)
+    got, summary = run_scenario(s)
+    assert summary["diagnostics"]["kept_components"] < 101
+    h = build_hamiltonian(s.config)
+    decomp = eigendecompose(h)
+    psi = parse_state(s.initial, 100)
+    for j in (1, 13, 27, 40):
+        want = propagate_dense(h.to_dense(), psi.coefficients, got.t[j])
+        assert abs(got.imbalance[j] - brute_force_moments(want)[0]) <= 1e-10
+        assert np.abs(evolve(decomp, psi, got.t[j]).coefficients - want).max() <= 1e-10
 
 
 def test_blocks_keep_a_row_floor(monkeypatch):
