@@ -19,7 +19,7 @@ from .analysis import (
     envelope,
     time_averaged_imbalance,
 )
-from .cli import PRESETS, ScenarioSpec, read_series, run_scenario, sweep
+from .files import read_series
 from .model import (
     CouplingConfig,
     TridiagonalHamiltonian,
@@ -35,6 +35,8 @@ from .observables import (
     record,
     variance_imbalance,
 )
+from .pipeline import ScenarioSpec, run_scenario, sweep
+from .presets import PRESETS
 from .spectral import (
     ConvergenceError,
     SpectralDecomposition,

@@ -1,0 +1,289 @@
+"""One run as a pipeline of stages, and sweeps over runs.
+
+run_scenario builds H, diagonalizes it, propagates the initial state over
+the time grid, reduces it to observables, summarizes them (regime,
+collapse/revival, time averages, diagnostics) and writes the files. A sweep
+runs the cross product of a ratio list and an initial-state list.
+"""
+
+from __future__ import annotations
+
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+from pathlib import Path
+
+import numpy as np
+
+from .analysis import (
+    DEFAULT_THETA_C,
+    DEFAULT_THETA_R,
+    DEFAULT_WINDOW,
+    classify,
+    collapse_revival_time,
+    delta_mu_dominance,
+    time_averaged_imbalance,
+)
+from .files import write_json, write_output
+from .model import CouplingConfig, build_hamiltonian
+from .observables import ObservableSeries, reduce_blocks
+from .presets import parse_ratio, realize_ratio
+from .spectral import ConvergenceError, GridPropagator, StateVector, eigendecompose
+from .states import parse_state
+
+__all__ = ["DEFAULT_STEPS", "ScenarioSpec", "run_scenario", "strip_envelope", "sweep"]
+
+DEFAULT_STEPS = 10_000
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """Everything one run needs; validated on construction."""
+
+    config: CouplingConfig
+    initial: str
+    t_max: float = 30.0
+    steps: int = DEFAULT_STEPS
+    window: int = DEFAULT_WINDOW
+    theta_c: float = DEFAULT_THETA_C
+    theta_r: float = DEFAULT_THETA_R
+    out: Path | None = None
+    fmt: str = "csv"
+
+    def __post_init__(self):
+        if self.steps < 2:
+            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
+            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if self.fmt not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
+        if self.window < 3 or self.window % 2 == 0:
+            raise ValueError(f"window must be odd and >= 3, got {self.window}")
+        if not 0.0 < self.theta_c < 1.0:
+            raise ValueError(f"theta_c must be in (0, 1), got {self.theta_c}")
+        if not 0.0 < self.theta_r <= 1.0:
+            raise ValueError(f"theta_r must be in (0, 1], got {self.theta_r}")
+        parse_state(self.initial, self.config.n_total)  # fail early
+        if self.out is not None:
+            object.__setattr__(self, "out", Path(self.out))
+
+
+def _json_value(x):
+    if isinstance(x, (np.floating, float)):
+        x = float(x)
+        return x if math.isfinite(x) else None
+    if isinstance(x, (np.integer, int)):
+        return int(x)
+    return x
+
+
+def _scenario_dict(spec: ScenarioSpec) -> dict:
+    cfg = spec.config
+    return {
+        "n_total": cfg.n_total,
+        "k": cfg.k,
+        "delta_mu": cfg.delta_mu,
+        "e_j": cfg.e_j,
+        "initial": spec.initial,
+        "t_max": spec.t_max,
+        "steps": spec.steps,
+        "window": spec.window,
+        "theta_c": spec.theta_c,
+        "theta_r": spec.theta_r,
+        "format": spec.fmt,
+    }
+
+
+def _json_dict(d: dict) -> dict:
+    return {key: _json_value(value) for key, value in d.items()}
+
+
+def _summarize(
+    spec: ScenarioSpec,
+    psi0: StateVector,
+    series: ObservableSeries,
+    propagator: GridPropagator,
+    include_envelope: bool,
+) -> dict:
+    cfg = spec.config
+    regime = classify(cfg)
+    t = series.t
+
+    if len(series) >= 3 * spec.window:
+        report = collapse_revival_time(
+            t,
+            series.imbalance,
+            window=spec.window,
+            theta_c=spec.theta_c,
+            theta_r=spec.theta_r,
+            amplitude_floor=0.01 * cfg.n_total,
+            n_total=cfg.n_total if cfg.n_total else None,
+        )
+        cr = {
+            "detected": report.detected,
+            "t_cr": _json_value(report.t_cr),
+            "t_cr_rescaled": _json_value(report.t_cr_rescaled),
+            "collapse_time": _json_value(report.collapse_time),
+            "reason": report.reason,
+            "window": report.window,
+            "theta_c": report.theta_c,
+            "theta_r": report.theta_r,
+            "amplitude_floor": _json_value(report.amplitude_floor),
+            "initial_amplitude": _json_value(report.initial_amplitude),
+            "envelope_points": int(report.envelope.shape[0]),
+        }
+        if include_envelope:
+            cr["envelope"] = report.envelope.tolist()
+    else:
+        cr = {
+            "detected": False,
+            "t_cr": None,
+            "t_cr_rescaled": None,
+            "collapse_time": None,
+            "reason": "series_too_short",
+            "window": spec.window,
+            "theta_c": spec.theta_c,
+            "theta_r": spec.theta_r,
+        }
+
+    energy = series.energy
+    drift = float(np.max(np.abs(energy - energy[0])))
+    return {
+        "regime": {
+            "ratio": _json_value(regime.ratio),
+            "regime": regime.regime.value,
+            "phase": regime.phase.value,
+        },
+        "collapse_revival": cr,
+        "time_averages": _json_dict({
+            "imbalance_scaled": time_averaged_imbalance(t, series.imbalance_scaled),
+            "variance": time_averaged_imbalance(t, series.variance),
+            "entanglement_bits": time_averaged_imbalance(t, series.entanglement_bits),
+        }),
+        "extrema": _json_dict({
+            "max_entanglement_bits": series.entanglement_bits.max(),
+            "min_variance": series.variance.min(),
+            "max_abs_imbalance_scaled": np.abs(series.imbalance_scaled).max(),
+        }),
+        "diagnostics": _json_dict({
+            "max_norm_error": series.norm_error.max(),
+            "energy_drift_rel": drift / max(1.0, abs(float(energy[0]))),
+            "kept_components": propagator.kept_components,
+            "dropped_weight": propagator.dropped_weight,
+        }),
+        "delta_mu_dominant_initial": delta_mu_dominance(cfg, psi0),
+    }
+
+
+def strip_envelope(summary: dict) -> dict:
+    """The summary without its collapse/revival envelope, if it has one."""
+    cr = summary["collapse_revival"]
+    if "envelope" not in cr:
+        return summary
+    return dict(summary, collapse_revival={k: v for k, v in cr.items() if k != "envelope"})
+
+
+def run_scenario(spec: ScenarioSpec) -> tuple[ObservableSeries, dict]:
+    """Run one scenario; write files when spec.out is set.
+
+    An empty system (N = 0) has no dynamics, so its series collapses to the
+    single row t = 0 with every observable equal to zero.
+
+    The trajectory is propagated and reduced to observables block by block
+    (GridPropagator, reduce_blocks), so memory does not grow with the number
+    of steps beyond the output columns. The summary holds the collapse/revival
+    envelope only when it is written. Raises ValueError when the phases
+    max|lambda| * t_max overflow.
+    """
+    cfg = spec.config
+    h = build_hamiltonian(cfg)
+    psi0 = parse_state(spec.initial, cfg.n_total)
+    t = np.linspace(0.0, spec.t_max, spec.steps if cfg.n_total else 1)
+    propagator = GridPropagator(eigendecompose(h), psi0)
+    # np.linspace's own step: its t_j is j * dt except the last, which is t_max.
+    dt = spec.t_max / (spec.steps - 1)
+    series = reduce_blocks(propagator.blocks(dt, t.size), t, h)
+
+    summary = _summarize(spec, psi0, series, propagator, include_envelope=spec.out is not None)
+    if spec.out is not None:
+        write_output(spec.out, spec.fmt, _scenario_dict(spec), series, summary)
+    return series, summary
+
+
+def _slug(text: str) -> str:
+    return (
+        text.replace("/", "over")
+        .replace("*", "x")
+        .replace("^", "")
+        .replace(":", "-")
+        .replace(",", "-")
+        .replace(" ", "")
+    )
+
+
+def _sweep_cell(base: ScenarioSpec, ratio_token: str, initial: str, out_dir: Path | None) -> ScenarioSpec:
+    n = base.config.n_total
+    ratio = parse_ratio(ratio_token, n)
+    k, e_j = realize_ratio(ratio)
+    cfg = CouplingConfig(n, k=k, delta_mu=base.config.delta_mu, e_j=e_j)
+    out = None
+    if out_dir is not None:
+        out = Path(out_dir) / f"r{_slug(str(ratio_token))}__{_slug(initial)}.{base.fmt}"
+    return replace(base, config=cfg, initial=initial, out=out)
+
+
+def sweep(
+    base: ScenarioSpec,
+    ratio_tokens,
+    initials,
+    out_dir=None,
+    jobs: int = 1,
+) -> dict:
+    """Cross product of ratios and initial states; cells fail independently.
+
+    A cell whose input is invalid (ValueError) or whose eigensolver fails
+    (ConvergenceError) is recorded with status "error"; any other exception
+    is a program fault and propagates. `jobs` (>= 1) cells run at once on
+    threads.
+
+    Returns the combined summary, keyed by (ratio token, initial). When
+    out_dir is given it is made before any cell runs, each cell writes its
+    own series file there and the combined summary lands in
+    out_dir/summary.json.
+    """
+    ratio_tokens = list(ratio_tokens)
+    initials = list(initials)
+    if not ratio_tokens or not initials:
+        raise ValueError("sweep needs at least one ratio and one initial state")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+
+    cells = [(rt, init) for rt in ratio_tokens for init in initials]
+
+    def run_cell(cell):
+        ratio_token, initial = cell
+        entry = {"ratio": str(ratio_token), "initial": initial}
+        try:
+            spec = _sweep_cell(base, ratio_token, initial, out_dir)
+            entry["ratio_value"] = spec.config.ratio
+            if spec.out is not None:
+                entry["file"] = spec.out.name
+            _, cell_summary = run_scenario(spec)
+            entry["status"] = "ok"
+            # Cell files carry their own envelopes; keep the table compact.
+            entry["summary"] = strip_envelope(cell_summary)
+        except (ValueError, ConvergenceError) as exc:  # keep the other cells running
+            entry["status"] = "error"
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+        return entry
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        entries = list(pool.map(run_cell, cells))
+
+    summary = {"base": _scenario_dict(base), "cells": entries}
+    if out_dir is not None:
+        write_json(out_dir / "summary.json", summary)
+    return summary

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from bhdimer.analysis import collapse_revival_time, time_averaged_imbalance
-from bhdimer.cli import DEFAULT_STEPS, PRESETS, parse_ratio, realize_ratio
 from bhdimer.model import CouplingConfig, build_hamiltonian
 from bhdimer.observables import compute_series, entanglement_entropy, variance_imbalance
+from bhdimer.pipeline import DEFAULT_STEPS
+from bhdimer.presets import DEFAULT_N, PRESETS, parse_ratio, realize_ratio
 from bhdimer.spectral import StateVector, eigendecompose, evolve, evolve_series
 from bhdimer.states import cat, maximally_entangled, parse_state
 
@@ -61,7 +62,7 @@ def preset_cells():
     cells = set()
     for name in sorted(PRESETS):
         preset = PRESETS[name]
-        n = preset.n_default
+        n = DEFAULT_N
         d = preset.build(n)
         steps = int(d.get("steps", DEFAULT_STEPS))
         dmu = float(d.get("delta_mu", 0.0))

@@ -1,9 +1,9 @@
-"""The benchmark's traced span list names functions bhdimer still binds.
+"""The benchmark harness still finds every bhdimer name it uses.
 
-perfbench/harness.py traces every public function named in its LAYER_OF in
-each bhdimer module that binds it, and refuses with LookupError a name bound
-to no function or to two objects. LAYER_OF is read with ast: importing the
-harness would start its host-speed gauge.
+perfbench/harness.py imports names from bhdimer modules, and traces every
+public function named in its LAYER_OF in each bhdimer module that binds it,
+refusing with LookupError a name bound to no function or to two objects.
+The harness is read with ast: importing it would start its host-speed gauge.
 """
 
 import ast
@@ -33,3 +33,27 @@ def test_every_traced_name_is_one_function(monkeypatch):
     assert {"evolve_series", "compute_series", "run_scenario"} <= set(names)
     with tracing.Tracer().installed("bhdimer", {n: tracing.Hook() for n in names}):
         pass
+
+
+def test_every_name_the_harness_takes_from_bhdimer_resolves():
+    tree = ast.parse((PERFBENCH / "harness.py").read_text())
+    wanted = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bhdimer"
+        for alias in node.names
+    ]
+    wanted += [
+        ("bhdimer", node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "bhdimer"
+    ]
+    assert {"parse_ratio", "sweep"} <= {name for _, name in wanted}
+    missing = [
+        f"{module}.{name}"
+        for module, name in wanted
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

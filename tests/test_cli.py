@@ -11,18 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bhdimer import cli
-from bhdimer.cli import (
-    CSV_HEADER,
-    PRESETS,
-    ScenarioSpec,
-    main,
-    parse_ratio,
-    read_series,
-    realize_ratio,
-    run_scenario,
-    sweep,
-)
+from bhdimer import cli, files, pipeline
+from bhdimer.cli import main
+from bhdimer.files import CSV_HEADER, read_series
+from bhdimer.pipeline import ScenarioSpec, run_scenario, sweep
+from bhdimer.presets import PRESETS, parse_ratio, realize_ratio
 from bhdimer.model import CouplingConfig
 
 FLOAT_12_SIG = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -261,7 +254,7 @@ class TestRunScenario:
         def fail(*args, **kwargs):
             raise ValueError("detector fault")
 
-        monkeypatch.setattr(cli, "collapse_revival_time", fail)
+        monkeypatch.setattr(pipeline, "collapse_revival_time", fail)
         with pytest.raises(ValueError, match="detector fault"):
             run_scenario(small_spec())
 
@@ -318,7 +311,7 @@ class TestSweep:
         def fault(spec):
             raise TypeError("program fault")
 
-        monkeypatch.setattr(cli, "run_scenario", fault)
+        monkeypatch.setattr(pipeline, "run_scenario", fault)
         with pytest.raises(TypeError, match="program fault"):
             sweep(small_spec(), ["0.25", "1"], ["cat"], jobs=jobs)
 
@@ -451,6 +444,155 @@ class TestMain:
         assert "jobs" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_file_that_is_a_directory_is_a_usage_error(self, tmp_path, capsys):
+        rc = main(["--n", "4", "--ratio", "1", "--steps", "100", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_directory_that_is_a_file_is_a_usage_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["--n", "4", "--ratios", "1,2", "--steps", "100", "--out", str(taken)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and str(taken) in err
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == ""
+
+
+class TestPresets:
+    @pytest.mark.parametrize(
+        "n,menu",
+        [
+            (1, ["fock:1,0", "fock:0,1"]),
+            (2, ["fock:2,0", "fock:1,1"]),
+            (4, ["fock:4,0", "fock:3,1", "fock:2,2"]),
+            (100, ["fock:100,0", "fock:90,10", "fock:74,26", "fock:60,40", "fock:50,50"]),
+        ],
+    )
+    @pytest.mark.parametrize("preset", ["fig-initials-rabi", "fig-initials-josephson"])
+    def test_initial_menu_has_no_repeats(self, preset, n, menu):
+        assert PRESETS[preset].build(n)["initials"] == menu
+
+
+def _spec_dict(n, k, e_j, initial, delta_mu=0.0, t_max=30.0, steps=10_000,
+               window=201, theta_c=0.1, theta_r=0.5, fmt="csv"):
+    return {
+        "n_total": n, "k": k, "delta_mu": delta_mu, "e_j": e_j, "initial": initial,
+        "t_max": t_max, "steps": steps, "window": window, "theta_c": theta_c,
+        "theta_r": theta_r, "format": fmt,
+    }
+
+
+class TestFlagsToSpec:
+    """Which spec a preset and the given flags make: a flag overrides the
+    preset's value, and an unset one falls back to the preset, then to the
+    ScenarioSpec default."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["--n", "6", "--ratio", "0.25"], _spec_dict(6, 1.0, 4.0, "fock:6,0")),
+            (["--preset", "fig-rabi", "--n", "4"],
+             _spec_dict(4, 1.0, 16.0, "fock:4,0", steps=12_000)),
+            (["--preset", "fig-selftrap", "--n", "4", "--steps", "500", "--format", "json"],
+             _spec_dict(4, 2.0, 1.0, "fock:0,4", t_max=6.4, steps=500, fmt="json")),
+            (["--preset", "milburn-timescale", "--n", "8", "--t-max", "3", "--steps", "100",
+              "--window", "5"],
+             _spec_dict(8, 1.0, 1.0, "fock:0,8", t_max=3.0, steps=100, window=5)),
+            (["--preset", "paper-timescale", "--n", "4", "--k", "2", "--ej", "3", "--dmu",
+              "0.5", "--initial", "cat", "--t-max", "5", "--steps", "300", "--window", "11",
+              "--theta-c", "0.3", "--theta-r", "0.6"],
+             _spec_dict(4, 2.0, 3.0, "cat", delta_mu=0.5, t_max=5.0, steps=300, window=11,
+                        theta_c=0.3, theta_r=0.6)),
+            (["--preset", "fig-rabi", "--n", "4", "--ratio", "2", "--initial", "me"],
+             _spec_dict(4, 2.0, 1.0, "me", steps=12_000)),
+            (["--k", "1", "--ej", "2", "--steps", "200"],
+             _spec_dict(100, 1.0, 2.0, "fock:100,0", steps=200)),
+        ],
+    )
+    def test_single_run(self, tmp_path, capsys, argv, expected):
+        out = tmp_path / f"run.{expected['format']}"
+        assert main([*argv, "--out", str(out)]) == 0
+        written = out if expected["format"] == "json" else tmp_path / "run.summary.json"
+        assert json.loads(written.read_text())["spec"] == expected
+
+    @pytest.mark.parametrize(
+        "argv,base,cells",
+        [
+            (["--preset", "fig-threshold-scan", "--n", "4", "--steps", "300", "--window", "21"],
+             _spec_dict(4, 0.0, 1.0, "fock:4,0", t_max=100.0, steps=300, window=21),
+             [(r, "fock:4,0", f"r{s}__fock-4-0.csv") for r, s in [
+                 ("1/N", "1overN"), ("2/N", "2overN"), ("3/N", "3overN"), ("4/N", "4overN"),
+                 ("5/N", "5overN"), ("10/N", "10overN"), ("50/N", "50overN"), ("1", "1")]]),
+            (["--preset", "fig-threshold-scan", "--n", "4", "--ratio", "1", "--steps", "300"],
+             _spec_dict(4, 0.0, 1.0, "fock:4,0", t_max=100.0, steps=300),
+             [("1", "fock:4,0", "r1__fock-4-0.csv")]),
+            (["--preset", "fig-initials-rabi", "--n", "4", "--initial", "cat", "--steps",
+              "300", "--format", "json"],
+             _spec_dict(4, 0.0, 1.0, "fock:4,0", steps=300, fmt="json"),
+             [("1/N^2", "cat", "r1overN2__cat.json"), ("1/N", "cat", "r1overN__cat.json")]),
+            (["--n", "4", "--ratios", "0.25, 1", "--initials", "cat; fock:4,0", "--format",
+              "json", "--dmu", "0.1", "--steps", "300"],
+             _spec_dict(4, 0.0, 1.0, "fock:4,0", delta_mu=0.1, steps=300, fmt="json"),
+             [("0.25", "cat", "r0.25__cat.json"), ("0.25", "fock:4,0", "r0.25__fock-4-0.json"),
+              ("1", "cat", "r1__cat.json"), ("1", "fock:4,0", "r1__fock-4-0.json")]),
+            (["--preset", "fig-rabi", "--n", "4", "--ratios", "N"],
+             _spec_dict(4, 0.0, 1.0, "fock:4,0", steps=12_000),
+             [("N", "fock:4,0", "rN__fock-4-0.csv")]),
+            (["--n", "4", "--ratio", "1", "--initials", "me;cat", "--steps", "300"],
+             _spec_dict(4, 0.0, 1.0, "fock:4,0", steps=300),
+             [("1", "me", "r1__me.csv"), ("1", "cat", "r1__cat.csv")]),
+            (["--preset", "fig-fluct-cat", "--n", "4", "--t-max", "3", "--steps", "100",
+              "--window", "11"],
+             _spec_dict(4, 0.0, 1.0, "fock:4,0", t_max=3.0, steps=100, window=11),
+             [(r, "cat", f"r{s}__cat.csv") for r, s in [
+                 ("1/N^2", "1overN2"), ("1/N", "1overN"), ("4/N", "4overN"),
+                 ("10/N", "10overN"), ("1", "1")]]),
+            # At N=4 the five-state menu rounds to three distinct states.
+            (["--preset", "fig-initials-josephson", "--n", "4", "--steps", "300"],
+             _spec_dict(4, 0.0, 1.0, "fock:4,0", steps=300),
+             [(r, f"fock:{m},{4 - m}", f"r{r}__fock-{m}-{4 - m}.csv")
+              for r in ("1", "N") for m in (4, 3, 2)]),
+        ],
+    )
+    def test_sweep(self, tmp_path, capsys, argv, base, cells):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["base"] == base
+        assert [(c["ratio"], c["initial"], c["file"]) for c in summary["cells"]] == cells
+        names = {"summary.json"} | {f for _, _, f in cells}
+        if base["format"] == "csv":
+            names |= {f.replace(".csv", ".summary.json") for _, _, f in cells}
+        assert {p.name for p in tmp_path.iterdir()} == names
+        assert capsys.readouterr().out.count("ratio=") == len(cells)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "4", "--ratios", ""],
+            ["--n", "4", "--ratios", " , "],
+            ["--n", "4", "--ratio", "1", "--initials", ""],
+            ["--preset", "fig-threshold-scan", "--n", "4", "--k", "1", "--ej", "1"],
+            ["--n", "4", "--initials", "cat"],
+            ["--n", "4", "--k", "1"],
+            ["--n", "4", "--ej", "1"],
+            ["--n", "4"],
+            ["--preset", "fig-selftrap", "--n", "0"],
+            ["--preset", "milburn-timescale", "--n", "0"],
+        ],
+    )
+    def test_usage_errors(self, tmp_path, capsys, argv):
+        try:
+            rc = main([*argv, "--out", str(tmp_path / "out")])
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert "error:" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 def _reject_constant(name):
     raise AssertionError(f"non-JSON constant {name} in output")
@@ -459,7 +601,7 @@ def _reject_constant(name):
 def _poison(monkeypatch, where):
     """Put one NaN into the reduced series or into the envelope."""
     if where == "series":
-        real = cli.reduce_blocks
+        real = pipeline.reduce_blocks
 
         def poisoned(*args):
             series = real(*args)
@@ -467,9 +609,9 @@ def _poison(monkeypatch, where):
             variance[len(variance) // 2] = math.nan
             return dataclasses.replace(series, variance=variance)
 
-        monkeypatch.setattr(cli, "reduce_blocks", poisoned)
+        monkeypatch.setattr(pipeline, "reduce_blocks", poisoned)
     else:
-        real = cli.collapse_revival_time
+        real = pipeline.collapse_revival_time
 
         def poisoned(*args, **kwargs):
             report = real(*args, **kwargs)
@@ -477,7 +619,7 @@ def _poison(monkeypatch, where):
             envelope[-1, 1] = math.nan
             return dataclasses.replace(report, envelope=envelope)
 
-        monkeypatch.setattr(cli, "collapse_revival_time", poisoned)
+        monkeypatch.setattr(pipeline, "collapse_revival_time", poisoned)
 
 
 class TestNonFiniteOutput:
@@ -497,7 +639,7 @@ class TestNonFiniteOutput:
         json.loads((tmp_path / "summary.json").read_text(), parse_constant=_reject_constant)
 
     def test_summary_maps_non_finite_values_to_null(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "time_averaged_imbalance", lambda t, x: math.nan)
+        monkeypatch.setattr(pipeline, "time_averaged_imbalance", lambda t, x: math.nan)
         spec = small_spec(tmp_path, fmt="json")
         _, summary = run_scenario(spec)
         assert summary["time_averages"] == {
@@ -558,7 +700,7 @@ def _oracle(spec, series, summary) -> dict:
     """File name -> text that the stdlib encoders give for one run: one
     f"{v:.11e}" per CSV value, json.dumps(indent=2) for every JSON file."""
     rows = list(zip(*(getattr(series, name) for name in series.COLUMNS)))
-    payload = {"spec": cli._scenario_dict(spec), "summary": summary}
+    payload = {"spec": pipeline._scenario_dict(spec), "summary": summary}
     if spec.fmt == "csv":
         lines = [CSV_HEADER, *(",".join(f"{v:.11e}" for v in row) for row in rows)]
         return {
@@ -594,7 +736,7 @@ class TestByteFormat:
         ],
     )
     def test_chunk_boundaries(self, tmp_path, monkeypatch, fmt, steps, window):
-        monkeypatch.setattr(cli, "ROW_CHUNK", 16)
+        monkeypatch.setattr(files, "ROW_CHUNK", 16)
         spec = small_spec(tmp_path, fmt=fmt, steps=steps, window=window)
         series, summary = run_scenario(spec)
         assert ("envelope" in summary["collapse_revival"]) == (steps >= 3 * window)
@@ -603,7 +745,7 @@ class TestByteFormat:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("chunks", [1, 2.5])
     def test_module_chunk(self, tmp_path, fmt, chunks):
-        spec = small_spec(tmp_path, fmt=fmt, steps=int(chunks * cli.ROW_CHUNK))
+        spec = small_spec(tmp_path, fmt=fmt, steps=int(chunks * files.ROW_CHUNK))
         _assert_matches_oracle(spec, *run_scenario(spec))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -620,7 +762,7 @@ class TestByteFormat:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_null_summary_value(self, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(cli, "time_averaged_imbalance", lambda t, x: math.nan)
+        monkeypatch.setattr(pipeline, "time_averaged_imbalance", lambda t, x: math.nan)
         spec = small_spec(tmp_path, fmt=fmt)
         series, summary = run_scenario(spec)
         assert summary["time_averages"]["variance"] is None
@@ -628,14 +770,14 @@ class TestByteFormat:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_directory(self, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(cli, "ROW_CHUNK", 64)
+        monkeypatch.setattr(files, "ROW_CHUNK", 64)
         base = small_spec(fmt=fmt)
         ratios, initials = ["0.25", "1"], ["fock:8,0", "cat"]
         summary = sweep(base, ratios, initials, out_dir=tmp_path / "sweep", jobs=2)
         expected = {"summary.json": json.dumps(summary, indent=2) + "\n"}
         for ratio in ratios:
             for initial in initials:
-                spec = cli._sweep_cell(base, ratio, initial, tmp_path / "single")
+                spec = pipeline._sweep_cell(base, ratio, initial, tmp_path / "single")
                 expected.update(_oracle(spec, *run_scenario(spec)))
         assert _written(tmp_path / "sweep") == {k: v.encode() for k, v in expected.items()}
 
@@ -643,7 +785,7 @@ class TestByteFormat:
         # tracemalloc sees the text, the float objects and numpy's buffers.
         # Writing ten times the steps may add the seven output columns and a
         # few chunks of rendered rows (about 64 bytes per value), no more.
-        real = cli._write_output
+        real = pipeline.write_output
         peaks = []
 
         def traced(*args):
@@ -654,10 +796,10 @@ class TestByteFormat:
             finally:
                 tracemalloc.stop()
 
-        monkeypatch.setattr(cli, "_write_output", traced)
+        monkeypatch.setattr(pipeline, "write_output", traced)
         short, long = 4_000, 40_000
         for steps in (short, short, long):  # the first run warms caches
             run_scenario(small_spec(tmp_path, fmt="json", steps=steps))
         growth = peaks[2] - peaks[1]
-        chunk = cli.ROW_CHUNK * 7 * 64
+        chunk = files.ROW_CHUNK * 7 * 64
         assert growth <= 7 * 8 * (long - short) + 3 * chunk

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from bhdimer import spectral
-from bhdimer.cli import ScenarioSpec, run_scenario
 from bhdimer.model import CouplingConfig, build_hamiltonian
 from bhdimer.observables import ObservableSeries, compute_series
+from bhdimer.pipeline import ScenarioSpec, run_scenario
 from bhdimer.spectral import (
     DROPPED_WEIGHT_MAX,
     GridPropagator,
