@@ -159,22 +159,6 @@ def envelope(t, values, window: int = DEFAULT_WINDOW):
     return centers, amplitude
 
 
-def _undetected(reason, t_env, amp, window, theta_c, theta_r, floor, a0, collapse_time=None):
-    return CollapseRevivalReport(
-        detected=False,
-        t_cr=None,
-        t_cr_rescaled=None,
-        collapse_time=collapse_time,
-        envelope=np.column_stack((t_env, amp)),
-        reason=reason,
-        window=window,
-        theta_c=theta_c,
-        theta_r=theta_r,
-        amplitude_floor=floor,
-        initial_amplitude=a0,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class CollapseRevivalReport:
     """Outcome of the collapse/revival detector plus its configuration.
@@ -221,6 +205,9 @@ def collapse_revival_time(
     Both thresholds scale with A0, so positive rescaling of the values
     leaves the report unchanged up to plateau tie-breaking within one
     envelope window (bit-exact for power-of-two scales).
+
+    Every report carries the envelope, a (points, 2) array of (center time,
+    amplitude) rows; run_scenario passes it to the writer, not the summary.
     """
     if not 0.0 < theta_c < 1.0:
         raise ValueError(f"theta_c must be in (0, 1), got {theta_c}")
@@ -229,40 +216,40 @@ def collapse_revival_time(
     t_env, amp = envelope(t, values, window)
 
     a0 = float(amp[0])
-    args = (t_env, amp, window, theta_c, theta_r, amplitude_floor, a0)
-    if a0 <= amplitude_floor or a0 <= 0.0:
-        return _undetected("below_floor", *args)
-
+    collapse_time = t_cr = reason = None
     below = np.nonzero(amp < theta_c * a0)[0]
-    if below.size == 0:
-        return _undetected("no_collapse", *args)
-    collapse_idx = int(below[0])
-    collapse_time = float(t_env[collapse_idx])
+    if a0 <= amplitude_floor or a0 <= 0.0:
+        reason = "below_floor"
+    elif below.size == 0:
+        reason = "no_collapse"
+    else:
+        collapse_idx = int(below[0])
+        collapse_time = float(t_env[collapse_idx])
 
-    # A local maximum is judged at the envelope's own resolution: the point
-    # must attain the maximum of a centered window-sized neighborhood, which
-    # keeps sample-level staircase wiggles on a rising flank from counting.
-    half = window // 2
-    rolling_max = sliding_window_view(amp, window).max(axis=1)
-    centers = np.arange(half, amp.size - half)
-    peaks = (
-        (amp[centers] >= rolling_max)
-        & (amp[centers] >= theta_r * a0)
-        & (centers > collapse_idx)
-    )
-    hits = np.nonzero(peaks)[0]
-    if hits.size == 0:
-        return _undetected("no_revival", *args, collapse_time=collapse_time)
-    revival_idx = int(centers[hits[0]])
+        # A local maximum is judged at the envelope's own resolution: the point
+        # must attain the maximum of a centered window-sized neighborhood, which
+        # keeps sample-level staircase wiggles on a rising flank from counting.
+        half = window // 2
+        rolling_max = sliding_window_view(amp, window).max(axis=1)
+        centers = np.arange(half, amp.size - half)
+        peaks = (
+            (amp[centers] >= rolling_max)
+            & (amp[centers] >= theta_r * a0)
+            & (centers > collapse_idx)
+        )
+        hits = np.nonzero(peaks)[0]
+        if hits.size == 0:
+            reason = "no_revival"
+        else:
+            t_cr = float(t_env[centers[hits[0]]])
 
-    t_cr = float(t_env[revival_idx])
     return CollapseRevivalReport(
-        detected=True,
+        detected=reason is None,
         t_cr=t_cr,
-        t_cr_rescaled=8.0 * t_cr / n_total if n_total else None,
+        t_cr_rescaled=8.0 * t_cr / n_total if t_cr is not None and n_total else None,
         collapse_time=collapse_time,
         envelope=np.column_stack((t_env, amp)),
-        reason=None,
+        reason=reason,
         window=window,
         theta_c=theta_c,
         theta_r=theta_r,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .analysis import DEFAULT_THETA_C, DEFAULT_THETA_R, DEFAULT_WINDOW
 from .model import CouplingConfig
-from .pipeline import DEFAULT_STEPS, ScenarioSpec, run_scenario, strip_envelope, sweep
+from .pipeline import DEFAULT_STEPS, ScenarioSpec, run_scenario, sweep
 from .presets import DEFAULT_N, PRESETS, parse_ratio, realize_ratio
 from .spectral import ConvergenceError
 
@@ -121,6 +121,8 @@ def main(argv=None) -> int:
 
         sweep_mode = "ratios" in run or "initials" in run
         if sweep_mode:
+            if args.k is not None or args.e_j is not None:
+                parser.error("a sweep takes its couplings from --ratio/--ratios, not --k/--ej")
             if "ratios" not in run and args.ratio is None:
                 parser.error("a sweep needs --ratios (or a sweep preset)")
             # Every cell sets its own couplings, initial state and file.
@@ -142,7 +144,7 @@ def main(argv=None) -> int:
         )
         if not sweep_mode:
             _, summary = run_scenario(spec)
-            print(json.dumps(strip_envelope(summary), indent=2))
+            print(json.dumps(summary, indent=2))
             return 0
         ratios, initials = run.get("ratios", [args.ratio]), run.get("initials", [initial])
         summary = sweep(spec, ratios, initials, out_dir=args.out, jobs=args.jobs)

@@ -90,16 +90,18 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_output(
-    out: Path, fmt: str, spec: dict, series: ObservableSeries, summary: dict
+    out: Path, fmt: str, spec: dict, series: ObservableSeries, summary: dict, envelope
 ) -> None:
     """Write one run as a CSV series plus a ".summary.json" sidecar, or as one
-    JSON file; a non-finite value is a ValueError before anything is made."""
+    JSON file; `envelope`, the (points, 2) collapse/revival envelope or None,
+    becomes the last member of summary["collapse_revival"]. A non-finite
+    value is a ValueError before anything is made."""
     rows = np.column_stack([getattr(series, name) for name in ObservableSeries.COLUMNS])
-    cr = summary["collapse_revival"]
     lists = {}
-    if "envelope" in cr:
-        lists[_ENVELOPE] = np.array(cr["envelope"], dtype=np.float64).reshape(-1, 2)
-        summary = dict(summary, collapse_revival=dict(cr, envelope=_ENVELOPE))
+    if envelope is not None:
+        lists[_ENVELOPE] = envelope
+        cr = dict(summary["collapse_revival"], envelope=_ENVELOPE)
+        summary = dict(summary, collapse_revival=cr)
     if not all(np.isfinite(a).all() for a in (rows, *lists.values())):
         raise ValueError(f"{out}: the series or the envelope holds a non-finite value")
     payload = {"spec": spec, "summary": summary}

@@ -31,7 +31,7 @@ from .presets import parse_ratio, realize_ratio
 from .spectral import ConvergenceError, GridPropagator, StateVector, eigendecompose
 from .states import parse_state
 
-__all__ = ["DEFAULT_STEPS", "ScenarioSpec", "run_scenario", "strip_envelope", "sweep"]
+__all__ = ["DEFAULT_STEPS", "ScenarioSpec", "run_scenario", "sweep"]
 
 DEFAULT_STEPS = 10_000
 
@@ -103,12 +103,12 @@ def _summarize(
     psi0: StateVector,
     series: ObservableSeries,
     propagator: GridPropagator,
-    include_envelope: bool,
-) -> dict:
+) -> tuple[dict, np.ndarray | None]:
     cfg = spec.config
     regime = classify(cfg)
     t = series.t
 
+    envelope = None
     if len(series) >= 3 * spec.window:
         report = collapse_revival_time(
             t,
@@ -117,8 +117,9 @@ def _summarize(
             theta_c=spec.theta_c,
             theta_r=spec.theta_r,
             amplitude_floor=0.01 * cfg.n_total,
-            n_total=cfg.n_total if cfg.n_total else None,
+            n_total=cfg.n_total,
         )
+        envelope = report.envelope
         cr = {
             "detected": report.detected,
             "t_cr": _json_value(report.t_cr),
@@ -132,8 +133,6 @@ def _summarize(
             "initial_amplitude": _json_value(report.initial_amplitude),
             "envelope_points": int(report.envelope.shape[0]),
         }
-        if include_envelope:
-            cr["envelope"] = report.envelope.tolist()
     else:
         cr = {
             "detected": False,
@@ -172,15 +171,7 @@ def _summarize(
             "dropped_weight": propagator.dropped_weight,
         }),
         "delta_mu_dominant_initial": delta_mu_dominance(cfg, psi0),
-    }
-
-
-def strip_envelope(summary: dict) -> dict:
-    """The summary without its collapse/revival envelope, if it has one."""
-    cr = summary["collapse_revival"]
-    if "envelope" not in cr:
-        return summary
-    return dict(summary, collapse_revival={k: v for k, v in cr.items() if k != "envelope"})
+    }, envelope
 
 
 def run_scenario(spec: ScenarioSpec) -> tuple[ObservableSeries, dict]:
@@ -191,9 +182,9 @@ def run_scenario(spec: ScenarioSpec) -> tuple[ObservableSeries, dict]:
 
     The trajectory is propagated and reduced to observables block by block
     (GridPropagator, reduce_blocks), so memory does not grow with the number
-    of steps beyond the output columns. The summary holds the collapse/revival
-    envelope only when it is written. Raises ValueError when the phases
-    max|lambda| * t_max overflow.
+    of steps beyond the output columns. The collapse/revival envelope goes
+    only to the file: the summary is the same with or without spec.out.
+    Raises ValueError when the phases max|lambda| * t_max overflow.
     """
     cfg = spec.config
     h = build_hamiltonian(cfg)
@@ -204,9 +195,9 @@ def run_scenario(spec: ScenarioSpec) -> tuple[ObservableSeries, dict]:
     dt = spec.t_max / (spec.steps - 1)
     series = reduce_blocks(propagator.blocks(dt, t.size), t, h)
 
-    summary = _summarize(spec, psi0, series, propagator, include_envelope=spec.out is not None)
+    summary, envelope = _summarize(spec, psi0, series, propagator)
     if spec.out is not None:
-        write_output(spec.out, spec.fmt, _scenario_dict(spec), series, summary)
+        write_output(spec.out, spec.fmt, _scenario_dict(spec), series, summary, envelope)
     return series, summary
 
 
@@ -221,6 +212,10 @@ def _slug(text: str) -> str:
     )
 
 
+def _cell_file(ratio_token: str, initial: str, fmt: str) -> str:
+    return f"r{_slug(str(ratio_token))}__{_slug(initial)}.{fmt}"
+
+
 def _sweep_cell(base: ScenarioSpec, ratio_token: str, initial: str, out_dir: Path | None) -> ScenarioSpec:
     n = base.config.n_total
     ratio = parse_ratio(ratio_token, n)
@@ -228,7 +223,7 @@ def _sweep_cell(base: ScenarioSpec, ratio_token: str, initial: str, out_dir: Pat
     cfg = CouplingConfig(n, k=k, delta_mu=base.config.delta_mu, e_j=e_j)
     out = None
     if out_dir is not None:
-        out = Path(out_dir) / f"r{_slug(str(ratio_token))}__{_slug(initial)}.{base.fmt}"
+        out = Path(out_dir) / _cell_file(ratio_token, initial, base.fmt)
     return replace(base, config=cfg, initial=initial, out=out)
 
 
@@ -249,7 +244,8 @@ def sweep(
     Returns the combined summary, keyed by (ratio token, initial). When
     out_dir is given it is made before any cell runs, each cell writes its
     own series file there and the combined summary lands in
-    out_dir/summary.json.
+    out_dir/summary.json; cells that would write the same file (a repeated
+    ratio, say) are a ValueError raised before the directory is made.
     """
     ratio_tokens = list(ratio_tokens)
     initials = list(initials)
@@ -257,11 +253,14 @@ def sweep(
         raise ValueError("sweep needs at least one ratio and one initial state")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    cells = [(rt, init) for rt in ratio_tokens for init in initials]
     if out_dir is not None:
+        names = [_cell_file(rt, init, base.fmt) for rt, init in cells]
+        if len(set(names)) < len(names):
+            clash = next(name for name in names if names.count(name) > 1)
+            raise ValueError(f"two sweep cells would both write {clash}")
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    cells = [(rt, init) for rt in ratio_tokens for init in initials]
 
     def run_cell(cell):
         ratio_token, initial = cell
@@ -273,8 +272,7 @@ def sweep(
                 entry["file"] = spec.out.name
             _, cell_summary = run_scenario(spec)
             entry["status"] = "ok"
-            # Cell files carry their own envelopes; keep the table compact.
-            entry["summary"] = strip_envelope(cell_summary)
+            entry["summary"] = cell_summary
         except (ValueError, ConvergenceError) as exc:  # keep the other cells running
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"

@@ -212,8 +212,6 @@ def eigendecompose(h) -> SpectralDecomposition:
     flip = v[dominant, np.arange(n)] < 0.0
     v[:, flip] *= -1.0
 
-    lam.setflags(write=False)
-    v.setflags(write=False)
     return SpectralDecomposition(lam, v)
 
 

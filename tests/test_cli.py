@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bhdimer import cli, files, pipeline
+from bhdimer.analysis import collapse_revival_time
 from bhdimer.cli import main
 from bhdimer.files import CSV_HEADER, read_series
 from bhdimer.pipeline import ScenarioSpec, run_scenario, sweep
@@ -233,6 +234,20 @@ class TestRunScenario:
         assert len(spec.out.read_text().splitlines()) == 2
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_envelope_goes_only_to_the_file(self, tmp_path, fmt):
+        spec = small_spec(tmp_path, fmt=fmt)
+        series, summary = run_scenario(spec)
+        assert summary == run_scenario(small_spec(fmt=fmt))[1]
+        assert "envelope" not in summary["collapse_revival"]
+        written = spec.out if fmt == "json" else tmp_path / "run.summary.json"
+        cr = json.loads(written.read_text())["summary"]["collapse_revival"]
+        envelope = np.array(cr.pop("envelope"), dtype=np.float64)
+        assert cr == summary["collapse_revival"]
+        expected = collapse_revival_time(series.t, series.imbalance, window=spec.window)
+        assert envelope.shape == expected.envelope.shape
+        assert envelope.tobytes() == expected.envelope.tobytes()  # bit for bit
+
     def test_bad_theta_is_not_reported_as_short_series(self):
         # A long enough series with an out-of-range threshold once came back
         # as "series_too_short" with a zero exit.
@@ -296,6 +311,14 @@ class TestSweep:
             assert (tmp_path / "s" / cs["file"]).read_bytes() == (
                 tmp_path / "p" / cp["file"]
             ).read_bytes()
+
+    def test_cells_sharing_a_file_rejected_before_the_directory(self, tmp_path):
+        with pytest.raises(ValueError, match=r"both write r0\.25__cat\.json"):
+            sweep(small_spec(fmt="json"), ["0.25", "0.25"], ["cat"], out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        # Without files the repeated cells do not collide.
+        summary = sweep(small_spec(), ["0.25", "0.25"], ["cat"])
+        assert [c["status"] for c in summary["cells"]] == ["ok", "ok"]
 
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
@@ -510,6 +533,10 @@ class TestFlagsToSpec:
              _spec_dict(4, 2.0, 1.0, "me", steps=12_000)),
             (["--k", "1", "--ej", "2", "--steps", "200"],
              _spec_dict(100, 1.0, 2.0, "fock:100,0", steps=200)),
+            # One coupling and one initial state replace both of the preset's lists.
+            (["--preset", "fig-rabi-fock-sweep", "--n", "4", "--k", "1", "--ej", "1",
+              "--initial", "cat", "--steps", "300"],
+             _spec_dict(4, 1.0, 1.0, "cat", steps=300)),
         ],
     )
     def test_single_run(self, tmp_path, capsys, argv, expected):
@@ -581,6 +608,7 @@ class TestFlagsToSpec:
             ["--n", "4"],
             ["--preset", "fig-selftrap", "--n", "0"],
             ["--preset", "milburn-timescale", "--n", "0"],
+            ["--preset", "fig-threshold-scan", "--n", "4", "--ej", "2"],
         ],
     )
     def test_usage_errors(self, tmp_path, capsys, argv):
@@ -591,6 +619,33 @@ class TestFlagsToSpec:
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert "error:" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--preset", "fig-threshold-scan", "--n", "4", "--ej", "2"],
+            ["--preset", "fig-threshold-scan", "--n", "4", "--k", "1", "--ej", "1"],
+        ],
+    )
+    def test_sweep_rejects_absolute_couplings(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "a sweep takes its couplings from --ratio/--ratios" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--ratios", "1", "--initials", "fock:4,0;fock: 4,0"],
+            ["--ratios", "1,1"],
+        ],
+    )
+    def test_sweep_cells_sharing_a_file_are_refused(self, tmp_path, capsys, argv):
+        assert main(["--n", "4", *argv, "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: two sweep cells would both write r1__fock-4-0.csv" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -700,6 +755,10 @@ def _oracle(spec, series, summary) -> dict:
     """File name -> text that the stdlib encoders give for one run: one
     f"{v:.11e}" per CSV value, json.dumps(indent=2) for every JSON file."""
     rows = list(zip(*(getattr(series, name) for name in series.COLUMNS)))
+    if len(series) >= 3 * spec.window:  # the detector's envelope closes the report
+        report = collapse_revival_time(series.t, series.imbalance, window=spec.window)
+        cr = dict(summary["collapse_revival"], envelope=report.envelope.tolist())
+        summary = dict(summary, collapse_revival=cr)
     payload = {"spec": pipeline._scenario_dict(spec), "summary": summary}
     if spec.fmt == "csv":
         lines = [CSV_HEADER, *(",".join(f"{v:.11e}" for v in row) for row in rows)]
@@ -739,7 +798,7 @@ class TestByteFormat:
         monkeypatch.setattr(files, "ROW_CHUNK", 16)
         spec = small_spec(tmp_path, fmt=fmt, steps=steps, window=window)
         series, summary = run_scenario(spec)
-        assert ("envelope" in summary["collapse_revival"]) == (steps >= 3 * window)
+        assert ("envelope_points" in summary["collapse_revival"]) == (steps >= 3 * window)
         _assert_matches_oracle(spec, series, summary)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -80,6 +80,12 @@ class TestEigendecompose:
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
+    @pytest.mark.parametrize("dmu", [0.0, 0.2])  # parity blocks, whole matrix
+    def test_result_is_read_only(self, dmu):
+        _, d = decompose(8, k=1.0, dmu=dmu, e_j=1.0)
+        assert not d.eigenvalues.flags.writeable
+        assert not d.eigenvectors.flags.writeable
+
     def test_eigenvalues_sorted(self):
         _, d = decompose(80, k=0.7, dmu=-0.4, e_j=1.9)
         assert np.all(np.diff(d.eigenvalues) >= 0.0)
