@@ -128,6 +128,8 @@ def main(argv=None) -> int:
             # Every cell sets its own couplings, initial state and file.
             k, e_j, spec_initial, out = 0.0, 1.0, f"fock:{n},0", None
         else:
+            if args.jobs < 1:  # refused as sweep() refuses it, though a single run ignores it
+                raise ValueError(f"jobs must be >= 1, got {args.jobs}")
             if (args.k is None) != (args.e_j is None):
                 parser.error("--k and --ej must be given together")
             if args.ratio is not None:

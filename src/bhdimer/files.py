@@ -6,16 +6,18 @@ the spec and summary in a ".summary.json" sidecar; JSON files bundle spec,
 summary and series together. Every file is exactly what `f"{v:.11e}"` rows
 and `json.dumps(..., indent=2)` would give, but the long lists (series rows
 and the collapse/revival envelope) are streamed to the file ROW_CHUNK rows
-at a time through one C-level %-format of a repeated row template: "%.11e"
-is the routine behind f"{v:.11e}", and "%r" of a finite float is what json
-writes for it. A series or envelope value that is not finite is refused
-before any file is opened.
+at a time. A CSV chunk is rendered in numpy (see _Scientific), a JSON chunk
+by one C-level %-format of a repeated item template: "%r" of a finite float
+is what json writes for it. A series or envelope value that is not finite
+is refused before any file is opened.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +27,9 @@ from .observables import ObservableSeries
 __all__ = ["CSV_HEADER", "ROW_CHUNK", "read_series", "write_json", "write_output"]
 
 CSV_HEADER = ",".join(ObservableSeries.COLUMNS)
-CSV_ROW = ",".join(["%.11e"] * len(ObservableSeries.COLUMNS)) + "\n"
 
-# Rows per %-format call of the writer: bounds the text and the float
-# objects alive at once, whatever the number of steps.
+# Rows per rendered chunk of the writer: bounds the text and the
+# temporaries alive at once, whatever the number of steps.
 ROW_CHUNK = 1024
 
 # Stand-ins for the streamed lists in the json.dumps text, with the
@@ -41,12 +42,104 @@ _ITEMS = {
 }
 
 
-def _write_rows(f, rows: np.ndarray, template: str, skip: int) -> None:
-    """Write template % row for every row of `rows`, ROW_CHUNK rows per
-    %-format call, leaving out the first `skip` characters."""
+# One CSV value as 20 bytes: sign, "d.dd", 4 + 4 digits, the last digit and
+# "e", the exponent's sign, hundreds, tens and ones, then "," or "\n". A 0
+# byte stands for an absent sign or hundreds digit and is dropped.
+_LAYOUT = np.dtype(
+    [("sign", "u1"), ("lead", "<u4"), ("mid", "<u4"), ("low", "<u4"), ("last", "<u2"),
+     ("exp", "<u4"), ("sep", "u1")]
+)
+_EXPONENTS = range(-324, 309)  # of f"{v:.11e}" for a finite double v
+_SCALES = range(-300, 341)  # 11 - exponent, with up to 3 corrections
+
+
+def _table(texts, dtype) -> np.ndarray:
+    return np.frombuffer("".join(texts).encode(), dtype)
+
+
+class _Scientific:
+    """Rows of doubles as CSV bytes: f"{v:.11e}" for each value, "," between
+    the values of a row and "\n" after it.
+
+    The mantissa is |v| * 10**k rounded to an integer, with 10**k correctly
+    rounded in `work` and k corrected until the product lies in [1e11, 1e12),
+    where it is off by at most 1e12 * eps of `work`. Python formats each value
+    whose product lies within `band` (twice that) of a half-integer, or whose
+    k does not settle within three corrections (a non-finite product never
+    does), so the bytes are exact for any `work`. `fallbacks` counts them.
+    """
+
+    def __init__(self, work=np.longdouble):
+        self.work = work
+        self.powers = np.array([f"1e{k}" for k in _SCALES]).astype(work)
+        self.band = 2e12 * float(np.finfo(work).eps)
+        self.lead = _table((f"{i // 100}.{i % 100:02d}" for i in range(1000)), "<u4")
+        self.four = _table((f"{i:04d}" for i in range(10000)), "<u4")
+        self.last = _table((f"{i}e" for i in range(10)), "<u2")
+        self.exps = _table(
+            ("-+"[e >= 0] + f"{abs(e):02d}".rjust(3, "\0") for e in _EXPONENTS), "<u4"
+        )
+        self.fallbacks = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, rows: np.ndarray) -> bytes:
+        v = rows.ravel()
+        zero = v == 0  # scaled as 1.0, then given mantissa 0
+        a = np.where(zero, 1.0, np.abs(v))
+        k = (11 - np.floor(np.log10(a))).astype(np.intp)
+        a = a.astype(self.work)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(4):
+                s = a * self.powers[k - _SCALES.start]
+                m = s.astype(np.int64)  # floor(s) for a finite s
+                off = (m < 10**11).astype(np.intp) - (m >= 10**12)
+                if not off.any():
+                    break
+                k += off
+            frac = (s - m).astype(np.float64)  # s - m is exact in `work`
+        slow = (off != 0) | (abs(frac - 0.5) <= self.band)
+        m += frac > 0.5
+        m[slow | zero], k[slow] = 0, 11
+        carry = m == 10**12  # rounded up to the next power of ten
+        m[carry] = 10**11
+        k -= carry
+        out = np.empty(v.size, _LAYOUT)
+        out["sign"] = np.signbit(v) * ord("-")
+        q = m // 10
+        out["last"] = self.last[m - 10 * q]
+        m = q // 10000
+        out["low"] = self.four[q - 10000 * m]
+        q = m // 10000
+        out["mid"] = self.four[m - 10000 * q]
+        out["lead"] = self.lead[q]
+        out["exp"] = self.exps[11 - k - _EXPONENTS.start]
+        sep = out["sep"].reshape(rows.shape)
+        sep[:, :-1], sep[:, -1] = ord(","), ord("\n")
+        text = out.view(np.uint8).reshape(v.size, _LAYOUT.itemsize)
+        slow = np.flatnonzero(slow)
+        if slow.size:
+            with self._lock:
+                self.fallbacks += slow.size
+            for i in slow:
+                text[i, :-1] = np.frombuffer(f"{v[i]:.11e}".encode().ljust(19, b"\0"), np.uint8)
+        return text[text != 0].tobytes()
+
+
+@functools.cache
+def _csv_renderer() -> _Scientific:
+    """The long-double renderer, its tables built on first use."""
+    return _Scientific()
+
+
+def _percent(template: str, chunk: np.ndarray) -> bytes:
+    return ((template * chunk.shape[0]) % tuple(chunk.ravel().tolist())).encode()
+
+
+def _write_rows(f, rows: np.ndarray, render, skip: int) -> None:
+    """Write render(chunk) for every ROW_CHUNK rows of `rows`, leaving out
+    the first `skip` bytes."""
     for start in range(0, rows.shape[0], ROW_CHUNK):
-        chunk = rows[start : start + ROW_CHUNK]
-        text = (template * chunk.shape[0]) % tuple(chunk.ravel().tolist())
+        text = render(rows[start : start + ROW_CHUNK])
         f.write(text[skip:] if start == 0 else text)
 
 
@@ -55,9 +148,9 @@ def _json_parts(payload: dict, lists: dict) -> list:
 
     `lists` maps each placeholder string in the payload, in text order, to
     the rows of the non-empty list it stands for. Each list becomes a
-    (rows, template, skip) part whose template copies indent=2's layout of
-    one item at the placeholder's depth, led by its "," separator (skipped
-    for the first item).
+    (rows, render, skip) part whose %-format template copies indent=2's
+    layout of one item at the placeholder's depth, led by its ","
+    separator (skipped for the first item).
     """
     text = json.dumps(payload, indent=2) + "\n"
     parts = []
@@ -69,17 +162,18 @@ def _json_parts(payload: dict, lists: dict) -> list:
         item = "\n" + " " * (indent + 2)
         field = "\n" + " " * (indent + 4)
         template = "," + item + open_ + ",".join(field + f for f in fields) + item + close
-        parts += [head + "[", (lists[name], template, 1), "\n" + " " * indent + "]"]
+        render = functools.partial(_percent, template)
+        parts += [head + "[", (lists[name], render, 1), "\n" + " " * indent + "]"]
     parts.append(text)
     return parts
 
 
 def _write_parts(path: Path, parts) -> None:
-    """Write text parts and streamed (rows, template, skip) parts in order."""
-    with open(path, "w", newline="\n") as f:
+    """Write text parts and streamed (rows, render, skip) parts in order."""
+    with open(path, "wb") as f:
         for part in parts:
             if isinstance(part, str):
-                f.write(part)
+                f.write(part.encode())
             else:
                 _write_rows(f, *part)
 
@@ -107,7 +201,7 @@ def write_output(
     payload = {"spec": spec, "summary": summary}
     out.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        _write_parts(out, [CSV_HEADER + "\n", (rows, CSV_ROW, 0)])
+        _write_parts(out, [CSV_HEADER + "\n", (rows, _csv_renderer(), 0)])
         out = out.with_name(out.stem + ".summary.json")
     else:
         payload["series"] = _SERIES

@@ -609,6 +609,7 @@ class TestFlagsToSpec:
             ["--preset", "fig-selftrap", "--n", "0"],
             ["--preset", "milburn-timescale", "--n", "0"],
             ["--preset", "fig-threshold-scan", "--n", "4", "--ej", "2"],
+            ["--n", "4", "--k", "1", "--ej", "1", "--steps", "50", "--jobs", "0"],
         ],
     )
     def test_usage_errors(self, tmp_path, capsys, argv):
@@ -818,6 +819,15 @@ class TestByteFormat:
             fmt=fmt,
         )
         _assert_matches_oracle(spec, *run_scenario(spec))
+
+    def test_three_digit_exponents(self, tmp_path, capsys):
+        spec = small_spec(tmp_path, t_max=1e-300)
+        argv = ["--n", "8", "--k", "1", "--ej", "4", "--t-max", "1e-300", "--steps", "400"]
+        assert main([*argv, "--window", "21", "--out", str(spec.out)]) == 0
+        capsys.readouterr()
+        series, summary = run_scenario(dataclasses.replace(spec, out=None))
+        assert series.t[1] < 1e-99
+        _assert_matches_oracle(spec, series, summary)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_null_summary_value(self, tmp_path, monkeypatch, fmt):
