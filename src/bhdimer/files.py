@@ -6,10 +6,11 @@ the spec and summary in a ".summary.json" sidecar; JSON files bundle spec,
 summary and series together. Every file is exactly what `f"{v:.11e}"` rows
 and `json.dumps(..., indent=2)` would give, but the long lists (series rows
 and the collapse/revival envelope) are streamed to the file ROW_CHUNK rows
-at a time. A CSV chunk is rendered in numpy (see _Scientific), a JSON chunk
-by one C-level %-format of a repeated item template: "%r" of a finite float
-is what json writes for it. A series or envelope value that is not finite
-is refused before any file is opened.
+at a time, each chunk rendered in numpy: a CSV value by _Scientific, a JSON
+value by _Shortest as the bytes of repr(float(v)), which is what json writes
+for it. Each renderer hands the few values it cannot settle exactly to
+Python's own formatting. A series or envelope value that is not finite is
+refused before any file is opened.
 """
 
 from __future__ import annotations
@@ -33,13 +34,66 @@ CSV_HEADER = ",".join(ObservableSeries.COLUMNS)
 ROW_CHUNK = 1024
 
 # Stand-ins for the streamed lists in the json.dumps text, with the
-# brackets and fields of one list item.
+# brackets of one list item and the text before each of its values.
 _SERIES = "@series@"
 _ENVELOPE = "@envelope@"
 _ITEMS = {
-    _SERIES: ("{}", [f"{json.dumps(name)}: %r" for name in ObservableSeries.COLUMNS]),
-    _ENVELOPE: ("[]", ["%r", "%r"]),
+    _SERIES: ("{}", [f"{json.dumps(name)}: " for name in ObservableSeries.COLUMNS]),
+    _ENVELOPE: ("[]", ["", ""]),
 }
+
+# Rendered text stands a 0 byte for each absent character; _squeeze drops them.
+_EXPONENTS = range(-324, 309)  # decimal exponents of the finite doubles
+_SCALES = range(-300, 344)  # 16 or 11 minus an exponent, with up to 3 corrections
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _table(texts, dtype) -> np.ndarray:
+    return np.frombuffer("".join(texts).encode(), dtype)
+
+
+def _squeeze(text: np.ndarray) -> bytes:
+    return text[text != 0].tobytes()
+
+
+@functools.cache
+def _four_digits() -> np.ndarray:
+    """The ASCII digits of 0000 to 9999 as little-endian 4-byte words."""
+    four = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for i in range(4):
+        four[..., i] = np.arange(48, 58).reshape((10,) + (1,) * (3 - i))
+    return four.view("<u4").ravel()
+
+
+@functools.cache
+def _powers(work) -> np.ndarray:
+    """10**k correctly rounded in `work`, for k in _SCALES."""
+    return np.array([f"1e{k}" for k in _SCALES]).astype(work)
+
+
+def _scaled(v: np.ndarray, powers: np.ndarray, digits: int):
+    """|v| * 10**k in the dtype of `powers` (0 is taken as 1), k corrected at
+    most three times until the product's floor m has `digits` digits.
+
+    Returns |v|, k, the product s, m, s - m (exact, then rounded to float64)
+    and where k did not settle; a non-finite product never does.
+    """
+    a = np.abs(v)
+    a[a == 0] = 1.0
+    k = (digits - 1 - np.floor(np.log10(a))).astype(np.intp)
+    w = a.astype(powers.dtype)
+    s, m, redo = np.empty_like(w), np.empty(a.shape, np.int64), slice(None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(4):
+            s[redo] = w[redo] * powers[k[redo] - _SCALES.start]
+            m[redo] = s[redo].astype(np.int64)  # floor(s) for a finite s
+            off = (m < 10 ** (digits - 1)).astype(np.intp) - (m >= 10**digits)
+            redo = np.flatnonzero(off)
+            if not redo.size:
+                break
+            k[redo] += off[redo]
+        frac = (s - m).astype(np.float64)
+    return a, k, s, m, frac, off != 0
 
 
 # One CSV value as 20 bytes: sign, "d.dd", 4 + 4 digits, the last digit and
@@ -49,12 +103,6 @@ _LAYOUT = np.dtype(
     [("sign", "u1"), ("lead", "<u4"), ("mid", "<u4"), ("low", "<u4"), ("last", "<u2"),
      ("exp", "<u4"), ("sep", "u1")]
 )
-_EXPONENTS = range(-324, 309)  # of f"{v:.11e}" for a finite double v
-_SCALES = range(-300, 341)  # 11 - exponent, with up to 3 corrections
-
-
-def _table(texts, dtype) -> np.ndarray:
-    return np.frombuffer("".join(texts).encode(), dtype)
 
 
 class _Scientific:
@@ -71,10 +119,10 @@ class _Scientific:
 
     def __init__(self, work=np.longdouble):
         self.work = work
-        self.powers = np.array([f"1e{k}" for k in _SCALES]).astype(work)
+        self.powers = _powers(work)
         self.band = 2e12 * float(np.finfo(work).eps)
         self.lead = _table((f"{i // 100}.{i % 100:02d}" for i in range(1000)), "<u4")
-        self.four = _table((f"{i:04d}" for i in range(10000)), "<u4")
+        self.four = _four_digits()
         self.last = _table((f"{i}e" for i in range(10)), "<u2")
         self.exps = _table(
             ("-+"[e >= 0] + f"{abs(e):02d}".rjust(3, "\0") for e in _EXPONENTS), "<u4"
@@ -85,19 +133,8 @@ class _Scientific:
     def __call__(self, rows: np.ndarray) -> bytes:
         v = rows.ravel()
         zero = v == 0  # scaled as 1.0, then given mantissa 0
-        a = np.where(zero, 1.0, np.abs(v))
-        k = (11 - np.floor(np.log10(a))).astype(np.intp)
-        a = a.astype(self.work)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(4):
-                s = a * self.powers[k - _SCALES.start]
-                m = s.astype(np.int64)  # floor(s) for a finite s
-                off = (m < 10**11).astype(np.intp) - (m >= 10**12)
-                if not off.any():
-                    break
-                k += off
-            frac = (s - m).astype(np.float64)  # s - m is exact in `work`
-        slow = (off != 0) | (abs(frac - 0.5) <= self.band)
+        _, k, _, m, frac, slow = _scaled(v, self.powers, 12)
+        slow |= abs(frac - 0.5) <= self.band
         m += frac > 0.5
         m[slow | zero], k[slow] = 0, 11
         carry = m == 10**12  # rounded up to the next power of ten
@@ -122,17 +159,159 @@ class _Scientific:
                 self.fallbacks += slow.size
             for i in slow:
                 text[i, :-1] = np.frombuffer(f"{v[i]:.11e}".encode().ljust(19, b"\0"), np.uint8)
-        return text[text != 0].tobytes()
+        return _squeeze(text)
+
+
+# One JSON value as _WORDS little-endian 8-byte words: the head (sign, "0."
+# and zeros for a fixed-notation exponent below 0, first digit), the other 16
+# digits in 4 groups, one of which may hold the point, and the exponent.
+_WORDS = 6
+
+
+@functools.cache
+def _group_words() -> np.ndarray:
+    """The words of 0000 to 9999 in 11 forms of 10000 words: as they are (0),
+    without trailing zeros (1), with a point before digit q (2 + q), the same
+    without the trailing zeros after the point but one (6 + q), and with a
+    point in front, no trailing zeros and no bare point (10, scientific)."""
+    i = np.arange(10000)
+    plain = _four_digits().astype(np.uint64)
+    last = 3 - (i % 10 == 0) - (i % 100 == 0) - (i % 1000 == 0) - (i == 0)  # nonzero digit
+    keep = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], np.uint64)  # first 0 to 4 bytes
+
+    def point(w, q):
+        low = np.uint64((1 << 8 * q) - 1)
+        return (w & low) | (w & ~low) << np.uint64(8) | np.uint64(ord(".") << 8 * q)
+
+    bare = plain & keep[last + 1]
+    forms = [plain, bare] + [point(plain, q) for q in range(4)]
+    forms += [point(plain & keep[np.maximum(last, q) + 1], q) for q in range(4)]
+    return np.concatenate(forms + [np.where(i == 0, 0, point(bare, 0))])
+
+
+class _Shortest:
+    """Doubles as the bytes of repr(float(v)): the fewest digits that read
+    back as v, in fixed notation for a decimal exponent from -4 to 15 and in
+    scientific notation (at least two exponent digits) otherwise.
+
+    |v| is scaled into [1e16, 1e17) as in _Scientific, and so is its rounding
+    interval (half the gap to each neighbouring double). repr picks the
+    multiple of the highest power of ten in that interval nearest to |v|.
+    The scaled values are off by at most 1e17 * eps of `work`, plus float64
+    rounding of the small offsets, so the multiples are sought in the
+    interval widened by `band` (twice that), and Python formats each value
+    whose result could move within `band`: a near-tie, a chosen multiple
+    outside the interval narrowed by `band`, or a k that does not settle.
+    The bytes are thus exact for any `work`. `fallbacks` counts those values.
+    """
+
+    def __init__(self, work=np.longdouble):
+        self.work = work
+        self.powers = _powers(work)
+        self.band = 2e17 * float(np.finfo(work).eps)
+        self.groups = _group_words()
+        e = np.arange(_EXPONENTS.start, _EXPONENTS.stop)
+        fixed = (e >= -4) & (e <= 15)
+        heads = (
+            (sign + ("0." + "0" * (z - 1) if z else "") + str(d)).ljust(8, "\0")
+            for z in range(5) for sign in ("", "-") for d in range(10)
+        )
+        self.heads = _table(heads, "<u8").reshape(5, 20)[np.where(fixed, -e, 0).clip(0)].ravel()
+        exps = ("" if f else f"e{x:+03d}" for x, f in zip(e.tolist(), fixed))
+        self.exps = _table((x.ljust(8, "\0") for x in exps), "<u8")
+        # The point stands before digit p: 0 (nowhere, the head holds "0."), 1
+        # to 16 (fixed notation) or 17 (scientific: before digit 1, and gone
+        # with a bare zero tail). Group g holds digits 4g + 1 to 4g + 4; its
+        # form follows from p and from whether all digits after it are zero.
+        self.points = 2 * np.where(fixed, np.maximum(e + 1, 0), 17)
+        g, p, zeros_after = np.ogrid[:4, :18, :2]
+        q = np.where(p == 17, 1, p) - 4 * g - 1  # the point's place in the group
+        strip = zeros_after & (q < 4)
+        form = np.where((p > 0) & (q >= 0) & (q < 4), 2 + q + 4 * strip, strip)
+        self.forms = 10000 * np.where((p == 17) & (q == 0) & strip, 10, form).reshape(4, 36)
+        self.fallbacks = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        """The (values, _WORDS) words of the values of `rows`."""
+        v = rows.ravel()
+        zero = v == 0  # scaled as 1.0, then given the digits of 0
+        a, k, s, m, frac, slow = _scaled(v, self.powers, 17)
+        band = self.band
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = 0.5 * s.astype(np.float64)
+            bits = a.view(np.int64)
+            # The ends of the rounding interval, less m.
+            low = frac - (a - (bits - 1).view(np.float64)) / a * half
+            high = frac + ((bits + 1).view(np.float64) - a) / a * half
+            slow |= zero | ~np.isfinite(high)
+            x = m + np.floor(low - band).astype(np.int64)
+            y = m + np.floor(high + band).astype(np.int64)
+        width = np.where(slow, 0, y - x)
+        # j, the largest with a multiple of 10**j in (x, y]: the levels above
+        # 2 are tested only where level 2 holds.
+        j = (y - y // 10 * 10 < width).astype(np.intp)
+        deep = np.flatnonzero(y - y // 100 * 100 < width)
+        j[deep] = 2
+        deep_y, deep_width = y[deep], width[deep]
+        for p in _POW10[3:]:
+            hit = deep_y - deep_y // p * p < deep_width
+            if not hit.any():
+                break
+            j[deep] += hit
+        step = _POW10[j]
+        q = m // step
+        twice = (2 * (m - q * step) - step).astype(np.float64) + 2 * frac  # 2 (s - midpoint)
+        d = (q + (twice > 0)) * step  # the nearest multiple
+        off = (d - m).astype(np.float64)
+        slow |= (abs(twice) <= 2 * band) | (off - low <= band) | (high - off < band)
+        carry = d == 10**17  # rounded up to the next power of ten
+        d[carry] = 10**16
+        e = 16 - k + carry - _EXPONENTS.start  # the row of the decimal exponent
+        d[slow], e[slow] = 0, -_EXPONENTS.start
+        lead = d // 10**16
+        rest = d - lead * 10**16
+        words = np.empty((v.size, _WORDS), "<u8")
+        words[:, 0] = self.heads[20 * e + 10 * np.signbit(v) + lead]
+        words[:, -1] = self.exps[e]
+        point = self.points[e]
+        zeros_after = np.ones(v.size, np.intp)
+        for g in range(3, -1, -1):
+            q = rest // 10000
+            group = rest - 10000 * q
+            words[:, g + 1] = self.groups[self.forms[g, point + zeros_after] + group]
+            zeros_after &= group == 0
+            rest = q
+        slow = np.flatnonzero(slow & ~zero)
+        if slow.size:
+            with self._lock:
+                self.fallbacks += slow.size
+            text = np.array([repr(x) for x in v[slow].tolist()], f"S{8 * _WORDS}")
+            words[slow] = text.view("<u8").reshape(slow.size, _WORDS)
+        return words
 
 
 @functools.cache
 def _csv_renderer() -> _Scientific:
-    """The long-double renderer, its tables built on first use."""
+    """The long-double CSV renderer, its tables built on first use."""
     return _Scientific()
 
 
-def _percent(template: str, chunk: np.ndarray) -> bytes:
-    return ((template * chunk.shape[0]) % tuple(chunk.ravel().tolist())).encode()
+@functools.cache
+def _json_renderer() -> _Shortest:
+    """The long-double JSON value renderer, its tables built on first use."""
+    return _Shortest()
+
+
+def _render_items(template: np.ndarray, slots: list, rows: np.ndarray) -> bytes:
+    """`rows` as list items: the words of `template` per row, with the words
+    of the row's values at the `slots`."""
+    values = _json_renderer()(rows).reshape(len(rows), -1, _WORDS)
+    text = np.empty((len(rows), template.size), template.dtype)
+    text[:] = template
+    for i, at in enumerate(slots):
+        text[:, at : at + _WORDS] = values[:, i]
+    return _squeeze(text.view(np.uint8))
 
 
 def _write_rows(f, rows: np.ndarray, render, skip: int) -> None:
@@ -148,9 +327,10 @@ def _json_parts(payload: dict, lists: dict) -> list:
 
     `lists` maps each placeholder string in the payload, in text order, to
     the rows of the non-empty list it stands for. Each list becomes a
-    (rows, render, skip) part whose %-format template copies indent=2's
-    layout of one item at the placeholder's depth, led by its ","
-    separator (skipped for the first item).
+    (rows, render, skip) part whose item template copies indent=2's layout
+    of one item at the placeholder's depth, led by its "," separator
+    (skipped for the first item): the text pieces around the values, each
+    padded to whole words, with _WORDS words left after all but the last.
     """
     text = json.dumps(payload, indent=2) + "\n"
     parts = []
@@ -161,8 +341,15 @@ def _json_parts(payload: dict, lists: dict) -> list:
         (open_, close), fields = _ITEMS[name]
         item = "\n" + " " * (indent + 2)
         field = "\n" + " " * (indent + 4)
-        template = "," + item + open_ + ",".join(field + f for f in fields) + item + close
-        render = functools.partial(_percent, template)
+        pieces = ["," + item + open_ + field + fields[0]]
+        pieces += ["," + field + f for f in fields[1:]] + [item + close]
+        template, slots = b"", []
+        for piece in pieces:
+            if template:
+                slots.append(len(template) // 8)
+                template += bytes(8 * _WORDS)
+            template += piece.encode() + bytes(-len(piece) % 8)
+        render = functools.partial(_render_items, np.frombuffer(template, "<u8"), slots)
         parts += [head + "[", (lists[name], render, 1), "\n" + " " * indent + "]"]
     parts.append(text)
     return parts

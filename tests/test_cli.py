@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -306,6 +307,20 @@ class TestSweep:
         base = small_spec()
         serial = sweep(base, ["0.25", "1"], ["cat", "me"], out_dir=tmp_path / "s", jobs=1)
         parallel = sweep(base, ["0.25", "1"], ["cat", "me"], out_dir=tmp_path / "p", jobs=4)
+        for cs, cp in zip(serial["cells"], parallel["cells"]):
+            assert (cs["ratio"], cs["initial"]) == (cp["ratio"], cp["initial"])
+            assert (tmp_path / "s" / cs["file"]).read_bytes() == (
+                tmp_path / "p" / cp["file"]
+            ).read_bytes()
+
+    def test_parallel_matches_serial_json(self, tmp_path, monkeypatch):
+        # Four threads build the JSON renderer and its tables anew on first
+        # use, then share them and its fallback counter.
+        for name in ("_json_renderer", "_group_words", "_powers", "_four_digits"):
+            monkeypatch.setattr(files, name, functools.cache(getattr(files, name).__wrapped__))
+        base = small_spec(fmt="json")
+        parallel = sweep(base, ["0.25", "1"], ["cat", "me"], out_dir=tmp_path / "p", jobs=4)
+        serial = sweep(base, ["0.25", "1"], ["cat", "me"], out_dir=tmp_path / "s", jobs=1)
         for cs, cp in zip(serial["cells"], parallel["cells"]):
             assert (cs["ratio"], cs["initial"]) == (cp["ratio"], cp["initial"])
             assert (tmp_path / "s" / cs["file"]).read_bytes() == (

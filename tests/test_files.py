@@ -1,6 +1,10 @@
-"""The CSV value renderer against Python's own f"{v:.11e}"."""
+"""The CSV and JSON value renderers against Python's own f"{v:.11e}" and
+repr(float(v))."""
 
 import functools
+import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -92,3 +96,118 @@ def test_fig_rabi_is_rendered_without_python(tmp_path, capsys):
     assert main(["--preset", "fig-rabi", "--n", "400", "--out", str(tmp_path / "r.csv")]) == 0
     capsys.readouterr()
     assert scientific.fallbacks == before
+
+
+@functools.cache
+def shortest_renderer(work) -> files._Shortest:
+    return files._Shortest(work)
+
+
+def shortest(work, values) -> bytes:
+    words = shortest_renderer(work)(np.asarray(values, dtype=np.float64)[:, None])
+    newline = np.full((len(words), 1), ord("\n"), "<u8")  # "\n" and seven 0 bytes
+    return files._squeeze(np.hstack([words, newline]).view(np.uint8))
+
+
+def reprs(values) -> bytes:
+    return "".join(f"{v!r}\n" for v in np.asarray(values, dtype=np.float64).tolist()).encode()
+
+
+def with_neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, 0)])
+
+
+@pytest.mark.parametrize("work", WORKS)
+class TestShortest:
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
+    def test_arbitrary_bit_patterns(self, work, bits):
+        values = finite(bits)
+        assert shortest(work, values) == reprs(values)
+
+    def test_many_random_bit_patterns(self, work):
+        bits = np.random.default_rng(20261019).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = finite(bits)
+        assert shortest(work, values) == reprs(values)
+
+    def test_zeros_subnormals_and_extremes(self, work):
+        subnormals = [5e-324, 1e-323, 2.5e-320, 1e-310, np.nextafter(2.2250738585072014e-308, 0)]
+        values = [0.0, -0.0, 2.2250738585072014e-308, LARGEST, *subnormals]
+        values += [-v for v in values]
+        assert shortest(work, values) == reprs(values)
+
+    def test_every_power_of_two(self, work):
+        # 2**-52 and 2**-51 fill the norm_error column; a power of two has a
+        # neighbour twice as close below as above.
+        values = 2.0 ** np.arange(-1074, 1024)
+        assert shortest(work, values) == reprs(values)
+        assert shortest(work, -values) == reprs(-values)
+
+    def test_powers_of_ten_and_neighbours(self, work):
+        values = with_neighbours(POWERS)
+        assert shortest(work, values) == reprs(values)
+
+    def test_fixed_and_scientific_switch(self, work):
+        values = with_neighbours([1e-4, 1e-5, 1e15, 1e16, 9.9999e-5, 1.5e16, 123456789012345.6])
+        values = np.concatenate([values, -values])
+        assert shortest(work, values) == reprs(values)
+
+    def test_integers_and_every_digit_count(self, work):
+        rng = np.random.default_rng(5)
+        integers = [1.0, 9.0, 10.0, 100.0, 8.0, 1234.0, 2.0**53, 2.0**53 + 2, 1e22, 1e23]
+        digits = [float(rng.integers(1, 10**n)) for n in range(1, 18) for _ in range(40)]
+        values = [d * 10.0**k for d in integers + digits for k in (-20, -7, -3, 0, 2, 9, 30)]
+        assert shortest(work, values) == reprs(values)
+
+    def test_every_value_sent_to_python(self, work):
+        renderer = files._Shortest(work)
+        renderer.band = 1e17  # every scaled value lies within 1e17 of a tie
+        rng = np.random.default_rng(13)
+        values = np.concatenate([finite(rng.integers(0, 2**64, 693, dtype=np.uint64)), POWERS])
+        values = values[values != 0]  # a zero never goes to Python
+        text = renderer(values[:, None]).view(np.uint8).reshape(len(values), -1)
+        assert [bytes(row).replace(b"\0", b"") for row in text] == [
+            repr(v).encode() for v in values.tolist()
+        ]
+        assert renderer.fallbacks == values.size
+
+
+def test_renderers_share_their_tables():
+    assert files._Shortest().powers is files._Scientific().powers
+    assert files._Scientific().four is files._four_digits()
+
+
+def test_fallback_count_kept_across_threads():
+    renderer = files._Shortest()
+    renderer.band = 1e17
+    values = POWERS[:50, None]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: [renderer(values) for _ in range(20)]) for _ in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert renderer.fallbacks == 8 * 20 * values.size
+
+
+def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys):
+    # A JSON run at N=100: 17-digit near-ties go to Python, about 1-2% of
+    # the series and envelope values; far more means the fast path broke.
+    renderer = files._json_renderer()
+    before = renderer.fallbacks
+    out = tmp_path / "s.json"
+    argv = ["--preset", "fig-selftrap", "--n", "100", "--steps", "4000", "--format", "json"]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    written = json.loads(out.read_text())
+    envelope = written["summary"]["collapse_revival"]["envelope"]
+    values = 7 * len(written["series"]) + 2 * len(envelope)
+    assert len(envelope) > 0
+    assert renderer.fallbacks - before <= 0.03 * values
