@@ -124,6 +124,16 @@ def _check_uniform_grid(t: np.ndarray) -> float:
     return step
 
 
+def _running(extreme: np.ufunc, x: np.ndarray, window: int) -> np.ndarray:
+    """np.maximum or np.minimum over each full window of x, as reduced from
+    sliding_window_view(x, window), in O(x.size) (van Herk/Gil-Werman): a
+    window is the suffix of one window-sized block and the prefix of the next."""
+    blocks = np.pad(x, (0, -x.size % window)).reshape(-1, window)
+    prefix = extreme.accumulate(blocks, axis=1).ravel()
+    suffix = extreme.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return extreme(suffix[: x.size - window + 1], prefix[window - 1 : x.size])
+
+
 def envelope(t, values, window: int = DEFAULT_WINDOW):
     """Sliding-window oscillation amplitude of a uniformly sampled series.
 
@@ -153,10 +163,8 @@ def envelope(t, values, window: int = DEFAULT_WINDOW):
     half = window // 2
     running_mean = sliding_window_view(x, window).mean(axis=1)
     detrended = x[half : x.size - half] - running_mean
-    windows = sliding_window_view(detrended, window)
-    amplitude = 0.5 * (windows.max(axis=1) - windows.min(axis=1))
-    centers = t[2 * half : t.size - 2 * half]
-    return centers, amplitude
+    spread = _running(np.maximum, detrended, window) - _running(np.minimum, detrended, window)
+    return t[2 * half : t.size - 2 * half], 0.5 * spread
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,14 +238,9 @@ def collapse_revival_time(
         # must attain the maximum of a centered window-sized neighborhood, which
         # keeps sample-level staircase wiggles on a rising flank from counting.
         half = window // 2
-        rolling_max = sliding_window_view(amp, window).max(axis=1)
         centers = np.arange(half, amp.size - half)
-        peaks = (
-            (amp[centers] >= rolling_max)
-            & (amp[centers] >= theta_r * a0)
-            & (centers > collapse_idx)
-        )
-        hits = np.nonzero(peaks)[0]
+        peaks = (amp[centers] >= _running(np.maximum, amp, window)) & (centers > collapse_idx)
+        hits = np.nonzero(peaks & (amp[centers] >= theta_r * a0))[0]
         if hits.size == 0:
             reason = "no_revival"
         else:

@@ -3,14 +3,14 @@
 Output is deterministic: rerunning a scenario reproduces the files byte for
 byte. CSV carries the series only (12 significant digits, LF endings) with
 the spec and summary in a ".summary.json" sidecar; JSON files bundle spec,
-summary and series together. Every file is exactly what `f"{v:.11e}"` rows
-and `json.dumps(..., indent=2)` would give, but the long lists (series rows
-and the collapse/revival envelope) are streamed to the file ROW_CHUNK rows
-at a time, each chunk rendered in numpy: a CSV value by _Scientific, a JSON
-value by _Shortest as the bytes of repr(float(v)), which is what json writes
-for it. Each renderer hands the few values it cannot settle exactly to
-Python's own formatting. A series or envelope value that is not finite is
-refused before any file is opened.
+summary and series, the series as one list per column. Every file is exactly
+what `f"{v:.11e}"` rows and `json.dumps(..., indent=2)` would give, but the
+long lists (CSV rows, the JSON series columns and the envelope's "t" and
+"amplitude") are streamed ROW_CHUNK rows at a time, each chunk rendered in
+numpy: a CSV value by _Scientific, a JSON value by _Shortest as the bytes of
+repr(float(v)), which json writes. Each renderer hands the few values it
+cannot settle exactly to Python's own formatting. A series or envelope value
+that is not finite is refused before any file is opened.
 """
 
 from __future__ import annotations
@@ -29,18 +29,10 @@ __all__ = ["CSV_HEADER", "ROW_CHUNK", "read_series", "write_json", "write_output
 
 CSV_HEADER = ",".join(ObservableSeries.COLUMNS)
 
-# Rows per rendered chunk of the writer: bounds the text and the
-# temporaries alive at once, whatever the number of steps.
+# Series rows per rendered chunk of the writer (a streamed 1-D list takes as
+# many values as that many rows hold): bounds the text and the temporaries
+# alive at once, whatever the number of steps.
 ROW_CHUNK = 1024
-
-# Stand-ins for the streamed lists in the json.dumps text, with the
-# brackets of one list item and the text before each of its values.
-_SERIES = "@series@"
-_ENVELOPE = "@envelope@"
-_ITEMS = {
-    _SERIES: ("{}", [f"{json.dumps(name)}: " for name in ObservableSeries.COLUMNS]),
-    _ENVELOPE: ("[]", ["", ""]),
-}
 
 # Rendered text stands a 0 byte for each absent character; _squeeze drops them.
 _EXPONENTS = range(-324, 309)  # decimal exponents of the finite doubles
@@ -303,66 +295,54 @@ def _json_renderer() -> _Shortest:
     return _Shortest()
 
 
-def _render_items(template: np.ndarray, slots: list, rows: np.ndarray) -> bytes:
-    """`rows` as list items: the words of `template` per row, with the words
-    of the row's values at the `slots`."""
-    values = _json_renderer()(rows).reshape(len(rows), -1, _WORDS)
-    text = np.empty((len(rows), template.size), template.dtype)
-    text[:] = template
-    for i, at in enumerate(slots):
-        text[:, at : at + _WORDS] = values[:, i]
+def _render_list(separator: np.ndarray, values: np.ndarray) -> bytes:
+    """`values` as list items, each led by the words of `separator`."""
+    text = np.empty((values.size, separator.size + _WORDS), separator.dtype)
+    text[:, : separator.size] = separator
+    text[:, separator.size :] = _json_renderer()(values)
     return _squeeze(text.view(np.uint8))
 
 
-def _write_rows(f, rows: np.ndarray, render, skip: int) -> None:
-    """Write render(chunk) for every ROW_CHUNK rows of `rows`, leaving out
-    the first `skip` bytes."""
-    for start in range(0, rows.shape[0], ROW_CHUNK):
-        text = render(rows[start : start + ROW_CHUNK])
-        f.write(text[skip:] if start == 0 else text)
-
-
 def _json_parts(payload: dict, lists: dict) -> list:
-    """json.dumps(payload, indent=2) + "\n" as writer parts.
-
-    `lists` maps each placeholder string in the payload, in text order, to
-    the rows of the non-empty list it stands for. Each list becomes a
-    (rows, render, skip) part whose item template copies indent=2's layout
-    of one item at the placeholder's depth, led by its "," separator
-    (skipped for the first item): the text pieces around the values, each
-    padded to whole words, with _WORDS words left after all but the last.
-    """
+    """json.dumps(payload, indent=2) + "\n" as writer parts: `lists` maps each
+    placeholder string in the payload, in text order, to the values of the
+    non-empty list it stands for, streamed as a (values, render, 1) part that
+    leads each item with indent=2's "," and line break, the first "," skipped."""
     text = json.dumps(payload, indent=2) + "\n"
     parts = []
-    for name in lists:
+    for name, values in lists.items():
         head, text = text.split(json.dumps(name), 1)
         line = head[head.rfind("\n") + 1 :]
         indent = len(line) - len(line.lstrip(" "))
-        (open_, close), fields = _ITEMS[name]
-        item = "\n" + " " * (indent + 2)
-        field = "\n" + " " * (indent + 4)
-        pieces = ["," + item + open_ + field + fields[0]]
-        pieces += ["," + field + f for f in fields[1:]] + [item + close]
-        template, slots = b"", []
-        for piece in pieces:
-            if template:
-                slots.append(len(template) // 8)
-                template += bytes(8 * _WORDS)
-            template += piece.encode() + bytes(-len(piece) % 8)
-        render = functools.partial(_render_items, np.frombuffer(template, "<u8"), slots)
-        parts += [head + "[", (lists[name], render, 1), "\n" + " " * indent + "]"]
+        separator = f",\n{' ' * (indent + 2)}".encode()
+        separator += bytes(-len(separator) % 8)
+        render = functools.partial(_render_list, np.frombuffer(separator, "<u8"))
+        parts += [head + "[", (values, render, 1), "\n" + " " * indent + "]"]
     parts.append(text)
     return parts
 
 
 def _write_parts(path: Path, parts) -> None:
-    """Write text parts and streamed (rows, render, skip) parts in order."""
+    """Write text parts and streamed (rows, render, skip) parts in order, the
+    latter as render(chunk) per ROW_CHUNK series rows' worth of values (7 *
+    ROW_CHUNK values of a 1-D list), less its first `skip` bytes."""
     with open(path, "wb") as f:
         for part in parts:
             if isinstance(part, str):
                 f.write(part.encode())
-            else:
-                _write_rows(f, *part)
+                continue
+            rows, render, skip = part
+            step = ROW_CHUNK * len(ObservableSeries.COLUMNS) // rows[:1].size
+            for start in range(0, len(rows), step):
+                text = render(rows[start : start + step])
+                f.write(text[skip:] if start == 0 else text)
+
+
+def _stand_in(member: str, columns: dict, lists: dict) -> dict:
+    """Placeholders for the columns of `member`, each filed in `lists`."""
+    names = {name: f"@{member}.{name}@" for name in columns}
+    lists.update(zip(names.values(), columns.values()))
+    return names
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -375,24 +355,25 @@ def write_output(
 ) -> None:
     """Write one run as a CSV series plus a ".summary.json" sidecar, or as one
     JSON file; `envelope`, the (points, 2) collapse/revival envelope or None,
-    becomes the last member of summary["collapse_revival"]. A non-finite
-    value is a ValueError before anything is made."""
-    rows = np.column_stack([getattr(series, name) for name in ObservableSeries.COLUMNS])
+    becomes the last member of summary["collapse_revival"] as the columns
+    "t" and "amplitude". A non-finite value is a ValueError before anything
+    is made."""
+    columns = {name: getattr(series, name) for name in ObservableSeries.COLUMNS}
     lists = {}
     if envelope is not None:
-        lists[_ENVELOPE] = envelope
-        cr = dict(summary["collapse_revival"], envelope=_ENVELOPE)
+        envelope = {"t": envelope[:, 0], "amplitude": envelope[:, 1]}
+        cr = dict(summary["collapse_revival"], envelope=_stand_in("envelope", envelope, lists))
         summary = dict(summary, collapse_revival=cr)
-    if not all(np.isfinite(a).all() for a in (rows, *lists.values())):
+    if not all(np.isfinite(a).all() for a in (*columns.values(), *lists.values())):
         raise ValueError(f"{out}: the series or the envelope holds a non-finite value")
     payload = {"spec": spec, "summary": summary}
+    if fmt == "json":
+        payload["series"] = _stand_in("series", columns, lists)
     out.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
+        rows = np.column_stack(list(columns.values()))
         _write_parts(out, [CSV_HEADER + "\n", (rows, _csv_renderer(), 0)])
         out = out.with_name(out.stem + ".summary.json")
-    else:
-        payload["series"] = _SERIES
-        lists[_SERIES] = rows
     _write_parts(out, _json_parts(payload, lists))
 
 
@@ -401,8 +382,10 @@ def read_series(path) -> ObservableSeries:
 
     A CSV file must hold the header and at least one row of 7 values per
     line. A JSON file must have the indent=2 layout the writer produces, with
-    "series" as its last top-level member: only that list is decoded, not
-    the spec and summary before it. Any other layout is a ValueError.
+    "series" as its last top-level member: one list of finite numbers per
+    column, ObservableSeries.COLUMNS in order, of equal length. Only that
+    member is decoded, a column at a time, not the spec and summary before
+    it. Any other layout (the pre-columnar list of rows too) is a ValueError.
     """
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
@@ -422,22 +405,29 @@ _SERIES_MEMBER = '\n  "series": '
 
 
 def _read_json_series(path, text: str) -> ObservableSeries:
-    start = text.rfind(_SERIES_MEMBER)
-    if start < 0:
+    at = text.rfind(_SERIES_MEMBER)
+    if at < 0:
         raise ValueError(f"{path} has no top-level series in the indent=2 layout")
-    try:
-        rows, end = json.JSONDecoder().raw_decode(text, start + len(_SERIES_MEMBER))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: the series is not valid JSON: {exc}") from exc
-    if text[end:] != "\n}\n":
-        raise ValueError(f"{path}: the series is not the last member of the file")
-    try:
-        cols = {
-            name: np.array([row[name] for row in rows], dtype=np.float64)
-            for name in ObservableSeries.COLUMNS
-        }
-    except (KeyError, TypeError) as exc:
-        raise ValueError(
-            f"{path}: a series row is not an object holding every column ({exc!r})"
-        ) from exc
-    return ObservableSeries(**cols)
+    at += len(_SERIES_MEMBER)
+    if text.startswith("[", at):
+        raise ValueError(f"{path} is in the pre-columnar row layout: its series is a list of rows")
+    decode = json.JSONDecoder(parse_int=float).raw_decode
+    columns = {}
+    for i, name in enumerate(ObservableSeries.COLUMNS):
+        key = ("," if i else "{") + f'\n    "{name}": '
+        if not text.startswith(key, at):
+            raise ValueError(f"{path}: the series does not hold column {name} where written")
+        try:
+            values, at = decode(text, at + len(key))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: series column {name} is not valid JSON: {exc}") from exc
+        if not isinstance(values, list) or not set(map(type, values)) <= {float}:
+            raise ValueError(f"{path}: series column {name} is not a list of numbers")
+        columns[name] = values = np.array(values, dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: series column {name} holds a non-finite value")
+    if text[at:] != "\n  }\n}\n":
+        raise ValueError(f"{path}: the series has more than its columns or is not the last member")
+    if len({values.size for values in columns.values()}) != 1:
+        raise ValueError(f"{path}: the series columns differ in length")
+    return ObservableSeries(**columns)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from bhdimer.analysis import (
+    _running,
     Phase,
     Regime,
     classify,
@@ -67,6 +69,47 @@ class TestClassify:
         b = classify(config_for_ratio(n, hi))
         order = list(Regime)
         assert order.index(a.regime) <= order.index(b.regime)
+
+
+class TestRunningExtreme:
+    """The O(n) running max/min against sliding_window_view, bit for bit."""
+
+    @staticmethod
+    def assert_matches(x, window):
+        x = np.asarray(x, dtype=np.float64)
+        windows = sliding_window_view(x, window)
+        assert _running(np.maximum, x, window).tobytes() == windows.max(axis=1).tobytes()
+        assert _running(np.minimum, x, window).tobytes() == windows.min(axis=1).tobytes()
+
+    @pytest.mark.parametrize("size", [1000, 1001, 1003, 1005])
+    @pytest.mark.parametrize("window", [3, 5, 21, 335])
+    def test_random_data(self, size, window):
+        x = np.random.default_rng(size * window).normal(size=size)
+        self.assert_matches(x, window)
+
+    def test_plateaus_and_ties(self):
+        rng = np.random.default_rng(3)
+        x = np.repeat(rng.integers(-3, 4, 120).astype(np.float64), rng.integers(1, 9, 120))
+        for window in (3, 7, 11, 51):
+            self.assert_matches(x, window)
+        self.assert_matches(np.full(40, 2.5), 5)
+
+    def test_window_3(self):
+        self.assert_matches([1.0, 3.0, 2.0, 5.0, 4.0, 4.0, 0.0, -1.0, 7.0, 6.0], 3)
+
+    @pytest.mark.parametrize("size,window", [(31, 5), (32, 5), (34, 3), (1000, 7)])
+    def test_length_not_a_multiple_of_the_window(self, size, window):
+        self.assert_matches(np.sin(np.arange(size) * 0.7), window)
+
+    @pytest.mark.parametrize("window", [3, 5, 1005])
+    def test_exactly_three_windows(self, window):
+        x = np.cos(np.arange(3 * window) * 0.01) * np.exp(-np.arange(3 * window) / window)
+        self.assert_matches(x, window)
+
+    def test_signed_zeros(self):
+        x = np.random.default_rng(9).choice([0.0, -0.0], size=301)
+        for window in (3, 7, 101):
+            self.assert_matches(x, window)
 
 
 class TestEnvelope:

@@ -19,6 +19,7 @@ from bhdimer.files import CSV_HEADER, read_series
 from bhdimer.pipeline import ScenarioSpec, run_scenario, sweep
 from bhdimer.presets import PRESETS, parse_ratio, realize_ratio
 from bhdimer.model import CouplingConfig
+from bhdimer.observables import ObservableSeries
 
 FLOAT_12_SIG = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -122,6 +123,13 @@ class TestScenarioSpec:
         assert small_spec(theta_r=1.0).theta_r == 1.0
 
 
+def _with_series(change):
+    """A layout: the payload as indent=2 JSON with change(series) as its series."""
+    return lambda payload: json.dumps(
+        dict(payload, series=change(payload["series"])), indent=2
+    ) + "\n"
+
+
 class TestRunScenario:
     def test_csv_shape_and_format(self, tmp_path):
         spec = small_spec(tmp_path)
@@ -151,27 +159,66 @@ class TestRunScenario:
             np.testing.assert_array_equal(getattr(back, name), getattr(series, name))
 
     @pytest.mark.parametrize(
-        "layout",
+        "layout,message",
         [
-            lambda payload: json.dumps(payload),
-            lambda payload: json.dumps(
-                {"spec": payload["spec"], "summary": payload["summary"]}, indent=2
-            )
-            + "\n",
-            lambda payload: json.dumps(payload, indent=2) + "\n{}\n",
-            lambda payload: json.dumps(
-                dict(payload, series=[{"t": 0.0}] + payload["series"]), indent=2
-            )
-            + "\n",
+            pytest.param(lambda payload: json.dumps(payload), "bad.json", id="compact"),
+            pytest.param(
+                lambda payload: json.dumps(
+                    {"spec": payload["spec"], "summary": payload["summary"]}, indent=2
+                )
+                + "\n",
+                "bad.json",
+                id="no-series",
+            ),
+            pytest.param(
+                lambda payload: json.dumps(payload, indent=2) + "\n{}\n",
+                "bad.json",
+                id="trailing-data",
+            ),
+            *(
+                pytest.param(
+                    _with_series(lambda s, v=value: dict(s, imbalance=[v] + s["imbalance"][1:])),
+                    "bad.json.*imbalance",
+                    id=f"{name}-entry",
+                )
+                for name, value in [
+                    ("null", None), ("string", "1.5"), ("boolean", True),
+                    ("nan", math.nan), ("infinity", math.inf), ("list", [1.0]),
+                ]
+            ),
+            pytest.param(
+                _with_series(lambda s: {k: v for k, v in s.items() if k != "energy"}),
+                "bad.json.*column energy",
+                id="missing-column",
+            ),
+            pytest.param(
+                _with_series(lambda s: dict(s, extra=s["t"])),
+                "bad.json.*more than its columns",
+                id="extra-column",
+            ),
+            pytest.param(
+                _with_series(lambda s: dict(reversed(s.items()))),
+                "bad.json.*column t",
+                id="reordered-columns",
+            ),
+            pytest.param(
+                _with_series(lambda s: dict(s, energy=s["energy"][:-1])),
+                "bad.json.*length",
+                id="unequal-length",
+            ),
+            pytest.param(
+                _with_series(lambda s: [dict(zip(s, row)) for row in zip(*s.values())]),
+                "bad.json is in the pre-columnar row layout",
+                id="row-layout",
+            ),
         ],
-        ids=["compact", "no-series", "trailing-data", "row-missing-key"],
     )
-    def test_json_read_back_requires_the_written_layout(self, tmp_path, layout):
+    def test_json_read_back_requires_the_written_layout(self, tmp_path, layout, message):
         spec = small_spec(tmp_path, fmt="json")
         run_scenario(spec)
         bad = tmp_path / "bad.json"
         bad.write_text(layout(json.loads(spec.out.read_text())))
-        with pytest.raises(ValueError, match="bad.json"):
+        with pytest.raises(ValueError, match=message):
             read_series(bad)
 
     @pytest.mark.filterwarnings("ignore:loadtxt")
@@ -193,9 +240,11 @@ class TestRunScenario:
         assert set(payload) == {"spec", "summary", "series"}
         assert payload["spec"]["n_total"] == 8
         assert payload["spec"]["initial"] == "fock:8,0"
-        assert len(payload["series"]) == spec.steps
-        assert "collapse_revival" in payload["summary"]
-        assert "envelope" in payload["summary"]["collapse_revival"]
+        assert tuple(payload["series"]) == ObservableSeries.COLUMNS
+        assert [len(column) for column in payload["series"].values()] == [spec.steps] * 7
+        cr = payload["summary"]["collapse_revival"]
+        assert list(cr["envelope"]) == ["t", "amplitude"]
+        assert [len(column) for column in cr["envelope"].values()] == [cr["envelope_points"]] * 2
 
     def test_csv_summary_sidecar(self, tmp_path):
         spec = small_spec(tmp_path)
@@ -243,7 +292,9 @@ class TestRunScenario:
         assert "envelope" not in summary["collapse_revival"]
         written = spec.out if fmt == "json" else tmp_path / "run.summary.json"
         cr = json.loads(written.read_text())["summary"]["collapse_revival"]
-        envelope = np.array(cr.pop("envelope"), dtype=np.float64)
+        columns = cr.pop("envelope")
+        assert list(columns) == ["t", "amplitude"]
+        envelope = np.column_stack([columns["t"], columns["amplitude"]])
         assert cr == summary["collapse_revival"]
         expected = collapse_revival_time(series.t, series.imbalance, window=spec.window)
         assert envelope.shape == expected.envelope.shape
@@ -769,20 +820,23 @@ class TestModuleEntryPoint:
 
 def _oracle(spec, series, summary) -> dict:
     """File name -> text that the stdlib encoders give for one run: one
-    f"{v:.11e}" per CSV value, json.dumps(indent=2) for every JSON file."""
-    rows = list(zip(*(getattr(series, name) for name in series.COLUMNS)))
+    f"{v:.11e}" per CSV value, json.dumps(indent=2) for every JSON file, the
+    series and the envelope as one list per column."""
+    columns = {name: getattr(series, name).tolist() for name in series.COLUMNS}
     if len(series) >= 3 * spec.window:  # the detector's envelope closes the report
         report = collapse_revival_time(series.t, series.imbalance, window=spec.window)
-        cr = dict(summary["collapse_revival"], envelope=report.envelope.tolist())
+        envelope = dict(zip(["t", "amplitude"], report.envelope.T.tolist()))
+        cr = dict(summary["collapse_revival"], envelope=envelope)
         summary = dict(summary, collapse_revival=cr)
     payload = {"spec": pipeline._scenario_dict(spec), "summary": summary}
     if spec.fmt == "csv":
+        rows = zip(*columns.values())
         lines = [CSV_HEADER, *(",".join(f"{v:.11e}" for v in row) for row in rows)]
         return {
             spec.out.name: "\n".join(lines) + "\n",
             spec.out.stem + ".summary.json": json.dumps(payload, indent=2) + "\n",
         }
-    payload["series"] = [dict(zip(series.COLUMNS, map(float, row))) for row in rows]
+    payload["series"] = columns
     return {spec.out.name: json.dumps(payload, indent=2) + "\n"}
 
 
@@ -808,6 +862,11 @@ class TestByteFormat:
             (36, 3),  # envelope an exact multiple of the chunk
             (48, 3),  # series an exact multiple of the chunk
             (400, 21),  # many chunks of both
+            # A JSON list is streamed 7 * ROW_CHUNK = 112 values a chunk.
+            (112, 3),  # series columns exactly one chunk, envelope columns below it
+            (116, 3),  # series columns above one chunk, envelope columns exactly one
+            (224, 3),  # series columns an exact multiple of the chunk
+            (228, 3),  # envelope columns an exact multiple of the chunk
         ],
     )
     def test_chunk_boundaries(self, tmp_path, monkeypatch, fmt, steps, window):
@@ -820,7 +879,9 @@ class TestByteFormat:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("chunks", [1, 2.5])
     def test_module_chunk(self, tmp_path, fmt, chunks):
-        spec = small_spec(tmp_path, fmt=fmt, steps=int(chunks * files.ROW_CHUNK))
+        # A CSV chunk holds ROW_CHUNK rows, a JSON one 7 * ROW_CHUNK values of a column.
+        rows = files.ROW_CHUNK * (7 if fmt == "json" else 1)
+        spec = small_spec(tmp_path, fmt=fmt, steps=int(chunks * rows))
         _assert_matches_oracle(spec, *run_scenario(spec))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -834,6 +895,36 @@ class TestByteFormat:
             fmt=fmt,
         )
         _assert_matches_oracle(spec, *run_scenario(spec))
+
+    def test_empty_system_json_has_one_row_columns(self, tmp_path):
+        spec = ScenarioSpec(
+            config=CouplingConfig(0, k=1.0, delta_mu=0.5, e_j=1.0),
+            initial="fock:0,0",
+            steps=100,
+            out=tmp_path / "empty.json",
+            fmt="json",
+        )
+        series, summary = run_scenario(spec)
+        columns = json.loads(spec.out.read_text())["series"]
+        assert columns == {name: [0.0] for name in ObservableSeries.COLUMNS}
+        _assert_matches_oracle(spec, series, summary)
+
+    def test_json_run_too_short_for_an_envelope(self, tmp_path):
+        spec = small_spec(tmp_path, fmt="json", steps=50, window=21)
+        series, summary = run_scenario(spec)
+        cr = json.loads(spec.out.read_text())["summary"]["collapse_revival"]
+        assert cr["reason"] == "series_too_short" and "envelope" not in cr
+        _assert_matches_oracle(spec, series, summary)
+
+    def test_csv_sidecar_carries_the_envelope_columns(self, tmp_path):
+        spec = small_spec(tmp_path)
+        series, summary = run_scenario(spec)
+        sidecar = json.loads((tmp_path / "run.summary.json").read_text())
+        envelope = sidecar["summary"]["collapse_revival"]["envelope"]
+        assert list(envelope) == ["t", "amplitude"]
+        points = summary["collapse_revival"]["envelope_points"]
+        assert [len(column) for column in envelope.values()] == [points] * 2
+        _assert_matches_oracle(spec, series, summary)
 
     def test_three_digit_exponents(self, tmp_path, capsys):
         spec = small_spec(tmp_path, t_max=1e-300)

@@ -208,6 +208,6 @@ def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys):
     capsys.readouterr()
     written = json.loads(out.read_text())
     envelope = written["summary"]["collapse_revival"]["envelope"]
-    values = 7 * len(written["series"]) + 2 * len(envelope)
-    assert len(envelope) > 0
+    values = sum(len(column) for column in [*written["series"].values(), *envelope.values()])
+    assert len(envelope["t"]) > 0
     assert renderer.fallbacks - before <= 0.03 * values
