@@ -14,9 +14,12 @@ collapses to the Shannon entropy of the basis weights,
 
 bounded by log2(N+1) (uniform weights) and 0 (a single Fock state).
 
-reduce_blocks allocates one workspace of block size per call (the
-probabilities, one float scratch and the entropy mask) and reduces every
-block in it, so a long run allocates only length-rows columns per block.
+reduce_blocks takes the state basis-major, one column per grid time, and
+reduces along axis 0: the moments are one (3, dim) @ p product, the energy
+cross term multiplies the contiguous slabs c[:-1] and c[1:]. Every block
+reduces in leading views of one flat workspace per call (probabilities, a
+float scratch, the entropy mask): a run allocates only length-n columns per
+block.
 """
 
 from __future__ import annotations
@@ -102,18 +105,13 @@ class ObservableSeries:
 
 
 def _block_columns(
-    cr: np.ndarray,
-    ci: np.ndarray,
-    h: TridiagonalHamiltonian,
-    weights: np.ndarray,
-    p: np.ndarray,
-    work: np.ndarray,
-    mask: np.ndarray,
+    cr: np.ndarray, ci: np.ndarray, h: TridiagonalHamiltonian, weights: np.ndarray,
+    p: np.ndarray, work: np.ndarray, mask: np.ndarray,
 ) -> tuple:
-    """Every observable column but t for the coefficient rows cr + i ci.
+    """Every observable column but t for cr + i ci, one column per time.
 
     This is the one implementation of the formulas; the scalar functions,
-    record and compute_series are views of it. weights holds the columns
+    record and compute_series are views of it. weights holds the rows
     (d, d^2, diagonal) of the moments; p, work and mask are C-contiguous
     scratch arrays of the block's shape, overwritten here.
     """
@@ -121,25 +119,25 @@ def _block_columns(
     np.multiply(cr, cr, out=p)
     np.multiply(ci, ci, out=work)
     p += work
-    total = p.sum(axis=1)
+    total = p.sum(axis=0)
     if np.any(total == 0.0):
         raise ValueError("state has zero norm")
-    p /= total[:, None]
-    moments = p @ weights
-    imbalance = moments[:, 0] + 0.0
-    variance = np.maximum(moments[:, 1] - imbalance**2, 0.0)
-    energy = moments[:, 2]
+    p /= total
+    moments = weights @ p
+    imbalance = moments[0] + 0.0
+    variance = np.maximum(moments[1] - imbalance**2, 0.0)
+    energy = moments[2]
     entropy = _entropy_bits(p, work, mask)
     if h.offdiagonal.size:
-        # p is free now: the two products go into contiguous (rows, dim-1)
-        # views of the scratch.
-        shape = (cr.shape[0], cr.shape[1] - 1)
-        cross = work.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
-        cross_i = p.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
-        np.multiply(cr[:, :-1], cr[:, 1:], out=cross)
-        np.multiply(ci[:, :-1], ci[:, 1:], out=cross_i)
+        # p is free now: the two products go into contiguous (dim-1, n)
+        # leading views of the scratch.
+        size = (cr.shape[0] - 1) * cr.shape[1]
+        cross = work.reshape(-1)[:size].reshape(-1, cr.shape[1])
+        cross_i = p.reshape(-1)[:size].reshape(-1, cr.shape[1])
+        np.multiply(cr[:-1], cr[1:], out=cross)
+        np.multiply(ci[:-1], ci[1:], out=cross_i)
         cross += cross_i
-        energy += 2.0 * (cross @ h.offdiagonal) / total
+        energy += 2.0 * (h.offdiagonal @ cross) / total
     return (
         imbalance,
         imbalance / n_total if n_total else np.zeros_like(imbalance),
@@ -154,32 +152,31 @@ def reduce_blocks(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries
     """Observables along a trajectory delivered as consecutive (cr, ci) blocks.
 
     Each block holds the real and imaginary coefficient parts of successive
-    grid times, one row per time; the rows of all blocks together must match
-    t_grid. Blocks are reduced as they arrive, so memory holds the output
-    columns and one block.
+    grid times, each (dim, n) with one column per grid time; the columns of
+    all blocks together must match t_grid. Blocks are reduced as they
+    arrive, so memory holds the output columns and one block.
     """
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError("t_grid must be one-dimensional")
     columns = np.empty((len(ObservableSeries.COLUMNS) - 1, t.size))
     d = imbalance_diagonal(h.n_total)
-    weights = np.column_stack((d, d**2, h.diagonal))
+    weights = np.stack((d, d**2, h.diagonal))
     p = work = mask = None
-    row = 0
+    start = 0
     for cr, ci in blocks:
-        if cr.shape[1] != h.dim:
+        if cr.shape[0] != h.dim:
             raise ValueError("state dimension does not match Hamiltonian")
-        n = cr.shape[0]
-        if row + n > t.size:
+        n = cr.shape[1]
+        if start + n > t.size:
             raise ValueError("t_grid and states must have equal length")
-        if p is None or n > p.shape[0]:
-            p, work = np.empty((2, n, h.dim))
-            mask = np.empty((n, h.dim), dtype=bool)
-        values = _block_columns(cr, ci, h, weights, p[:n], work[:n], mask[:n])
-        for column, value in zip(columns, values):
-            column[row : row + n] = value
-        row += n
-    if row != t.size:
+        if p is None or n * h.dim > p.size:
+            p, work = np.empty((2, n * h.dim))
+            mask = np.empty(n * h.dim, dtype=bool)
+        views = (a[: n * h.dim].reshape(h.dim, n) for a in (p, work, mask))
+        columns[:, start : start + n] = _block_columns(cr, ci, h, weights, *views)
+        start += n
+    if start != t.size:
         raise ValueError("t_grid and states must have equal length")
     return ObservableSeries(t, *columns)
 
@@ -192,12 +189,12 @@ def _entropy_bits(p: np.ndarray, terms: np.ndarray, mask: np.ndarray) -> np.ndar
     np.log2(p, out=terms, where=mask)
     terms *= p
     # -sum p log2 p; the trailing +0.0 turns -0.0 into +0.0.
-    return -terms.sum(axis=-1) + 0.0
+    return -terms.sum(axis=0) + 0.0
 
 
 def record(state: StateVector, t: float, h: TridiagonalHamiltonian) -> ObservableRecord:
     """Bundle all observables of one state at time t under Hamiltonian h."""
-    c = state.coefficients[None, :]
+    c = state.coefficients[:, None]
     row = reduce_blocks([(c.real, c.imag)], [float(t)], h)
     return ObservableRecord(*(float(getattr(row, name)[0]) for name in row.COLUMNS))
 
@@ -231,5 +228,5 @@ def compute_series(states, t_grid, h: TridiagonalHamiltonian) -> ObservableSerie
     states = list(states)
     if not states:
         return reduce_blocks([], t_grid, h)
-    c = np.stack([s.coefficients for s in states])
+    c = np.stack([s.coefficients for s in states], axis=1)
     return reduce_blocks([(c.real, c.imag)], t_grid, h)

@@ -168,6 +168,7 @@ def _summarize(
             "max_norm_error": series.norm_error.max(),
             "energy_drift_rel": drift / max(1.0, abs(float(energy[0]))),
             "kept_components": propagator.kept_components,
+            "kept_per_parity": propagator.kept_per_parity,
             "dropped_weight": propagator.dropped_weight,
         }),
         "delta_mu_dominant_initial": delta_mu_dominance(cfg, psi0),

@@ -11,19 +11,22 @@ sqrt(DROPPED_WEIGHT_MAX) = 1e-14 (each row of V has unit norm). The dropped
 set includes the exact zeros of a parity sector the initial state does not
 touch. Times whose phases max|lam| * |t| overflow are refused.
 
-`evolve` and `evolve_series` are GridPropagator.at: two real vector-matrix
-products per time, so a state from one equals the same time from the other
-bit for bit. `blocks` serves the uniform grid t_j = j*dt that every scenario
-runs on. It walks the grid in blocks of block_rows(dim, steps) rows:
-the phases of a block are one table exp(-i lam k dt), k < rows, built once
-and multiplied by a_n exp(-i lam_n t_s) at the block start t_s, and the
-coefficients of the whole block come from one real matrix product with the
-kept eigenvectors. A block holds about BLOCK_ELEMENTS values per float
-array, small enough for the elementwise passes of the propagation and the
-observables to stay in cache, and at least 64 rows, so the product keeps a
-tall matrix at large dim. Memory stays at a few blocks whatever the grid
-length, and the time is spent in BLAS and numpy ufuncs, which release the
-GIL.
+`evolve` and `evolve_series` are GridPropagator.at, so a state from one
+equals the same time from the other bit for bit. `blocks` serves the
+uniform grid t_j = j*dt that every scenario runs on, in blocks of
+block_rows(dim, steps) times: the phases of a block are one table
+exp(-i lam k dt), k < rows, built once and multiplied by
+a_n exp(-i lam_n t_s) at the block start t_s. A block is basis-major, one
+column per time: one matmul of the kept eigenvectors V (dim, kept) with the
+stacked real and imaginary phases (2, kept, n). At zero bias the kept
+components come even sector first and, with m = dim // 2, the product
+halves: E = V_even[:dim-m] x_even fills the top dim - m rows, O =
+V_odd[:m] x_odd goes to a buffer, and the mirrored bottom m rows become
+E[:m] - O, the top ones E[:m] + O (odd vectors vanish on the centre row of
+odd dim). A block holds about BLOCK_ELEMENTS values per float array, so the
+elementwise passes stay in cache, and at least 64 times, so the product
+keeps a wide matrix at large dim. Memory stays at a few blocks for any grid
+length; the time goes to BLAS and numpy ufuncs, which release the GIL.
 
 The eigenpairs come from LAPACK through numpy.linalg.eigh. Before that, the
 off-diagonal is mapped to -|e| by a diagonal +-1 similarity. The solver then
@@ -36,8 +39,9 @@ dimer produces at zero bias) commutes with index reversal. It is
 diagonalized as two half-size tridiagonal blocks, one per parity sector, so
 every eigenvector is exactly even or odd under index reversal and
 trajectories from interchanged modes mirror each other down to summation
-round-off rather than eigenvector accuracy. Any other matrix goes to eigh
-whole.
+round-off rather than eigenvector accuracy. SpectralDecomposition.even
+labels those columns, so GridPropagator can split its product by sector.
+Any other matrix goes to eigh whole, with no labels.
 """
 
 from __future__ import annotations
@@ -105,20 +109,26 @@ class SpectralDecomposition:
 
     eigenvalues   ascending, length dim
     eigenvectors  (dim, dim) orthonormal, column n is |psi_n>
+    even          bool per column, True if v[::-1, n] == v[:, n] and False if
+                  v[::-1, n] == -v[:, n]; None when parity is not known
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    even: np.ndarray | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
         v = np.asarray(self.eigenvectors, dtype=np.float64)
+        even = None if self.even is None else np.array(self.even, dtype=bool)
         if lam.ndim != 1 or v.shape != (lam.size, lam.size):
             raise ValueError("eigenvalues must be 1-d and eigenvectors square")
-        lam.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", v)
+        if even is not None and even.shape != lam.shape:
+            raise ValueError("even must hold one label per eigenvector")
+        for name, a in (("eigenvalues", lam), ("eigenvectors", v), ("even", even)):
+            if a is not None:
+                a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
@@ -139,7 +149,8 @@ def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
 
 
 def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
-    """Eigenpairs of a mirror-symmetric tridiagonal matrix, ascending.
+    """Eigenpairs of a mirror-symmetric tridiagonal matrix, ascending, and a
+    mask of the even columns.
 
     In the basis (e_i +- e_{n-1-i})/sqrt2 the matrix splits into an even and
     an odd tridiagonal block of half size; only the entries at the centre
@@ -179,7 +190,7 @@ def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
     if n % 2:
         v[m, even] = y[m]
         v[m, odd] = 0.0
-    return lam[order], v
+    return lam[order], v, order < n_even
 
 
 def eigendecompose(h) -> SpectralDecomposition:
@@ -200,8 +211,12 @@ def eigendecompose(h) -> SpectralDecomposition:
     signs = np.cumprod(np.concatenate(([1.0], np.where(e0 > 0.0, -1.0, 1.0))))
     e = -np.abs(e0)
 
+    even = None
     if e.size and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
-        lam, v = _parity_eigh(d, e)
+        lam, v, even = _parity_eigh(d, e)
+        # signs[i] * signs[-1-i] scales every column's parity: -1 swaps, a mix voids.
+        mirror = signs * signs[::-1]
+        even = even ^ (mirror[0] < 0.0) if np.all(mirror == mirror[0]) else None
     else:
         lam, v = _tridiagonal_eigh(d, e)
         v = np.asfortranarray(v)  # column-major, as the parity path builds it
@@ -212,7 +227,7 @@ def eigendecompose(h) -> SpectralDecomposition:
     flip = v[dominant, np.arange(n)] < 0.0
     v[:, flip] *= -1.0
 
-    return SpectralDecomposition(lam, v)
+    return SpectralDecomposition(lam, v, even)
 
 
 def evolve(decomp: SpectralDecomposition, initial: StateVector, t: float) -> StateVector:
@@ -246,9 +261,9 @@ def evolve_series(decomp: SpectralDecomposition, initial: StateVector, t_grid) -
 def block_rows(dim: int, steps: int) -> int:
     """Grid times per block of GridPropagator.blocks for a dim-sized state.
 
-    BLOCK_ELEMENTS // dim, but at least 64, so that the stacked real and
-    imaginary phases give BLAS 128 rows at large dim; never more than steps
-    (one block for a short grid) and never less than 1.
+    BLOCK_ELEMENTS // dim, but at least 64, so that each gemm keeps 64
+    columns at large dim; never more than steps (one block for a short grid)
+    and never less than 1.
     """
     return max(1, min(steps, max(64, BLOCK_ELEMENTS // dim)))
 
@@ -258,6 +273,7 @@ class GridPropagator:
     grid (blocks).
 
     kept_components  eigencomponents the propagation keeps
+    kept_per_parity  [even, odd] counts of them; None without parity labels
     dropped_weight   sum of |a_n|^2 over the dropped ones, <= DROPPED_WEIGHT_MAX
 
     Both depend only on the decomposition and the initial state, so they are
@@ -283,10 +299,21 @@ class GridPropagator:
         keep = np.sort(order[n_drop:])
         self.kept_components = int(keep.size)
         self.dropped_weight = float(dropped[n_drop - 1]) if n_drop else 0.0
+        self._dim, rows, columns = decomp.dim, slice(None), keep
+        self.kept_per_parity = self._v_odd = None
+        if decomp.even is not None:
+            # Even components first: _v holds their top dim - m rows, _v_odd
+            # the odd ones' top m rows.
+            even = decomp.even[keep]
+            keep = np.concatenate((keep[even], keep[~even]))
+            n_even, m = int(even.sum()), decomp.dim // 2
+            self.kept_per_parity = [n_even, keep.size - n_even]
+            self._v_odd = np.ascontiguousarray(v[:m, keep[n_even:]])
+            rows, columns = slice(decomp.dim - m), keep[:n_even]
+        self._v = np.ascontiguousarray(v[rows, columns])
         self._lam = decomp.eigenvalues[keep]
         self._lam_max = float(np.abs(self._lam).max())
         self._a = a[keep]
-        self._vt = np.ascontiguousarray(v[:, keep].T)
 
     def _check_phases(self, t_max: float) -> None:
         # exp(-i lam t) is NaN once lam * t overflows (or t is not finite).
@@ -296,41 +323,56 @@ class GridPropagator:
                 f"(max|lambda| = {self._lam_max:.3g}, t_max = {t_max:.3g})"
             )
 
-    def at(self, t: float) -> StateVector:
-        """State at time t, from one vector-matrix product per real and
-        imaginary part. Raises ValueError when max|lambda| * |t| is not finite.
+    def _product(self, x: np.ndarray, out: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """out (..., dim, n) = V x (..., kept, n); odd is (..., dim // 2, n) scratch."""
+        if self._v_odd is None:
+            return np.matmul(self._v, x, out=out)
+        m, n_even, dim = self._v_odd.shape[0], self._v.shape[1], self._dim
+        np.matmul(self._v, x[..., :n_even, :], out=out[..., : dim - m, :])
+        np.matmul(self._v_odd, x[..., n_even:, :], out=odd)
+        np.subtract(out[..., :m, :], odd, out=out[..., : dim - m - 1 : -1, :])
+        out[..., :m, :] += odd
+        return out
 
-        Not a one-row block: BLAS may round a gemm row differently for
-        different block heights, and evolve_series must give evolve's states.
+    def at(self, t: float) -> StateVector:
+        """State at time t. Raises ValueError when max|lambda| * |t| is not finite.
+
+        Not a column of blocks: BLAS may round a gemm differently for
+        different block widths, and evolve_series must give evolve's states.
         """
         t = float(t)
         self._check_phases(abs(t))
         z = self._a * np.exp(self._lam * (-1j * t))
-        return StateVector(z.real @ self._vt + 1j * (z.imag @ self._vt))
+        c = np.empty((self._dim, 2))
+        self._product(z.view(float).reshape(-1, 2), c, np.empty((self._dim // 2, 2)))
+        return StateVector(c.view(complex)[:, 0])
 
     def blocks(self, dt: float, steps: int):
         """Yield (cr, ci) for successive blocks of the grid t_j = j*dt, j < steps.
 
-        cr and ci are the real and imaginary parts of the coefficients, one
-        row per grid time, steps rows over all blocks. They are views of
-        buffers the next block overwrites, so consume each block first.
+        cr and ci are the real and imaginary coefficients, (dim, n) with one
+        column per grid time. They are views of buffers the next block
+        overwrites, so consume each block first.
 
         Raises ValueError when max|lam| * t_max is not finite: the phases
         would be NaN.
         """
-        lam, vt = self._lam, self._vt
-        dim = vt.shape[1]
+        lam, dim, kept = self._lam, self._dim, self._lam.size
         self._check_phases(dt * max(steps - 1, 0))
         rows = block_rows(dim, steps)
-        table = np.exp(np.multiply.outer(np.arange(rows) * dt, lam) * -1j)
-        z = np.empty_like(table)
-        x = np.empty((2 * rows, lam.size))
-        out = np.empty((2 * rows, dim))
+        table = np.exp(np.multiply.outer(lam, np.arange(rows) * dt) * -1j)
+        # Flat workspaces: a partial last block takes contiguous leading views.
+        z = np.empty(kept * rows, dtype=complex)
+        x, out, odd = (np.empty(size * rows) for size in (2 * kept, 2 * dim, 2 * (dim // 2)))
+
+        def lead(buf, *shape):
+            return buf[: math.prod(shape)].reshape(shape)
+
         for start in range(0, steps, rows):
             n = min(rows, steps - start)
             phase = self._a * np.exp(lam * (-1j * (start * dt)))
-            np.multiply(table[:n], phase, out=z[:n])
-            x[:n] = z[:n].real
-            x[n : 2 * n] = z[:n].imag
-            np.matmul(x[: 2 * n], vt, out=out[: 2 * n])
-            yield out[:n], out[n : 2 * n]
+            zn = np.multiply(table[:, :n], phase[:, None], out=lead(z, kept, n))
+            xn = lead(x, 2, kept, n)
+            xn[0], xn[1] = zn.real, zn.imag
+            c = self._product(xn, lead(out, 2, dim, n), lead(odd, 2, dim // 2, n))
+            yield c[0], c[1]

@@ -777,6 +777,7 @@ class TestNonFiniteOutput:
         diag = summary["diagnostics"]
         assert isinstance(diag["kept_components"], int)
         assert 1 <= diag["kept_components"] <= 5  # even sector of N = 8
+        assert diag["kept_per_parity"] == [diag["kept_components"], 0]
         assert 0.0 <= diag["dropped_weight"] <= 1e-28
 
     @pytest.mark.parametrize("where", ["series", "envelope"])
@@ -821,7 +822,8 @@ class TestModuleEntryPoint:
 def _oracle(spec, series, summary) -> dict:
     """File name -> text that the stdlib encoders give for one run: one
     f"{v:.11e}" per CSV value, json.dumps(indent=2) for every JSON file, the
-    series and the envelope as one list per column."""
+    series and the envelope as one list per column, the diagnostics'
+    kept_per_parity as a two-item list or null."""
     columns = {name: getattr(series, name).tolist() for name in series.COLUMNS}
     if len(series) >= 3 * spec.window:  # the detector's envelope closes the report
         report = collapse_revival_time(series.t, series.imbalance, window=spec.window)
@@ -924,6 +926,21 @@ class TestByteFormat:
         assert list(envelope) == ["t", "amplitude"]
         points = summary["collapse_revival"]["envelope_points"]
         assert [len(column) for column in envelope.values()] == [points] * 2
+        _assert_matches_oracle(spec, series, summary)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("dmu", [0.0, 0.5])  # split product, whole product
+    def test_kept_per_parity(self, tmp_path, fmt, dmu):
+        spec = small_spec(tmp_path, fmt=fmt, config=CouplingConfig(8, k=1.0, delta_mu=dmu, e_j=4.0))
+        series, summary = run_scenario(spec)
+        diag = summary["diagnostics"]
+        if dmu:
+            assert diag["kept_per_parity"] is None
+        else:
+            assert sum(diag["kept_per_parity"]) == diag["kept_components"]
+        sidecar = tmp_path / ("run.summary.json" if fmt == "csv" else "run.json")
+        written = json.loads(sidecar.read_text())["summary"]["diagnostics"]
+        assert written["kept_per_parity"] == diag["kept_per_parity"]
         _assert_matches_oracle(spec, series, summary)
 
     def test_three_digit_exponents(self, tmp_path, capsys):

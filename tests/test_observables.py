@@ -227,6 +227,8 @@ class TestReduceBlocks:
         sparse[:, 1, 5] = rng.standard_normal(2)
         sparse[1, 2, ::3] = 1e-160  # weight 1e-320, below the entropy floor
         t = np.arange(8.0)
+        # Blocks are basis-major, one column per time: feed the transposes.
+        dense, sparse = dense.transpose(0, 2, 1), sparse.transpose(0, 2, 1)
         both = reduce_blocks([(dense[0], dense[1]), (sparse[0], sparse[1])], t, h)
         first = reduce_blocks([(dense[0], dense[1])], t[:5], h)
         second = reduce_blocks([(sparse[0], sparse[1])], t[5:], h)

@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from bhdimer import spectral
-from bhdimer.model import CouplingConfig, build_hamiltonian
+from bhdimer.model import CouplingConfig, TridiagonalHamiltonian, build_hamiltonian
 from bhdimer.observables import ObservableSeries, compute_series
 from bhdimer.pipeline import ScenarioSpec, run_scenario
 from bhdimer.spectral import (
     DROPPED_WEIGHT_MAX,
     GridPropagator,
+    StateVector,
     block_rows,
     eigendecompose,
     evolve,
@@ -58,11 +59,13 @@ def reference_series(s: ScenarioSpec):
     return compute_series(states, t, h)
 
 
-def test_tunneling_sign_flip_is_bitwise():
-    n = 60
+# At N = 61 the +-1 similarity swaps the even and odd labels between the
+# two signs, so the split product pairs its halves the other way round.
+@pytest.mark.parametrize("n,initial", [(60, "fock:45,15"), (61, "fock:46,15")])
+def test_tunneling_sign_flip_is_bitwise(n, initial):
     steps = full_rows(n + 1) + 703  # two blocks, the second partial
-    a, _ = run_scenario(spec(n, "fock:45,15", e_j=7.0, steps=steps))
-    b, _ = run_scenario(spec(n, "fock:45,15", e_j=-7.0, steps=steps))
+    a, _ = run_scenario(spec(n, initial, e_j=7.0, steps=steps))
+    b, _ = run_scenario(spec(n, initial, e_j=-7.0, steps=steps))
     for name, col in columns(a).items():
         assert np.array_equal(col, getattr(b, name)), name
 
@@ -83,13 +86,24 @@ def test_mirror_symmetry_at_zero_bias():
         (0, "fock:0,0", 0.5, 100),
         (1, "fock:1,0", 0.0, 333),
         (1, "fock:0,1", 0.2, 333),
+        # The split product at odd and even dim, ending in a partial block.
+        (200, "fock:150,50", 0.0, 3 * full_rows(201) + 17),
+        (201, "fock:150,51", 0.0, 3 * full_rows(202) + 29),
+        (201, "cat", 0.0, 3 * full_rows(202) + 5),
     ],
 )
 def test_matches_reference_path(n, initial, dmu, steps):
     rows = full_rows(n + 1)
     assert n == 0 or steps % rows != 0 or steps < rows
     s = spec(n, initial, k=1.0, e_j=0.5 * max(n, 1), dmu=dmu, steps=steps)
-    got, _ = run_scenario(s)
+    got, summary = run_scenario(s)
+    # The split product runs at zero bias: cat and me are mirror symmetric,
+    # so they keep one parity sector, and these Fock starts keep both.
+    split = summary["diagnostics"]["kept_per_parity"]
+    if dmu or n == 0:
+        assert split is None
+    else:
+        assert np.count_nonzero(split) == (1 if initial in ("cat", "me") else 2)
     want = reference_series(s)
     assert np.array_equal(got.t, want.t)
     for name, col in columns(got).items():
@@ -141,8 +155,42 @@ def test_blocks_keep_a_row_floor(monkeypatch):
         parse_state("fock:100,0", n),
     )
     assert block_rows(n + 1, 200) == 64
-    assert [cr.shape[0] for cr, _ in propagator.blocks(0.01, 200)] == [64, 64, 64, 8]
-    assert [cr.shape[0] for cr, _ in propagator.blocks(0.01, 63)] == [63]
+    # One column per grid time.
+    assert [cr.shape[1] for cr, _ in propagator.blocks(0.01, 200)] == [64, 64, 64, 8]
+    assert [cr.shape[1] for cr, _ in propagator.blocks(0.01, 63)] == [63]
+
+
+def _mixed_sign_mirror():
+    # Mirror-symmetric up to coupling signs: the parity blocks solve it, but
+    # the +-1 similarity leaves its columns without parity labels.
+    return TridiagonalHamiltonian(np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0]))
+
+
+@pytest.mark.parametrize(
+    "make_h,split",
+    [
+        (lambda: build_hamiltonian(CouplingConfig(40, k=0.1, e_j=3.0)), True),
+        (lambda: build_hamiltonian(CouplingConfig(40, k=0.1, e_j=-3.0)), True),
+        (lambda: build_hamiltonian(CouplingConfig(41, k=0.1, e_j=3.0)), True),
+        (lambda: build_hamiltonian(CouplingConfig(41, k=0.1, e_j=-3.0)), True),
+        (lambda: build_hamiltonian(CouplingConfig(40, k=0.1, delta_mu=0.3, e_j=3.0)), False),
+        (_mixed_sign_mirror, False),
+    ],
+    ids=["n40", "n40-neg", "n41", "n41-neg", "biased", "mixed-signs"],
+)
+def test_block_columns_match_single_times(monkeypatch, make_h, split):
+    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 1024)  # 64-column blocks
+    h = make_h()
+    rng = np.random.default_rng(11)
+    c0 = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
+    propagator = GridPropagator(eigendecompose(h), StateVector(c0 / np.linalg.norm(c0)))
+    assert (propagator.kept_per_parity is not None) == split
+    dt, steps = 1e-3, 150  # small phases lam * t: their round-off stays below 1e-14
+    got = np.concatenate([cr + 1j * ci for cr, ci in propagator.blocks(dt, steps)], axis=1)
+    assert got.shape == (h.dim, steps)
+    for j in range(steps):
+        want = propagator.at(j * dt).coefficients
+        assert np.abs(got[:, j] - want).max() <= 1e-14 * np.abs(want).max(), j
 
 
 def test_phase_overflow_is_rejected():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bhdimer import spectral
 from bhdimer.cli import main
-from bhdimer.model import CouplingConfig, build_hamiltonian
+from bhdimer.model import CouplingConfig, TridiagonalHamiltonian, build_hamiltonian
 from bhdimer.observables import (
     entanglement_entropy,
     expectation_imbalance,
@@ -14,6 +14,7 @@ from bhdimer.observables import (
 )
 from bhdimer.spectral import (
     ConvergenceError,
+    SpectralDecomposition,
     StateVector,
     eigendecompose,
     evolve,
@@ -85,6 +86,7 @@ class TestEigendecompose:
         _, d = decompose(8, k=1.0, dmu=dmu, e_j=1.0)
         assert not d.eigenvalues.flags.writeable
         assert not d.eigenvectors.flags.writeable
+        assert d.even is None or not d.even.flags.writeable
 
     def test_eigenvalues_sorted(self):
         _, d = decompose(80, k=0.7, dmu=-0.4, e_j=1.9)
@@ -121,6 +123,48 @@ class TestEigendecompose:
         reference = np.linalg.eigvalsh(h.to_dense())
         scale = max(1.0, np.abs(reference).max())
         np.testing.assert_allclose(d.eigenvalues, reference, atol=1e-12 * scale)
+
+
+def mixed_sign_mirror():
+    """Palindromic once the couplings are made -|e|, but the +-1 similarity
+    flips row 0 and not row 3, so no column keeps exact parity."""
+    return TridiagonalHamiltonian(np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0]))
+
+
+class TestParityLabels:
+    """SpectralDecomposition.even describes the columns as returned."""
+
+    @pytest.mark.parametrize("n", [40, 41])
+    @pytest.mark.parametrize("e_j", [3.0, -3.0])  # odd N at e_j < 0 swaps the blocks' labels
+    def test_labels_match_the_returned_columns(self, n, e_j):
+        _, d = decompose(n, k=1.0, e_j=e_j)
+        v, even = d.eigenvectors, d.even
+        assert even is not None and even.shape == (n + 1,)
+        assert 0 < even.sum() < n + 1
+        assert np.array_equal(v[::-1][:, even], v[:, even])
+        assert np.array_equal(v[::-1][:, ~even], -v[:, ~even])
+
+    def test_odd_n_at_negative_tunneling_swaps_the_labels(self):
+        _, plus = decompose(41, k=1.0, e_j=3.0)
+        _, minus = decompose(41, k=1.0, e_j=-3.0)
+        assert np.array_equal(plus.even, ~minus.even)
+
+    def test_no_labels_with_bias(self):
+        assert decompose(40, k=1.0, dmu=0.3, e_j=3.0)[1].even is None
+
+    def test_no_labels_for_mixed_sign_mirror_couplings(self):
+        d = eigendecompose(mixed_sign_mirror())
+        assert d.even is None
+        # The columns really lack parity: the labels could not be right.
+        v = d.eigenvectors
+        assert not all(
+            np.array_equal(v[::-1, j], v[:, j]) or np.array_equal(v[::-1, j], -v[:, j])
+            for j in range(4)
+        )
+
+    def test_labels_are_validated(self):
+        with pytest.raises(ValueError, match="one label per eigenvector"):
+            SpectralDecomposition(np.zeros(2), np.eye(2), [True])
 
 
 class TestLargeN:
