@@ -1,0 +1,58 @@
+"""LAPACK's tridiagonal eigensolver dstevd, from the OpenBLAS bundled with numpy.
+
+numpy.linalg wraps no tridiagonal driver. eigh (dsyevd) on the densified
+matrix pays an O(n^3) Householder reduction, whose reflectors are all the
+identity here, before the divide and conquer that dstevd runs alone, so
+both give the same eigenpairs bit for bit. numpy's wheels ship
+scipy-openblas with an ILP64 LAPACKE; it is looked up on first use, not at
+import.
+"""
+
+import ctypes
+import functools
+from pathlib import Path
+
+import numpy as np
+from numpy.linalg import LinAlgError
+
+__all__ = ["dstevd", "dstevd_symbol"]
+
+
+@functools.cache
+def dstevd_symbol():
+    """scipy_LAPACKE_dstevd64_ of numpy's bundled OpenBLAS, or None without it."""
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        try:
+            fn = ctypes.CDLL(str(path)).scipy_LAPACKE_dstevd64_
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, *[ctypes.c_void_p] * 3, ctypes.c_int64]
+        fn.restype = ctypes.c_int64
+        return fn
+    return None
+
+
+def dstevd(d: np.ndarray, e: np.ndarray) -> tuple | None:
+    """Eigenvalues (ascending) and column-major eigenvectors of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e; None without dstevd.
+
+    Raises LinAlgError when dstevd does not converge, and RuntimeError, a
+    program fault that a sweep does not record as a cell error, for an
+    illegal argument or a workspace it could not allocate (info -1010).
+    """
+    fn = dstevd_symbol()
+    if fn is None:
+        return None
+    w, scratch = np.array(d, dtype=np.float64), np.array(e, dtype=np.float64)
+    n = w.size
+    if w.ndim != 1 or scratch.shape != (max(n - 1, 0),):
+        raise RuntimeError(f"dstevd got diagonal {w.shape} and off-diagonal {scratch.shape}")
+    z = np.empty((n, n), order="F")
+    # 102 is LAPACK_COL_MAJOR, so z's leading dimension is n (LAPACK wants >= 1).
+    info = fn(102, b"V", n, w.ctypes.data, scratch.ctypes.data, z.ctypes.data, max(1, n))
+    if info > 0:
+        raise LinAlgError(f"dstevd did not converge (info = {info})")
+    if info < 0:
+        raise RuntimeError(f"dstevd failed with info = {info} on a {n}x{n} matrix")
+    return w, z

@@ -9,12 +9,16 @@ runs the cross product of a ratio list and an initial-state list.
 from __future__ import annotations
 
 import math
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import lapack
 from .analysis import (
     DEFAULT_THETA_C,
     DEFAULT_THETA_R,
@@ -28,7 +32,9 @@ from .files import write_json, write_output
 from .model import CouplingConfig, build_hamiltonian
 from .observables import ObservableSeries, reduce_blocks
 from .presets import parse_ratio, realize_ratio
-from .spectral import ConvergenceError, GridPropagator, StateVector, eigendecompose
+from .spectral import (
+    ConvergenceError, GridPropagator, SpectralDecomposition, StateVector, eigendecompose
+)
 from .states import parse_state
 
 __all__ = ["DEFAULT_STEPS", "ScenarioSpec", "run_scenario", "sweep"]
@@ -102,6 +108,7 @@ def _summarize(
     spec: ScenarioSpec,
     psi0: StateVector,
     series: ObservableSeries,
+    decomp: SpectralDecomposition,
     propagator: GridPropagator,
 ) -> tuple[dict, np.ndarray | None]:
     cfg = spec.config
@@ -170,13 +177,20 @@ def _summarize(
             "kept_components": propagator.kept_components,
             "kept_per_parity": propagator.kept_per_parity,
             "dropped_weight": propagator.dropped_weight,
+            "eigensolver": "eigh" if lapack.dstevd_symbol() is None else "dstevd",
+            "min_level_gap": np.diff(decomp.eigenvalues).min() if decomp.dim > 1 else None,
         }),
         "delta_mu_dominant_initial": delta_mu_dominance(cfg, psi0),
     }, envelope
 
 
-def run_scenario(spec: ScenarioSpec) -> tuple[ObservableSeries, dict]:
+def run_scenario(
+    spec: ScenarioSpec, *, decomposition: SpectralDecomposition | None = None
+) -> tuple[ObservableSeries, dict]:
     """Run one scenario; write files when spec.out is set.
+
+    `decomposition`, if given, must be eigendecompose of spec.config's
+    Hamiltonian; a sweep shares one per coupling.
 
     An empty system (N = 0) has no dynamics, so its series collapses to the
     single row t = 0 with every observable equal to zero.
@@ -191,12 +205,13 @@ def run_scenario(spec: ScenarioSpec) -> tuple[ObservableSeries, dict]:
     h = build_hamiltonian(cfg)
     psi0 = parse_state(spec.initial, cfg.n_total)
     t = np.linspace(0.0, spec.t_max, spec.steps if cfg.n_total else 1)
-    propagator = GridPropagator(eigendecompose(h), psi0)
+    decomp = eigendecompose(h) if decomposition is None else decomposition
+    propagator = GridPropagator(decomp, psi0)
     # np.linspace's own step: its t_j is j * dt except the last, which is t_max.
     dt = spec.t_max / (spec.steps - 1)
     series = reduce_blocks(propagator.blocks(dt, t.size), t, h)
 
-    summary, envelope = _summarize(spec, psi0, series, propagator)
+    summary, envelope = _summarize(spec, psi0, series, decomp, propagator)
     if spec.out is not None:
         write_output(spec.out, spec.fmt, _scenario_dict(spec), series, summary, envelope)
     return series, summary
@@ -217,15 +232,17 @@ def _cell_file(ratio_token: str, initial: str, fmt: str) -> str:
     return f"r{_slug(str(ratio_token))}__{_slug(initial)}.{fmt}"
 
 
-def _sweep_cell(base: ScenarioSpec, ratio_token: str, initial: str, out_dir: Path | None) -> ScenarioSpec:
+def _coupling(base: ScenarioSpec, ratio_token: str) -> CouplingConfig:
     n = base.config.n_total
-    ratio = parse_ratio(ratio_token, n)
-    k, e_j = realize_ratio(ratio)
-    cfg = CouplingConfig(n, k=k, delta_mu=base.config.delta_mu, e_j=e_j)
+    k, e_j = realize_ratio(parse_ratio(ratio_token, n))
+    return CouplingConfig(n, k=k, delta_mu=base.config.delta_mu, e_j=e_j)
+
+
+def _sweep_cell(base: ScenarioSpec, ratio_token: str, initial: str, out_dir: Path | None) -> ScenarioSpec:
     out = None
     if out_dir is not None:
         out = Path(out_dir) / _cell_file(ratio_token, initial, base.fmt)
-    return replace(base, config=cfg, initial=initial, out=out)
+    return replace(base, config=_coupling(base, ratio_token), initial=initial, out=out)
 
 
 def sweep(
@@ -240,7 +257,8 @@ def sweep(
     A cell whose input is invalid (ValueError) or whose eigensolver fails
     (ConvergenceError) is recorded with status "error"; any other exception
     is a program fault and propagates. `jobs` (>= 1) cells run at once on
-    threads.
+    threads. The cells of one coupling share one decomposition, made by the
+    first of them to run and released after the last.
 
     Returns the combined summary, keyed by (ratio token, initial). When
     out_dir is given it is made before any cell runs, each cell writes its
@@ -263,20 +281,42 @@ def sweep(
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    # A ratio token that does not parse fails in each of its cells instead.
+    couplings = {}
+    for ratio_token in ratio_tokens:
+        with suppress(ValueError):
+            couplings[ratio_token] = _coupling(base, ratio_token)
+    left = Counter(couplings[rt] for rt, _ in cells if rt in couplings)
+    locks = {config: threading.Lock() for config in left}
+    made = {}
+
+    def decomposition(config):
+        with locks[config]:
+            if config not in made:
+                made[config] = eigendecompose(build_hamiltonian(config))
+            return made[config]
+
     def run_cell(cell):
         ratio_token, initial = cell
         entry = {"ratio": str(ratio_token), "initial": initial}
+        config = couplings.get(ratio_token)
         try:
             spec = _sweep_cell(base, ratio_token, initial, out_dir)
             entry["ratio_value"] = spec.config.ratio
             if spec.out is not None:
                 entry["file"] = spec.out.name
-            _, cell_summary = run_scenario(spec)
+            _, cell_summary = run_scenario(spec, decomposition=decomposition(spec.config))
             entry["status"] = "ok"
             entry["summary"] = cell_summary
         except (ValueError, ConvergenceError) as exc:  # keep the other cells running
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
+        finally:
+            if config is not None:
+                with locks[config]:
+                    left[config] -= 1
+                    if not left[config]:
+                        made.pop(config, None)
         return entry
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:

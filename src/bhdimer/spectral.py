@@ -28,7 +28,9 @@ elementwise passes stay in cache, and at least 64 times, so the product
 keeps a wide matrix at large dim. Memory stays at a few blocks for any grid
 length; the time goes to BLAS and numpy ufuncs, which release the GIL.
 
-The eigenpairs come from LAPACK through numpy.linalg.eigh. Before that, the
+The eigenpairs come from LAPACK's tridiagonal driver dstevd in numpy's
+OpenBLAS (bhdimer.lapack), or from numpy.linalg.eigh on the densified
+matrix where that library lacks it; both give the same bits. Before that, the
 off-diagonal is mapped to -|e| by a diagonal +-1 similarity. The solver then
 sees bit-identical input for either sign of the tunneling coupling, so the
 equivalence "flip e_j and c_n -> (-1)^n c_n" holds exactly in floating
@@ -41,7 +43,7 @@ every eigenvector is exactly even or odd under index reversal and
 trajectories from interchanged modes mirror each other down to summation
 round-off rather than eigenvector accuracy. SpectralDecomposition.even
 labels those columns, so GridPropagator can split its product by sector.
-Any other matrix goes to eigh whole, with no labels.
+Any other matrix is diagonalized whole, with no labels.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, eigh
+
+from . import lapack
 
 __all__ = [
     "BLOCK_ELEMENTS",
@@ -75,7 +79,7 @@ BLOCK_ELEMENTS = 2**16
 
 
 class ConvergenceError(RuntimeError):
-    """LAPACK's symmetric eigensolver did not converge on a Hamiltonian block."""
+    """LAPACK's tridiagonal eigensolver did not converge on a Hamiltonian block."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,15 +140,16 @@ class SpectralDecomposition:
 
 
 def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
-    # LAPACK reads only the lower triangle.
-    a = np.diag(d)
-    i = np.arange(e.size)
-    a[i + 1, i] = e
     try:
-        return eigh(a, UPLO="L")
+        solved = lapack.dstevd(d, e)
+        if solved is None:  # no dstevd in numpy's OpenBLAS: eigh reads the lower triangle
+            a = np.diag(d)
+            a[np.arange(1, d.size), np.arange(e.size)] = e
+            solved = eigh(a, UPLO="L")
+        return solved
     except LinAlgError as exc:
         raise ConvergenceError(
-            f"LAPACK eigh failed on a {d.size}x{d.size} tridiagonal block: {exc}"
+            f"LAPACK failed on a {d.size}x{d.size} tridiagonal block: {exc}"
         ) from exc
 
 

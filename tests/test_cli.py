@@ -6,19 +6,22 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bhdimer import cli, files, pipeline
+from bhdimer import cli, files, lapack, pipeline
 from bhdimer.analysis import collapse_revival_time
 from bhdimer.cli import main
 from bhdimer.files import CSV_HEADER, read_series
 from bhdimer.pipeline import ScenarioSpec, run_scenario, sweep
 from bhdimer.presets import PRESETS, parse_ratio, realize_ratio
-from bhdimer.model import CouplingConfig
+from bhdimer.model import CouplingConfig, build_hamiltonian
+from bhdimer.spectral import ConvergenceError, eigendecompose
 from bhdimer.observables import ObservableSeries
 
 FLOAT_12_SIG = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -397,12 +400,118 @@ class TestSweep:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_program_fault_propagates(self, monkeypatch, jobs):
-        def fault(spec):
+        def fault(spec, **kwargs):
             raise TypeError("program fault")
 
         monkeypatch.setattr(pipeline, "run_scenario", fault)
         with pytest.raises(TypeError, match="program fault"):
             sweep(small_spec(), ["0.25", "1"], ["cat"], jobs=jobs)
+
+
+def _spy_decompositions(monkeypatch, fails=None):
+    """Record every decomposition a sweep makes; raise ConvergenceError(fails[1])
+    for the coupling fails[0] instead."""
+    calls, real = [], pipeline.eigendecompose
+
+    def spy(h):
+        calls.append(h)
+        if fails is not None:
+            bad = build_hamiltonian(fails[0])
+            if np.array_equal(h.diagonal, bad.diagonal) and np.array_equal(h.offdiagonal, bad.offdiagonal):
+                raise ConvergenceError(fails[1])
+        return real(h)
+
+    monkeypatch.setattr(pipeline, "eigendecompose", spy)
+    return calls
+
+
+class TestSweepSharesDecompositions:
+    """The cells of one coupling share one decomposition."""
+
+    def test_one_decomposition_per_coupling(self, monkeypatch):
+        calls = _spy_decompositions(monkeypatch)
+        summary = sweep(small_spec(), ["0.25", "1", "4"], ["fock:8,0", "cat", "me"], jobs=2)
+        assert [c["status"] for c in summary["cells"]] == ["ok"] * 9
+        assert len(calls) == 3
+
+    def test_tokens_realizing_one_coupling_share_it(self, monkeypatch):
+        calls = _spy_decompositions(monkeypatch)
+        base = small_spec(config=CouplingConfig(200, k=1.0, e_j=1.0), initial="cat", steps=100)
+        summary = sweep(base, ["4/N", "0.02"], ["cat", "me"], jobs=2)
+        assert [c["status"] for c in summary["cells"]] == ["ok"] * 4
+        assert len(calls) == 1
+        by_ratio = [c["summary"] for c in summary["cells"]]
+        assert by_ratio[:2] == by_ratio[2:]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_files_match_a_separate_run_per_cell(self, tmp_path, monkeypatch, fmt, jobs):
+        ratios, initials = ["0.25", "2/N", "4"], ["fock:8,0", "cat", "me"]  # 2/N = 0.25
+        sweep(small_spec(fmt=fmt), ratios, initials, out_dir=tmp_path / "shared", jobs=jobs)
+        real = pipeline.run_scenario
+        monkeypatch.setattr(pipeline, "run_scenario", lambda spec, **kwargs: real(spec))
+        sweep(small_spec(fmt=fmt), ratios, initials, out_dir=tmp_path / "separate", jobs=jobs)
+        shared = _written(tmp_path / "shared")
+        assert len(shared) == (19 if fmt == "csv" else 10)
+        assert shared == _written(tmp_path / "separate")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_convergence_error_fails_only_its_coupling(self, monkeypatch, jobs):
+        message = "LAPACK failed on a 9x9 tridiagonal block: dstevd did not converge (info = 1)"
+        bad = CouplingConfig(8, k=1.0, e_j=1.0)
+        calls = _spy_decompositions(monkeypatch, fails=(bad, message))
+        summary = sweep(small_spec(), ["0.25", "1", "4"], ["fock:8,0", "cat", "me"], jobs=jobs)
+        for cell in summary["cells"]:
+            if cell["ratio"] == "1":
+                assert cell["status"] == "error"
+                assert cell["error"] == f"ConvergenceError: {message}"
+                assert "summary" not in cell
+            else:
+                assert cell["status"] == "ok"
+        # Each good coupling once; the failing one in each of its cells.
+        assert len(calls) == 2 + 3
+
+    def test_each_decomposition_released_after_its_last_cell(self, monkeypatch):
+        refs, alive = [], []
+        real_decompose, real_run = pipeline.eigendecompose, pipeline.run_scenario
+
+        def decompose(h):
+            d = real_decompose(h)
+            refs.append(weakref.ref(d))
+            return d
+
+        def run(spec, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return real_run(spec, **kwargs)
+
+        monkeypatch.setattr(pipeline, "eigendecompose", decompose)
+        monkeypatch.setattr(pipeline, "run_scenario", run)
+        sweep(small_spec(), ["0.25", "1", "4"], ["cat", "me"], jobs=1)
+        assert len(refs) == 3
+        assert alive == [1] * 6
+        assert all(ref() is None for ref in refs)
+
+    def test_stress_more_threads_than_cores(self, monkeypatch):
+        # Cells of one coupling race for its decomposition and its count.
+        calls = _spy_decompositions(monkeypatch)
+        ratios = ["0.25", "2/N", "1", "4", "8/N"]  # 2/N = 0.25, 8/N = 1 at N = 8
+        initials = [f"fock:{8 - n},{n}" for n in range(9)] + ["cat", "me"]
+        base = small_spec(steps=50)
+        result = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: result.update(summary=sweep(base, ratios, initials, jobs=8))
+            )
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert [c["status"] for c in result["summary"]["cells"]] == ["ok"] * 55
+        assert len(calls) == 3
+        assert result["summary"] == sweep(base, ratios, initials, jobs=1)
 
 
 class TestMain:
@@ -771,6 +880,19 @@ class TestNonFiniteOutput:
         }
         payload = json.loads(spec.out.read_text(), parse_constant=_reject_constant)
         assert payload["summary"]["time_averages"]["variance"] is None
+
+    def test_summary_reports_eigensolver_and_level_gap(self, monkeypatch):
+        spec = small_spec(initial="cat")
+        _, summary = run_scenario(spec)
+        diag = summary["diagnostics"]
+        assert diag["eigensolver"] == ("eigh" if lapack.dstevd_symbol() is None else "dstevd")
+        lam = eigendecompose(build_hamiltonian(spec.config)).eigenvalues
+        assert diag["min_level_gap"] == np.diff(lam).min() > 0.0
+        empty = small_spec(config=CouplingConfig(0, k=1.0), initial="fock:0,0")
+        assert run_scenario(empty)[1]["diagnostics"]["min_level_gap"] is None
+        monkeypatch.setattr(lapack, "dstevd_symbol", lambda: None)
+        _, fallback = run_scenario(spec)
+        assert fallback["diagnostics"] == dict(diag, eigensolver="eigh")
 
     def test_summary_reports_truncation(self):
         _, summary = run_scenario(small_spec(initial="cat"))

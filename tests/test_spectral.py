@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bhdimer import spectral
+from bhdimer import lapack, spectral
 from bhdimer.cli import main
 from bhdimer.model import CouplingConfig, TridiagonalHamiltonian, build_hamiltonian
+from bhdimer.pipeline import ScenarioSpec, sweep
 from bhdimer.observables import (
     entanglement_entropy,
     expectation_imbalance,
@@ -46,6 +47,24 @@ def max_residual(h, decomp, chunk=256):
         hv -= decomp.eigenvalues[None, j : j + chunk] * v
         worst = max(worst, np.linalg.norm(hv, axis=0).max())
     return worst
+
+
+def _eigh_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _assert_failure_diagnosed(capsys):
+    h = build_hamiltonian(CouplingConfig(12, k=1.0, e_j=1.0))
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eigendecompose(h)
+    rc = main(["--n", "12", "--ratio", "1", "--t-max", "5", "--steps", "100", "--window", "21"])
+    assert rc == 1
+    assert "solver failure" in capsys.readouterr().err
+
+
+needs_dstevd = pytest.mark.skipif(
+    lapack.dstevd_symbol() is None, reason="numpy's OpenBLAS exports no scipy_LAPACKE_dstevd64_"
+)
 
 
 class TestEigendecompose:
@@ -93,17 +112,33 @@ class TestEigendecompose:
         assert np.all(np.diff(d.eigenvalues) >= 0.0)
 
     def test_lapack_failure_is_diagnosed(self, monkeypatch, capsys):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # Fail whichever driver is active: dstevd reports info > 0, eigh raises.
+        if lapack.dstevd_symbol() is None:
+            monkeypatch.setattr(spectral, "eigh", _eigh_fails)
+        else:
+            monkeypatch.setattr(lapack, "dstevd_symbol", lambda: lambda *args: 1)
+        _assert_failure_diagnosed(capsys)
 
-        monkeypatch.setattr(spectral, "eigh", fail)
-        h = build_hamiltonian(CouplingConfig(12, k=1.0, e_j=1.0))
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            eigendecompose(h)
-        rc = main(["--n", "12", "--ratio", "1", "--t-max", "5", "--steps", "100",
-                   "--window", "21"])
-        assert rc == 1
-        assert "solver failure" in capsys.readouterr().err
+    def test_eigh_fallback_failure_is_diagnosed(self, monkeypatch, capsys):
+        monkeypatch.setattr(lapack, "dstevd_symbol", lambda: None)
+        monkeypatch.setattr(spectral, "eigh", _eigh_fails)
+        _assert_failure_diagnosed(capsys)
+
+    @needs_dstevd
+    def test_shapes_are_checked_before_lapack(self):
+        with pytest.raises(RuntimeError, match=r"diagonal \(3,\) and off-diagonal \(3,\)"):
+            lapack.dstevd(np.zeros(3), np.zeros(3))
+
+    @needs_dstevd
+    def test_illegal_argument_is_a_program_fault(self, monkeypatch):
+        monkeypatch.setattr(lapack, "dstevd_symbol", lambda: lambda *args: -3)
+        with pytest.raises(RuntimeError, match="info = -3") as exc:
+            decompose(12, k=1.0, e_j=1.0)
+        assert not isinstance(exc.value, ConvergenceError)
+        # Not a cell error: the sweep itself fails.
+        base = ScenarioSpec(CouplingConfig(12, k=1.0, e_j=1.0), "cat", steps=100)
+        with pytest.raises(RuntimeError, match="info = -3"):
+            sweep(base, ["1", "2"], ["cat"])
 
     @given(
         n=st.integers(1, 60),
@@ -129,6 +164,26 @@ def mixed_sign_mirror():
     """Palindromic once the couplings are made -|e|, but the +-1 similarity
     flips row 0 and not row 3, so no column keeps exact parity."""
     return TridiagonalHamiltonian(np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0]))
+
+
+def _bit_cases():
+    for n in (0, 1, 2, 3, 61, 201, 400):
+        for dmu in (0.0, 0.1):
+            for e_j in (2.0, -2.0):
+                h = build_hamiltonian(CouplingConfig(n, k=1.0, delta_mu=dmu, e_j=e_j))
+                yield pytest.param(h, id=f"N{n}-dmu{dmu}-ej{e_j}")
+    yield pytest.param(mixed_sign_mirror(), id="mixed-sign-mirror")
+
+
+@needs_dstevd
+@pytest.mark.parametrize("h", _bit_cases())
+def test_dstevd_matches_the_eigh_fallback_bitwise(h, monkeypatch):
+    fast = eigendecompose(h)
+    monkeypatch.setattr(lapack, "dstevd_symbol", lambda: None)
+    dense = eigendecompose(h)
+    assert np.array_equal(fast.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(fast.eigenvectors, dense.eigenvectors)
+    assert (fast.even is None and dense.even is None) or np.array_equal(fast.even, dense.even)
 
 
 class TestParityLabels:
