@@ -27,12 +27,10 @@ from .model import (
     imbalance_diagonal,
 )
 from .observables import (
-    ObservableRecord,
     ObservableSeries,
     compute_series,
     entanglement_entropy,
     expectation_imbalance,
-    record,
     variance_imbalance,
 )
 from .pipeline import ScenarioSpec, run_scenario, sweep
@@ -53,7 +51,6 @@ __all__ = [
     "CollapseRevivalReport",
     "ConvergenceError",
     "CouplingConfig",
-    "ObservableRecord",
     "ObservableSeries",
     "PRESETS",
     "Phase",
@@ -80,7 +77,6 @@ __all__ = [
     "maximally_entangled",
     "parse_state",
     "read_series",
-    "record",
     "run_scenario",
     "sweep",
     "time_averaged_imbalance",

@@ -14,12 +14,13 @@ collapses to the Shannon entropy of the basis weights,
 
 bounded by log2(N+1) (uniform weights) and 0 (a single Fock state).
 
-reduce_blocks takes the state basis-major, one column per grid time, and
-reduces along axis 0: the moments are one (3, dim) @ p product, the energy
-cross term multiplies the contiguous slabs c[:-1] and c[1:]. Every block
-reduces in leading views of one flat workspace per call (probabilities, a
-float scratch, the entropy mask): a run allocates only length-n columns per
-block.
+compute_series takes the state basis-major, one column per grid time, in
+the blocks of spectral.evolve_series, and reduces along axis 0: the moments
+are one (3, dim) @ p product, the energy cross term multiplies the
+contiguous slabs c[:-1] and c[1:]. Every block reduces in leading views of
+one flat workspace per call (probabilities, a float scratch, the entropy
+mask): a run allocates only length-n columns per block. The scalar
+functions reduce a single column the same way.
 """
 
 from __future__ import annotations
@@ -37,32 +38,16 @@ from .model import (
 from .spectral import StateVector
 
 __all__ = [
-    "ObservableRecord",
     "ObservableSeries",
     "compute_series",
     "entanglement_entropy",
     "expectation_imbalance",
-    "record",
-    "reduce_blocks",
     "variance_imbalance",
 ]
 
 # Weights below this underflow log2 into junk; they contribute exactly zero,
 # as does an exact zero weight.
 _ENTROPY_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class ObservableRecord:
-    """One time sample: imbalance moments, entanglement and diagnostics."""
-
-    t: float
-    imbalance: float
-    imbalance_scaled: float
-    variance: float
-    entanglement_bits: float
-    norm_error: float
-    energy: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +95,8 @@ def _block_columns(
 ) -> tuple:
     """Every observable column but t for cr + i ci, one column per time.
 
-    This is the one implementation of the formulas; the scalar functions,
-    record and compute_series are views of it. weights holds the rows
+    This is the one implementation of the formulas; compute_series and the
+    scalar functions are views of it. weights holds the rows
     (d, d^2, diagonal) of the moments; p, work and mask are C-contiguous
     scratch arrays of the block's shape, overwritten here.
     """
@@ -148,13 +133,14 @@ def _block_columns(
     )
 
 
-def reduce_blocks(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries:
+def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries:
     """Observables along a trajectory delivered as consecutive (cr, ci) blocks.
 
-    Each block holds the real and imaginary coefficient parts of successive
-    grid times, each (dim, n) with one column per grid time; the columns of
-    all blocks together must match t_grid. Blocks are reduced as they
-    arrive, so memory holds the output columns and one block.
+    blocks is usually spectral.evolve_series over t_grid. Each block holds
+    the real and imaginary coefficient parts of successive grid times, each
+    (dim, n) with one column per grid time; the columns of all blocks
+    together must match t_grid. Blocks are reduced as they arrive, so
+    memory holds the output columns and one block.
     """
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1:
@@ -192,41 +178,24 @@ def _entropy_bits(p: np.ndarray, terms: np.ndarray, mask: np.ndarray) -> np.ndar
     return -terms.sum(axis=0) + 0.0
 
 
-def record(state: StateVector, t: float, h: TridiagonalHamiltonian) -> ObservableRecord:
-    """Bundle all observables of one state at time t under Hamiltonian h."""
+def _state_series(state: StateVector) -> ObservableSeries:
+    # One column; the energy-free observables need no couplings, so the
+    # Hamiltonian is the zero one.
     c = state.coefficients[:, None]
-    row = reduce_blocks([(c.real, c.imag)], [float(t)], h)
-    return ObservableRecord(*(float(getattr(row, name)[0]) for name in row.COLUMNS))
-
-
-def _free_record(state: StateVector) -> ObservableRecord:
-    # The energy-free observables need no couplings: use the zero Hamiltonian.
-    return record(state, 0.0, build_hamiltonian(CouplingConfig(state.n_total)))
+    h = build_hamiltonian(CouplingConfig(state.n_total))
+    return compute_series([(c.real, c.imag)], [0.0], h)
 
 
 def expectation_imbalance(state: StateVector) -> float:
     """<N1 - N2> = sum_n p_n (N - 2n)."""
-    return _free_record(state).imbalance
+    return float(_state_series(state).imbalance[0])
 
 
 def variance_imbalance(state: StateVector) -> float:
     """<(N1-N2)^2> - <N1-N2>^2, clamped at zero against round-off."""
-    return _free_record(state).variance
+    return float(_state_series(state).variance[0])
 
 
 def entanglement_entropy(state: StateVector) -> float:
     """Mode entanglement in bits, in [0, log2(N+1)]."""
-    return _free_record(state).entanglement_bits
-
-
-def compute_series(states, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries:
-    """Vectorized observables along a trajectory.
-
-    states and t_grid must have equal length; each row of the result matches
-    record(states[j], t_grid[j], h) to round-off.
-    """
-    states = list(states)
-    if not states:
-        return reduce_blocks([], t_grid, h)
-    c = np.stack([s.coefficients for s in states], axis=1)
-    return reduce_blocks([(c.real, c.imag)], t_grid, h)
+    return float(_state_series(state).entanglement_bits[0])

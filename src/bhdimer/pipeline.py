@@ -30,10 +30,11 @@ from .analysis import (
 )
 from .files import write_json, write_output
 from .model import CouplingConfig, build_hamiltonian
-from .observables import ObservableSeries, reduce_blocks
+from .observables import ObservableSeries, compute_series
 from .presets import parse_ratio, realize_ratio
 from .spectral import (
-    ConvergenceError, GridPropagator, SpectralDecomposition, StateVector, eigendecompose
+    ConvergenceError, GridPropagator, SpectralDecomposition, StateVector, eigendecompose,
+    evolve_series,
 )
 from .states import parse_state
 
@@ -196,9 +197,9 @@ def run_scenario(
     single row t = 0 with every observable equal to zero.
 
     The trajectory is propagated and reduced to observables block by block
-    (GridPropagator, reduce_blocks), so memory does not grow with the number
-    of steps beyond the output columns. The collapse/revival envelope goes
-    only to the file: the summary is the same with or without spec.out.
+    (compute_series over evolve_series), so memory does not grow with the
+    number of steps beyond the output columns. The collapse/revival envelope
+    goes only to the file: the summary is the same with or without spec.out.
     Raises ValueError when the phases max|lambda| * t_max overflow.
     """
     cfg = spec.config
@@ -206,10 +207,9 @@ def run_scenario(
     psi0 = parse_state(spec.initial, cfg.n_total)
     t = np.linspace(0.0, spec.t_max, spec.steps if cfg.n_total else 1)
     decomp = eigendecompose(h) if decomposition is None else decomposition
-    propagator = GridPropagator(decomp, psi0)
-    # np.linspace's own step: its t_j is j * dt except the last, which is t_max.
-    dt = spec.t_max / (spec.steps - 1)
-    series = reduce_blocks(propagator.blocks(dt, t.size), t, h)
+    # Positional arguments: the benchmark's span hooks read them by index.
+    propagator = evolve_series(decomp, psi0, t)
+    series = compute_series(propagator, t, h)
 
     summary, envelope = _summarize(spec, psi0, series, decomp, propagator)
     if spec.out is not None:

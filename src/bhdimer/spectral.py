@@ -9,11 +9,11 @@ drops the eigencomponents of smallest weight |a_n|^2 while their total stays
 within DROPPED_WEIGHT_MAX, which bounds the error of every coefficient by
 sqrt(DROPPED_WEIGHT_MAX) = 1e-14 (each row of V has unit norm). The dropped
 set includes the exact zeros of a parity sector the initial state does not
-touch. Times whose phases max|lam| * |t| overflow are refused.
+touch. Grids whose phases max|lam| * t_max overflow are refused.
 
-`evolve` and `evolve_series` are GridPropagator.at, so a state from one
-equals the same time from the other bit for bit. `blocks` serves the
-uniform grid t_j = j*dt that every scenario runs on, in blocks of
+`evolve_series` binds it to the uniform grid t_j = j*dt of
+np.linspace(0, t_max, steps), which every scenario runs on, and `evolve` is
+column 1 of the grid [0, t]. Iterating it yields blocks of
 block_rows(dim, steps) times: the phases of a block are one table
 exp(-i lam k dt), k < rows, built once and multiplied by
 a_n exp(-i lam_n t_s) at the block start t_s. A block is basis-major, one
@@ -236,35 +236,32 @@ def eigendecompose(h) -> SpectralDecomposition:
 
 
 def evolve(decomp: SpectralDecomposition, initial: StateVector, t: float) -> StateVector:
-    """State at time t from a normalized initial state: GridPropagator.at(t).
+    """State at time t from a normalized initial state.
 
-    Eigencomponents of total weight <= DROPPED_WEIGHT_MAX are dropped, so
-    each coefficient is within 1e-14 of the exact sum plus round-off; the
-    norm matches the input norm to ~1e-12 for dimensions in the thousands.
-    Raises ValueError when max|lambda| * |t| is not finite.
+    Column 1 of evolve_series over the grid [0, t], whose phases are the
+    direct exp(-i lam t). Eigencomponents of total weight <=
+    DROPPED_WEIGHT_MAX are dropped, so each coefficient is within 1e-14 of
+    the exact sum plus round-off; the norm matches the input norm to ~1e-12
+    for dimensions in the thousands. Raises ValueError when t or
+    max|lambda| * |t| is not finite.
     """
-    return GridPropagator(decomp, initial).at(t)
+    ((cr, ci),) = evolve_series(decomp, initial, [0.0, t])
+    return StateVector(cr[:, 1] + 1j * ci[:, 1])
 
 
-def evolve_series(decomp: SpectralDecomposition, initial: StateVector, t_grid) -> list:
-    """States at each grid time from one GridPropagator: [p.at(tj) for tj].
+def evolve_series(decomp: SpectralDecomposition, initial: StateVector, t_grid) -> GridPropagator:
+    """The trajectory of a normalized initial state over a uniform grid.
 
-    Element j equals evolve(decomp, initial, t_grid[j]) bit for bit, with the
-    same dropped weight. An empty grid yields an empty list.
+    t_grid must be np.linspace(0.0, t_max, steps) for a finite t_max (any
+    other grid is a ValueError); an empty grid yields no block. The result
+    is a GridPropagator: iterate it for (cr, ci) blocks, or pass it to
+    observables.compute_series.
     """
-    t = np.asarray(t_grid, dtype=np.float64)
-    if t.ndim != 1:
-        raise ValueError("t_grid must be one-dimensional")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t_grid must contain only finite values")
-    if np.any(np.diff(t) < 0.0):
-        raise ValueError("t_grid must be nondecreasing")
-    propagator = GridPropagator(decomp, initial)
-    return [propagator.at(tj) for tj in t]
+    return GridPropagator(decomp, initial, t_grid)
 
 
 def block_rows(dim: int, steps: int) -> int:
-    """Grid times per block of GridPropagator.blocks for a dim-sized state.
+    """Grid times per block of a GridPropagator for a dim-sized state.
 
     BLOCK_ELEMENTS // dim, but at least 64, so that each gemm keeps 64
     columns at large dim; never more than steps (one block for a short grid)
@@ -274,19 +271,32 @@ def block_rows(dim: int, steps: int) -> int:
 
 
 class GridPropagator:
-    """One initial state propagated to single times (at) or over a uniform
-    grid (blocks).
+    """One initial state propagated over the uniform grid t_j = j*dt.
+
+    Iterating yields (cr, ci) for successive blocks of the grid: the real
+    and imaginary coefficients, (dim, n) with one column per grid time. They
+    are views of buffers the next block overwrites, so consume each block
+    first. Every iteration starts again at t = 0.
 
     kept_components  eigencomponents the propagation keeps
     kept_per_parity  [even, odd] counts of them; None without parity labels
     dropped_weight   sum of |a_n|^2 over the dropped ones, <= DROPPED_WEIGHT_MAX
 
-    Both depend only on the decomposition and the initial state, so they are
+    They depend only on the decomposition and the initial state, so they are
     deterministic. The coefficients differ from the exact sum over all
     eigencomponents by at most sqrt(dropped_weight) plus round-off.
+
+    Raises ValueError unless t_grid is np.linspace(0.0, t_max, steps) for a
+    finite t_max, and when max|lambda| * t_max is not finite: the phases
+    would be NaN.
     """
 
-    def __init__(self, decomp: SpectralDecomposition, initial: StateVector):
+    def __init__(self, decomp: SpectralDecomposition, initial: StateVector, t_grid):
+        t = np.asarray(t_grid, dtype=np.float64)
+        if t.ndim != 1 or t.size and not (
+            math.isfinite(t[-1]) and np.array_equal(t, np.linspace(0.0, t[-1], t.size))
+        ):
+            raise ValueError("t_grid must be np.linspace(0.0, t_max, steps) for a finite t_max")
         if initial.dim != decomp.dim:
             raise ValueError(
                 f"state dimension {initial.dim} does not match decomposition "
@@ -317,53 +327,33 @@ class GridPropagator:
             rows, columns = slice(decomp.dim - m), keep[:n_even]
         self._v = np.ascontiguousarray(v[rows, columns])
         self._lam = decomp.eigenvalues[keep]
-        self._lam_max = float(np.abs(self._lam).max())
         self._a = a[keep]
 
-    def _check_phases(self, t_max: float) -> None:
-        # exp(-i lam t) is NaN once lam * t overflows (or t is not finite).
-        if not math.isfinite(self._lam_max * t_max):
+        self._steps = t.size
+        t_max = float(t[-1]) if t.size else 0.0
+        # np.linspace's own step: its t_j is j * dt except the last, which is t_max.
+        self._dt = t_max / (t.size - 1) if t.size > 1 else 0.0
+        lam_max = float(np.abs(self._lam).max())
+        if not math.isfinite(lam_max * t_max):
             raise ValueError(
                 "phases overflow: max|lambda| * t_max is not finite "
-                f"(max|lambda| = {self._lam_max:.3g}, t_max = {t_max:.3g})"
+                f"(max|lambda| = {lam_max:.3g}, t_max = {t_max:.3g})"
             )
 
     def _product(self, x: np.ndarray, out: np.ndarray, odd: np.ndarray) -> np.ndarray:
-        """out (..., dim, n) = V x (..., kept, n); odd is (..., dim // 2, n) scratch."""
+        """out (2, dim, n) = V x (2, kept, n); odd is (2, dim // 2, n) scratch."""
         if self._v_odd is None:
             return np.matmul(self._v, x, out=out)
         m, n_even, dim = self._v_odd.shape[0], self._v.shape[1], self._dim
-        np.matmul(self._v, x[..., :n_even, :], out=out[..., : dim - m, :])
-        np.matmul(self._v_odd, x[..., n_even:, :], out=odd)
-        np.subtract(out[..., :m, :], odd, out=out[..., : dim - m - 1 : -1, :])
-        out[..., :m, :] += odd
+        np.matmul(self._v, x[:, :n_even], out=out[:, : dim - m])
+        np.matmul(self._v_odd, x[:, n_even:], out=odd)
+        np.subtract(out[:, :m], odd, out=out[:, : dim - m - 1 : -1])
+        out[:, :m] += odd
         return out
 
-    def at(self, t: float) -> StateVector:
-        """State at time t. Raises ValueError when max|lambda| * |t| is not finite.
-
-        Not a column of blocks: BLAS may round a gemm differently for
-        different block widths, and evolve_series must give evolve's states.
-        """
-        t = float(t)
-        self._check_phases(abs(t))
-        z = self._a * np.exp(self._lam * (-1j * t))
-        c = np.empty((self._dim, 2))
-        self._product(z.view(float).reshape(-1, 2), c, np.empty((self._dim // 2, 2)))
-        return StateVector(c.view(complex)[:, 0])
-
-    def blocks(self, dt: float, steps: int):
-        """Yield (cr, ci) for successive blocks of the grid t_j = j*dt, j < steps.
-
-        cr and ci are the real and imaginary coefficients, (dim, n) with one
-        column per grid time. They are views of buffers the next block
-        overwrites, so consume each block first.
-
-        Raises ValueError when max|lam| * t_max is not finite: the phases
-        would be NaN.
-        """
+    def __iter__(self):
         lam, dim, kept = self._lam, self._dim, self._lam.size
-        self._check_phases(dt * max(steps - 1, 0))
+        dt, steps = self._dt, self._steps
         rows = block_rows(dim, steps)
         table = np.exp(np.multiply.outer(lam, np.arange(rows) * dt) * -1j)
         # Flat workspaces: a partial last block takes contiguous leading views.

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the library's spectral path: the propagator oracle
-exponentiates the dense Hamiltonian by scaling and squaring, and the moment
-oracles are direct sums over the basis.
+These deliberately avoid the library's propagation path: the propagator
+oracle exponentiates the dense Hamiltonian by scaling and squaring, the
+spectral reference sums every eigencomponent at each time with its own
+phases, and the moment oracles are direct sums over the basis.
 """
 
 import numpy as np
@@ -29,6 +30,19 @@ def expm_scaling_squaring(a: np.ndarray) -> np.ndarray:
 
 def propagate_dense(h_dense: np.ndarray, c0: np.ndarray, t: float) -> np.ndarray:
     return expm_scaling_squaring(-1j * t * h_dense) @ c0
+
+
+def spectral_reference(decomp, c0: np.ndarray, t_grid) -> np.ndarray:
+    """c(t_j) = V (a * exp(-i lam t_j)), a = V^T c0, one column per time.
+
+    Every eigencomponent is kept (no truncation) and each time gets its own
+    phases: no block phase table, no parity split.
+    """
+    v = decomp.eigenvectors
+    a = v.T @ np.asarray(c0, dtype=np.complex128)
+    t = np.asarray(t_grid, dtype=np.float64)
+    phases = np.exp(-1j * np.multiply.outer(decomp.eigenvalues, t))
+    return v @ (a[:, None] * phases)
 
 
 def probabilities(coefficients) -> np.ndarray:

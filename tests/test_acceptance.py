@@ -40,8 +40,7 @@ def initial_state(key, n):
 def trajectory(n, k, e_j, dmu, initial_key, t_max, steps):
     h, d = decomposition(n, k, e_j, dmu)
     t = np.linspace(0.0, t_max, steps)
-    states = evolve_series(d, initial_state(initial_key, n), t)
-    return compute_series(states, t, h)
+    return compute_series(evolve_series(d, initial_state(initial_key, n), t), t, h)
 
 
 def detect(series, n):

@@ -832,7 +832,7 @@ def _reject_constant(name):
 def _poison(monkeypatch, where):
     """Put one NaN into the reduced series or into the envelope."""
     if where == "series":
-        real = pipeline.reduce_blocks
+        real = pipeline.compute_series
 
         def poisoned(*args):
             series = real(*args)
@@ -840,7 +840,7 @@ def _poison(monkeypatch, where):
             variance[len(variance) // 2] = math.nan
             return dataclasses.replace(series, variance=variance)
 
-        monkeypatch.setattr(pipeline, "reduce_blocks", poisoned)
+        monkeypatch.setattr(pipeline, "compute_series", poisoned)
     else:
         real = pipeline.collapse_revival_time
 

@@ -1,5 +1,5 @@
-import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,19 +8,23 @@ from hypothesis.extra.numpy import arrays
 
 from bhdimer.model import CouplingConfig, build_hamiltonian
 from bhdimer.observables import (
-    ObservableRecord,
     ObservableSeries,
     compute_series,
     entanglement_entropy,
     expectation_imbalance,
-    record,
-    reduce_blocks,
     variance_imbalance,
 )
 from bhdimer.spectral import StateVector, eigendecompose, evolve, evolve_series
 from bhdimer.states import cat, fock, maximally_entangled
 
 from oracles import brute_force_moments, uniform_state_variance_exact
+
+
+def single_row(state, t, h):
+    """Every observable of one state at time t: a one-column compute_series."""
+    c = state.coefficients[:, None]
+    row = compute_series([(c.real, c.imag)], [t], h)
+    return SimpleNamespace(**{name: float(getattr(row, name)[0]) for name in row.COLUMNS})
 
 
 def random_states(max_dim=24):
@@ -137,7 +141,7 @@ class TestRecord:
     def test_fock_initial_record(self):
         n = 10
         h = build_hamiltonian(CouplingConfig(n, k=2.0, delta_mu=0.0, e_j=1.5))
-        r = record(fock(n, 0), 0.0, h)
+        r = single_row(fock(n, 0), 0.0, h)
         assert r.imbalance == float(n)
         assert r.imbalance_scaled == 1.0
         assert r.variance == 0.0
@@ -152,12 +156,12 @@ class TestRecord:
         for state in (fock(3, 5), cat(n), maximally_entangled(n)):
             c = state.coefficients
             expected = (np.conj(c) @ dense @ c).real
-            r = record(state, 1.0, h)
+            r = single_row(state, 1.0, h)
             assert r.energy == pytest.approx(expected, rel=1e-13)
 
     def test_empty_system_record(self):
         h = build_hamiltonian(CouplingConfig(0, k=1.0, delta_mu=1.0, e_j=1.0))
-        r = record(fock(0, 0), 0.0, h)
+        r = single_row(fock(0, 0), 0.0, h)
         assert (
             r.imbalance,
             r.imbalance_scaled,
@@ -169,7 +173,7 @@ class TestRecord:
     def test_dimension_mismatch_rejected(self):
         h = build_hamiltonian(CouplingConfig(3, e_j=1.0))
         with pytest.raises(ValueError):
-            record(fock(1, 1), 0.0, h)
+            single_row(fock(1, 1), 0.0, h)
 
 
 class TestComputeSeries:
@@ -178,10 +182,9 @@ class TestComputeSeries:
         h = build_hamiltonian(CouplingConfig(n, k=0.7, delta_mu=0.2, e_j=1.1))
         d = eigendecompose(h)
         t = np.linspace(0.0, 8.0, 40)
-        states = evolve_series(d, fock(9, 5), t)
-        series = compute_series(states, t, h)
+        series = compute_series(evolve_series(d, fock(9, 5), t), t, h)
         for j in (0, 7, 19, 39):
-            r = record(states[j], t[j], h)
+            r = single_row(evolve(d, fock(9, 5), t[j]), t[j], h)
             assert series.imbalance[j] == pytest.approx(r.imbalance, abs=1e-13)
             assert series.variance[j] == pytest.approx(r.variance, abs=1e-11)
             assert series.entanglement_bits[j] == pytest.approx(
@@ -195,22 +198,18 @@ class TestComputeSeries:
         h = build_hamiltonian(CouplingConfig(n, k=1.0, e_j=2.0))
         d = eigendecompose(h)
         t = np.linspace(0.0, 2.0, 9)
-        states = evolve_series(d, cat(n), t)
-        series = compute_series(states, t, h)
+        series = compute_series(evolve_series(d, cat(n), t), t, h)
         assert len(series) == 9
-        # record fills ObservableRecord from the columns in COLUMNS order.
-        fields = tuple(f.name for f in dataclasses.fields(ObservableRecord))
-        assert fields == series.COLUMNS
-        r = record(states[3], t[3], h)
+        r = single_row(evolve(d, cat(n), t[3]), t[3], h)
         assert r.t == t[3]
         assert r.variance == pytest.approx(series.variance[3], abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         h = build_hamiltonian(CouplingConfig(2, e_j=1.0))
         d = eigendecompose(h)
-        states = evolve_series(d, fock(2, 0), [0.0, 1.0])
+        blocks = evolve_series(d, fock(2, 0), [0.0, 1.0])
         with pytest.raises(ValueError):
-            compute_series(states, [0.0], h)
+            compute_series(blocks, [0.0], h)
 
 
 class TestReduceBlocks:
@@ -229,9 +228,9 @@ class TestReduceBlocks:
         t = np.arange(8.0)
         # Blocks are basis-major, one column per time: feed the transposes.
         dense, sparse = dense.transpose(0, 2, 1), sparse.transpose(0, 2, 1)
-        both = reduce_blocks([(dense[0], dense[1]), (sparse[0], sparse[1])], t, h)
-        first = reduce_blocks([(dense[0], dense[1])], t[:5], h)
-        second = reduce_blocks([(sparse[0], sparse[1])], t[5:], h)
+        both = compute_series([(dense[0], dense[1]), (sparse[0], sparse[1])], t, h)
+        first = compute_series([(dense[0], dense[1])], t[:5], h)
+        second = compute_series([(sparse[0], sparse[1])], t[5:], h)
         for name in ObservableSeries.COLUMNS:
             want = np.concatenate((getattr(first, name), getattr(second, name)))
             assert np.array_equal(getattr(both, name), want), name

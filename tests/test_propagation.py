@@ -1,12 +1,11 @@
-"""The fused uniform-grid path of run_scenario: GridPropagator.blocks + reduce_blocks.
+"""The fused uniform-grid path: compute_series over evolve_series's blocks.
 
-These checks run on run_scenario itself. The evolve_series / compute_series
-path that the acceptance criteria exercise shares GridPropagator's overlaps
-and truncation with it, so test_matches_reference_path compares what stays
-independent: the block phase table exp(-i lam k dt) exp(-i lam t_s) against
-direct phases exp(-i lam t_j), and one gemm per block against one gemv per
-time and part. The truncation is checked against the dense
-scaling-and-squaring oracle of tests/oracles.py.
+Most checks run on run_scenario itself. test_matches_reference_path
+compares it with the plain-numpy spectral reference of tests/oracles.py:
+every eigencomponent kept, direct phases exp(-i lam t_j) against the block
+phase table exp(-i lam k dt) exp(-i lam t_s), and one complex product per
+grid against the split real gemms per block. The truncation is checked
+against the dense scaling-and-squaring oracle of tests/oracles.py.
 """
 
 import tracemalloc
@@ -20,7 +19,6 @@ from bhdimer.observables import ObservableSeries, compute_series
 from bhdimer.pipeline import ScenarioSpec, run_scenario
 from bhdimer.spectral import (
     DROPPED_WEIGHT_MAX,
-    GridPropagator,
     StateVector,
     block_rows,
     eigendecompose,
@@ -29,7 +27,7 @@ from bhdimer.spectral import (
 )
 from bhdimer.states import parse_state
 
-from oracles import brute_force_moments, propagate_dense
+from oracles import brute_force_moments, propagate_dense, spectral_reference
 
 
 def spec(n, initial, k=1.0, e_j=7.0, dmu=0.0, t_max=20.0, steps=1500):
@@ -43,7 +41,7 @@ def spec(n, initial, k=1.0, e_j=7.0, dmu=0.0, t_max=20.0, steps=1500):
 
 
 def full_rows(dim):
-    """Rows of a full block of GridPropagator.blocks at this dimension."""
+    """Grid times in a full block of evolve_series at this dimension."""
     return block_rows(dim, 2**62)
 
 
@@ -55,8 +53,9 @@ def reference_series(s: ScenarioSpec):
     cfg = s.config
     h = build_hamiltonian(cfg)
     t = np.linspace(0.0, s.t_max, s.steps) if cfg.n_total else np.array([0.0])
-    states = evolve_series(eigendecompose(h), parse_state(s.initial, cfg.n_total), t)
-    return compute_series(states, t, h)
+    psi = parse_state(s.initial, cfg.n_total)
+    c = spectral_reference(eigendecompose(h), psi.coefficients, t)
+    return compute_series([(c.real, c.imag)], t, h)
 
 
 # At N = 61 the +-1 similarity swaps the even and odd labels between the
@@ -124,8 +123,8 @@ def test_cat_keeps_at_most_its_parity_sector(n):
 def test_truncation_is_reported_per_state():
     h = build_hamiltonian(CouplingConfig(100, k=1.0, e_j=1e4))
     decomp = eigendecompose(h)
-    fock = GridPropagator(decomp, parse_state("fock:100,0", 100))
-    uniform = GridPropagator(decomp, parse_state("me", 100))
+    fock = evolve_series(decomp, parse_state("fock:100,0", 100), [])
+    uniform = evolve_series(decomp, parse_state("me", 100), [])
     assert fock.kept_components < 101
     assert 0.0 < fock.dropped_weight <= DROPPED_WEIGHT_MAX
     assert 1 <= uniform.kept_components <= 51  # even sector of N = 100
@@ -150,14 +149,14 @@ def test_blocks_keep_a_row_floor(monkeypatch):
     # BLOCK_ELEMENTS // dim would give 10 rows; the floor keeps 64.
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 1024)
     n = 100
-    propagator = GridPropagator(
-        eigendecompose(build_hamiltonian(CouplingConfig(n, k=1.0, e_j=1.0))),
-        parse_state("fock:100,0", n),
-    )
+    decomp = eigendecompose(build_hamiltonian(CouplingConfig(n, k=1.0, e_j=1.0)))
+    psi = parse_state("fock:100,0", n)
     assert block_rows(n + 1, 200) == 64
     # One column per grid time.
-    assert [cr.shape[1] for cr, _ in propagator.blocks(0.01, 200)] == [64, 64, 64, 8]
-    assert [cr.shape[1] for cr, _ in propagator.blocks(0.01, 63)] == [63]
+    blocks = evolve_series(decomp, psi, np.linspace(0.0, 1.99, 200))
+    assert [cr.shape[1] for cr, _ in blocks] == [64, 64, 64, 8]
+    blocks = evolve_series(decomp, psi, np.linspace(0.0, 0.62, 63))
+    assert [cr.shape[1] for cr, _ in blocks] == [63]
 
 
 def _mixed_sign_mirror():
@@ -183,23 +182,22 @@ def test_block_columns_match_single_times(monkeypatch, make_h, split):
     h = make_h()
     rng = np.random.default_rng(11)
     c0 = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
-    propagator = GridPropagator(eigendecompose(h), StateVector(c0 / np.linalg.norm(c0)))
-    assert (propagator.kept_per_parity is not None) == split
-    dt, steps = 1e-3, 150  # small phases lam * t: their round-off stays below 1e-14
-    got = np.concatenate([cr + 1j * ci for cr, ci in propagator.blocks(dt, steps)], axis=1)
-    assert got.shape == (h.dim, steps)
-    for j in range(steps):
-        want = propagator.at(j * dt).coefficients
+    decomp, psi = eigendecompose(h), StateVector(c0 / np.linalg.norm(c0))
+    # Small phases lam * t: their round-off stays below 1e-14.
+    t = np.linspace(0.0, 0.149, 150)
+    blocks = evolve_series(decomp, psi, t)
+    assert (blocks.kept_per_parity is not None) == split
+    got = np.concatenate([cr + 1j * ci for cr, ci in blocks], axis=1)
+    assert got.shape == (h.dim, t.size)
+    for j in range(t.size):
+        want = evolve(decomp, psi, t[j]).coefficients
         assert np.abs(got[:, j] - want).max() <= 1e-14 * np.abs(want).max(), j
 
 
 def test_phase_overflow_is_rejected():
-    propagator = GridPropagator(
-        eigendecompose(build_hamiltonian(CouplingConfig(4, k=1e306))),
-        parse_state("fock:4,0", 4),
-    )
+    decomp = eigendecompose(build_hamiltonian(CouplingConfig(4, k=1e306)))
     with pytest.raises(ValueError, match="not finite"):
-        next(propagator.blocks(30.0, 10))
+        evolve_series(decomp, parse_state("fock:4,0", 4), np.linspace(0.0, 270.0, 10))
 
 
 def _peak_bytes(steps: int) -> int:

@@ -9,6 +9,7 @@ from bhdimer.cli import main
 from bhdimer.model import CouplingConfig, TridiagonalHamiltonian, build_hamiltonian
 from bhdimer.pipeline import ScenarioSpec, sweep
 from bhdimer.observables import (
+    compute_series,
     entanglement_entropy,
     expectation_imbalance,
     variance_imbalance,
@@ -260,6 +261,15 @@ class TestLargeN:
         _, d = decompose(2000, k=1.0, e_j=2000.0)
         assert orthonormality_deviation(d.eigenvectors) <= 1e-10
 
+    def test_sampled_orthonormality(self, large):
+        # 64 fixed columns of V.T @ V: the full product at N = 4000 would
+        # hold two 128 MB matrices.
+        v = large[1].eigenvectors
+        idx = np.linspace(0, self.N, 64).astype(int)
+        gram = v.T @ v[:, idx]
+        gram[idx, np.arange(idx.size)] -= 1.0
+        assert np.abs(gram).max() <= 1e-10
+
 
 class TestEvolve:
     def test_t_zero_is_identity(self):
@@ -365,34 +375,50 @@ class TestEvolve:
             assert entanglement_entropy(a) == entanglement_entropy(b)
 
 
+def grid_states(blocks):
+    """Iterated (cr, ci) blocks as complex coefficients, one column per time."""
+    return np.concatenate([cr + 1j * ci for cr, ci in blocks], axis=1)
+
+
 class TestEvolveSeries:
     def test_empty_grid(self):
         _, d = decompose(3, e_j=1.0)
-        assert evolve_series(d, fock(3, 0), []) == []
+        assert list(evolve_series(d, fock(3, 0), [])) == []
 
     def test_single_point_grid(self):
         _, d = decompose(3, e_j=1.0)
-        (out,) = evolve_series(d, fock(3, 0), [0.0])
-        assert np.abs(out.coefficients - fock(3, 0).coefficients).max() <= 1e-13
+        out = grid_states(evolve_series(d, fock(3, 0), [0.0]))
+        assert out.shape == (4, 1)
+        assert np.abs(out[:, 0] - fock(3, 0).coefficients).max() <= 1e-13
 
     def test_bitwise_consistency_with_single_shot(self):
         _, d = decompose(17, k=0.6, dmu=0.05, e_j=1.8)
         psi = fock(9, 8)
         t1 = 2.71
-        series = evolve_series(d, psi, [0.0, t1])
+        series = grid_states(evolve_series(d, psi, [0.0, t1]))
         single = evolve(d, psi, t1)
-        assert np.array_equal(series[1].coefficients, single.coefficients)
+        assert np.array_equal(series[:, 1], single.coefficients)
 
     def test_rabi_grid_imbalance(self):
-        _, d = decompose(1, e_j=1.0)
-        states = evolve_series(d, fock(1, 0), [0.0, math.pi, 2.0 * math.pi])
-        values = [expectation_imbalance(s) for s in states]
-        np.testing.assert_allclose(values, [1.0, -1.0, 1.0], atol=1e-12)
+        h, d = decompose(1, e_j=1.0)
+        t = [0.0, math.pi, 2.0 * math.pi]
+        series = compute_series(evolve_series(d, fock(1, 0), t), t, h)
+        np.testing.assert_allclose(series.imbalance, [1.0, -1.0, 1.0], atol=1e-12)
 
     def test_decreasing_grid_rejected(self):
         _, d = decompose(2, e_j=1.0)
         with pytest.raises(ValueError):
             evolve_series(d, fock(2, 0), [0.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.0, 1.0, 3.0], [1.0, 2.0], [0.5], np.zeros((2, 2)), 0.0],
+        ids=["uneven", "offset", "single-nonzero", "2d", "scalar"],
+    )
+    def test_grid_other_than_linspace_rejected(self, grid):
+        _, d = decompose(2, e_j=1.0)
+        with pytest.raises(ValueError, match="linspace"):
+            evolve_series(d, fock(2, 0), grid)
 
     def test_non_finite_grid_rejected(self):
         _, d = decompose(2, e_j=1.0)
@@ -407,5 +433,5 @@ class TestEvolveSeries:
     def test_unitarity_over_dense_grid(self):
         _, d = decompose(50, k=1.0, e_j=12.0)
         t = np.linspace(0.0, 30.0, 2000)
-        for s in evolve_series(d, fock(50, 0), t)[::97]:
-            assert abs(s.norm() - 1.0) <= 1e-12
+        for c in grid_states(evolve_series(d, fock(50, 0), t))[:, ::97].T:
+            assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
