@@ -16,11 +16,14 @@ bounded by log2(N+1) (uniform weights) and 0 (a single Fock state).
 
 compute_series takes the state basis-major, one column per grid time, in
 the blocks of spectral.evolve_series, and reduces along axis 0: the moments
-are one (3, dim) @ p product, the energy cross term multiplies the
-contiguous slabs c[:-1] and c[1:]. Every block reduces in leading views of
-one flat workspace per call (probabilities, a float scratch, the entropy
-mask): a run allocates only length-n columns per block. The scalar
-functions reduce a single column the same way.
+are one weights @ p product, the energy cross term multiplies the
+contiguous slabs c[:-1] and c[1:]. The blocks are in the Fock basis, or in
+the parity sector basis a GridPropagator names when its state keeps one
+sector; the basis enters only as data (the Hamiltonian's block, the moment
+and entropy weights), and the sector has about half the rows. Every block
+reduces in leading views of one flat workspace per call (probabilities and
+a float scratch): a run allocates only length-n columns per block. The
+scalar functions reduce a single column the same way.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .model import (
     build_hamiltonian,
     imbalance_diagonal,
 )
-from .spectral import StateVector
+from .spectral import GridPropagator, StateVector, _sector_block
 
 __all__ = [
     "ObservableSeries",
@@ -90,17 +93,19 @@ class ObservableSeries:
 
 
 def _block_columns(
-    cr: np.ndarray, ci: np.ndarray, h: TridiagonalHamiltonian, weights: np.ndarray,
-    p: np.ndarray, work: np.ndarray, mask: np.ndarray,
+    cr: np.ndarray, ci: np.ndarray, offdiagonal: np.ndarray, weights: np.ndarray,
+    n_total: int, p: np.ndarray, work: np.ndarray,
 ) -> tuple:
     """Every observable column but t for cr + i ci, one column per time.
 
     This is the one implementation of the formulas; compute_series and the
-    scalar functions are views of it. weights holds the rows
-    (d, d^2, diagonal) of the moments; p, work and mask are C-contiguous
-    scratch arrays of the block's shape, overwritten here.
+    scalar functions are views of it. The rows of cr + i ci are the basis
+    the trajectory is in, which _basis describes: weights holds the rows
+    (d, d^2, diagonal) of the moments, then any rows whose products add to
+    the entropy in bits, and offdiagonal couples neighbouring rows. p and
+    work are C-contiguous scratch arrays of the block's shape, overwritten
+    here.
     """
-    n_total = h.n_total
     np.multiply(cr, cr, out=p)
     np.multiply(ci, ci, out=work)
     p += work
@@ -112,9 +117,9 @@ def _block_columns(
     imbalance = moments[0] + 0.0
     variance = np.maximum(moments[1] - imbalance**2, 0.0)
     energy = moments[2]
-    entropy = _entropy_bits(p, work, mask)
-    if h.offdiagonal.size:
-        # p is free now: the two products go into contiguous (dim-1, n)
+    entropy = _entropy_bits(p, work) + moments[3:].sum(axis=0)
+    if offdiagonal.size:
+        # p is free now: the two products go into contiguous (rows-1, n)
         # leading views of the scratch.
         size = (cr.shape[0] - 1) * cr.shape[1]
         cross = work.reshape(-1)[:size].reshape(-1, cr.shape[1])
@@ -122,7 +127,7 @@ def _block_columns(
         np.multiply(cr[:-1], cr[1:], out=cross)
         np.multiply(ci[:-1], ci[1:], out=cross_i)
         cross += cross_i
-        energy += 2.0 * (h.offdiagonal @ cross) / total
+        energy += 2.0 * (offdiagonal @ cross) / total
     return (
         imbalance,
         imbalance / n_total if n_total else np.zeros_like(imbalance),
@@ -133,46 +138,67 @@ def _block_columns(
     )
 
 
+def _basis(h: TridiagonalHamiltonian, sector: str | None) -> tuple:
+    """(offdiagonal, weights) of _block_columns for the basis of the blocks.
+
+    sector None is the Fock basis. In a parity sector's basis (spectral's
+    module docstring) h is its sector block, d = N - 2n is odd under the
+    mirror, so <N1 - N2> is exactly 0, and d^2 keeps the sector's rows.
+    Each row i < dim // 2 splits its weight q over two Fock states,
+    -2 (q/2) log2(q/2) = -q log2 q + q: a last row adds those q to the entropy.
+    """
+    d = imbalance_diagonal(h.n_total)
+    if sector is None:
+        return h.offdiagonal, np.stack((d, d**2, h.diagonal))
+    diagonal, offdiagonal = _sector_block(h.diagonal, h.offdiagonal, sector == "even")
+    rows = diagonal.size
+    paired = np.arange(rows) < h.dim // 2
+    return offdiagonal, np.stack((np.zeros(rows), d[:rows] ** 2, diagonal, paired))
+
+
 def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries:
     """Observables along a trajectory delivered as consecutive (cr, ci) blocks.
 
     blocks is usually spectral.evolve_series over t_grid. Each block holds
     the real and imaginary coefficient parts of successive grid times, each
-    (dim, n) with one column per grid time; the columns of all blocks
-    together must match t_grid. Blocks are reduced as they arrive, so
-    memory holds the output columns and one block.
+    (rows, n) with one column per grid time; the columns of all blocks
+    together must match t_grid. The rows are the Fock basis (dim of them),
+    or the parity sector basis that a GridPropagator names in its sector.
+    Blocks are reduced as they arrive, so memory holds the output columns
+    and one block.
     """
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError("t_grid must be one-dimensional")
     columns = np.empty((len(ObservableSeries.COLUMNS) - 1, t.size))
-    d = imbalance_diagonal(h.n_total)
-    weights = np.stack((d, d**2, h.diagonal))
-    p = work = mask = None
+    sector = blocks.sector if isinstance(blocks, GridPropagator) else None
+    offdiagonal, weights = _basis(h, sector)
+    rows = weights.shape[1]
+    p = work = None
     start = 0
     for cr, ci in blocks:
-        if cr.shape[0] != h.dim:
+        if cr.shape[0] != rows:
             raise ValueError("state dimension does not match Hamiltonian")
         n = cr.shape[1]
         if start + n > t.size:
             raise ValueError("t_grid and states must have equal length")
-        if p is None or n * h.dim > p.size:
-            p, work = np.empty((2, n * h.dim))
-            mask = np.empty(n * h.dim, dtype=bool)
-        views = (a[: n * h.dim].reshape(h.dim, n) for a in (p, work, mask))
-        columns[:, start : start + n] = _block_columns(cr, ci, h, weights, *views)
+        if p is None or n * rows > p.size:
+            p, work = np.empty((2, n * rows))
+        views = (a[: n * rows].reshape(rows, n) for a in (p, work))
+        columns[:, start : start + n] = _block_columns(
+            cr, ci, offdiagonal, weights, h.n_total, *views
+        )
         start += n
     if start != t.size:
         raise ValueError("t_grid and states must have equal length")
     return ObservableSeries(t, *columns)
 
 
-def _entropy_bits(p: np.ndarray, terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    # terms and mask are scratch of p's shape. log2 writes only where the
-    # mask holds, so every other term is cleared first.
-    np.greater(p, _ENTROPY_FLOOR, out=mask)
-    terms.fill(0.0)
-    np.log2(p, out=terms, where=mask)
+def _entropy_bits(p: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    # terms is scratch of p's shape. A weight at or below the floor gives
+    # p log2(_ENTROPY_FLOOR), which is -0.0 for an exact zero and far below
+    # the round-off of the sum otherwise.
+    np.log2(np.maximum(p, _ENTROPY_FLOOR, out=terms), out=terms)
     terms *= p
     # -sum p log2 p; the trailing +0.0 turns -0.0 into +0.0.
     return -terms.sum(axis=0) + 0.0

@@ -23,9 +23,16 @@ components come even sector first and, with m = dim // 2, the product
 halves: E = V_even[:dim-m] x_even fills the top dim - m rows, O =
 V_odd[:m] x_odd goes to a buffer, and the mirrored bottom m rows become
 E[:m] - O, the top ones E[:m] + O (odd vectors vanish on the centre row of
-odd dim). A block holds about BLOCK_ELEMENTS values per float array, so the
+odd dim). A state that keeps one sector only (cat, me and other mirror
+images of themselves) skips the mirror: its blocks stay in that sector's
+orthonormal basis (e_i +- e_{dim-1-i})/sqrt2, i < m, plus e_m in the even
+sector of odd dim, whose rows are sqrt2 V[:m] and V[m]. They have dim - m
+(even) or m (odd) rows, GridPropagator.sector names the sector, and
+observables.compute_series reduces them there. A block holds about
+BLOCK_ELEMENTS values per float array (half that in a sector), so the
 elementwise passes stay in cache, and at least 64 times, so the product
-keeps a wide matrix at large dim. Memory stays at a few blocks for any grid
+keeps a wide matrix at large dim. Its width depends on dim alone, so both
+bases get the same phases. Memory stays at a few blocks for any grid
 length; the time goes to BLAS and numpy ufuncs, which release the GIL.
 
 The eigenpairs come from LAPACK's tridiagonal driver dstevd in numpy's
@@ -153,32 +160,45 @@ def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
         ) from exc
 
 
+def _sector_block(d: np.ndarray, e: np.ndarray, even: bool) -> tuple:
+    """Diagonal and off-diagonal of a mirror-symmetric tridiagonal matrix in
+    the basis of one parity sector.
+
+    With m = n // 2, that basis is (e_i +- e_{n-1-i})/sqrt2 for i < m, plus
+    the centre vector e_m in the even sector of odd n: n - m rows (even) or
+    m rows (odd). Only the entries at the centre differ from the top-left
+    corner of the matrix. For even n the centre pair is coupled by e_{m-1},
+    which lands on the last diagonal entry as +-e_{m-1}. For odd n the
+    coupling of e_m to the even combination next to it is sqrt2 e_{m-1}.
+    """
+    n = d.size
+    m = n // 2
+    rows = n - m if even else m
+    d_s = d[:rows].copy()
+    e_s = e[: rows - 1].copy()
+    if n % 2:
+        if even:
+            e_s[m - 1] *= math.sqrt(2.0)
+    elif even:
+        d_s[m - 1] += e[m - 1]
+    else:
+        d_s[m - 1] -= e[m - 1]
+    return d_s, e_s
+
+
 def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
     """Eigenpairs of a mirror-symmetric tridiagonal matrix, ascending, and a
     mask of the even columns.
 
-    In the basis (e_i +- e_{n-1-i})/sqrt2 the matrix splits into an even and
-    an odd tridiagonal block of half size; only the entries at the centre
-    differ from the top-left corner of the matrix. For even n the centre pair
-    is coupled by e_{m-1}, which lands on the last diagonal entry as +-e_{m-1}.
-    For odd n the centre basis vector is even, and its coupling to the even
-    combination next to it is sqrt2 e_{m-1}. Each block eigenvector maps back
-    by copying (or negating) its entries into the mirrored half, so every
-    column is exactly palindromic or antipalindromic.
+    The two _sector_block blocks are solved on their own. Each block
+    eigenvector maps back by copying (or negating) its entries into the
+    mirrored half, so every column is exactly palindromic or antipalindromic.
     """
     n = d.size
     m = n // 2
     n_even = n - m
-    d_even = d[:n_even].copy()
-    e_even = e[: n_even - 1].copy()
-    d_odd = d[:m].copy()
-    if n % 2:
-        e_even[m - 1] *= math.sqrt(2.0)
-    else:
-        d_even[m - 1] += e[m - 1]
-        d_odd[m - 1] -= e[m - 1]
-    lam_even, y = _tridiagonal_eigh(d_even, e_even)
-    lam_odd, z = _tridiagonal_eigh(d_odd, e[: m - 1])
+    lam_even, y = _tridiagonal_eigh(*_sector_block(d, e, True))
+    lam_odd, z = _tridiagonal_eigh(*_sector_block(d, e, False))
 
     lam = np.concatenate((lam_even, lam_odd))
     order = np.argsort(lam, kind="stable")
@@ -245,8 +265,16 @@ def evolve(decomp: SpectralDecomposition, initial: StateVector, t: float) -> Sta
     for dimensions in the thousands. Raises ValueError when t or
     max|lambda| * |t| is not finite.
     """
-    ((cr, ci),) = evolve_series(decomp, initial, [0.0, t])
-    return StateVector(cr[:, 1] + 1j * ci[:, 1])
+    propagator = evolve_series(decomp, initial, [0.0, t])
+    ((cr, ci),) = propagator
+    c = np.zeros(decomp.dim, dtype=complex)
+    c[: cr.shape[0]] = cr[:, 1] + 1j * ci[:, 1]
+    if propagator.sector is not None:
+        # From the sector basis: c_i = +-c_{dim-1-i} = y_i / sqrt2 for i < m.
+        m = decomp.dim // 2
+        c[:m] *= _SQRT_HALF
+        c[decomp.dim - m :] = c[m - 1 :: -1] * (1.0 if propagator.sector == "even" else -1.0)
+    return StateVector(c)
 
 
 def evolve_series(decomp: SpectralDecomposition, initial: StateVector, t_grid) -> GridPropagator:
@@ -274,12 +302,16 @@ class GridPropagator:
     """One initial state propagated over the uniform grid t_j = j*dt.
 
     Iterating yields (cr, ci) for successive blocks of the grid: the real
-    and imaginary coefficients, (dim, n) with one column per grid time. They
-    are views of buffers the next block overwrites, so consume each block
-    first. Every iteration starts again at t = 0.
+    and imaginary coefficients, (rows, n) with one column per grid time. The
+    rows are the Fock basis, dim of them, unless sector is set. They are
+    views of buffers the next block overwrites, so consume each block first.
+    Every iteration starts again at t = 0.
 
     kept_components  eigencomponents the propagation keeps
     kept_per_parity  [even, odd] counts of them; None without parity labels
+    sector           "even" or "odd" when every kept component lies in that
+                     parity sector, whose basis (see the module docstring)
+                     the rows are then in; None for the Fock basis
     dropped_weight   sum of |a_n|^2 over the dropped ones, <= DROPPED_WEIGHT_MAX
 
     They depend only on the decomposition and the initial state, so they are
@@ -314,18 +346,28 @@ class GridPropagator:
         keep = np.sort(order[n_drop:])
         self.kept_components = int(keep.size)
         self.dropped_weight = float(dropped[n_drop - 1]) if n_drop else 0.0
-        self._dim, rows, columns = decomp.dim, slice(None), keep
-        self.kept_per_parity = self._v_odd = None
+        # _height: rows of a block, dim or the size of the sector.
+        self._dim = self._height = rows = decomp.dim
+        columns, paired = keep, 0
+        self.kept_per_parity = self.sector = self._v_odd = None
         if decomp.even is not None:
-            # Even components first: _v holds their top dim - m rows, _v_odd
-            # the odd ones' top m rows.
             even = decomp.even[keep]
             keep = np.concatenate((keep[even], keep[~even]))
             n_even, m = int(even.sum()), decomp.dim // 2
             self.kept_per_parity = [n_even, keep.size - n_even]
-            self._v_odd = np.ascontiguousarray(v[:m, keep[n_even:]])
-            rows, columns = slice(decomp.dim - m), keep[:n_even]
-        self._v = np.ascontiguousarray(v[rows, columns])
+            if n_even in (0, keep.size):
+                # One sector, in its own basis: _v holds sqrt2 V[:m] plus the
+                # centre row V[m] of the even sector at odd dim.
+                self.sector = "even" if n_even else "odd"
+                self._height = rows = decomp.dim - m if n_even else m
+                columns, paired = keep, m
+            else:
+                # Even components first: _v holds their top dim - m rows, _v_odd
+                # the odd ones' top m rows.
+                self._v_odd = np.ascontiguousarray(v[:m, keep[n_even:]])
+                rows, columns = decomp.dim - m, keep[:n_even]
+        self._v = np.ascontiguousarray(v[:rows, columns])
+        self._v[:paired] *= math.sqrt(2.0)
         self._lam = decomp.eigenvalues[keep]
         self._a = a[keep]
 
@@ -352,13 +394,14 @@ class GridPropagator:
         return out
 
     def __iter__(self):
-        lam, dim, kept = self._lam, self._dim, self._lam.size
+        lam, dim, height, kept = self._lam, self._dim, self._height, self._lam.size
         dt, steps = self._dt, self._steps
+        # Block widths of dim whatever the basis: the same phases in each.
         rows = block_rows(dim, steps)
         table = np.exp(np.multiply.outer(lam, np.arange(rows) * dt) * -1j)
         # Flat workspaces: a partial last block takes contiguous leading views.
         z = np.empty(kept * rows, dtype=complex)
-        x, out, odd = (np.empty(size * rows) for size in (2 * kept, 2 * dim, 2 * (dim // 2)))
+        x, out, odd = (np.empty(size * rows) for size in (2 * kept, 2 * height, 2 * (dim // 2)))
 
         def lead(buf, *shape):
             return buf[: math.prod(shape)].reshape(shape)
@@ -369,5 +412,5 @@ class GridPropagator:
             zn = np.multiply(table[:, :n], phase[:, None], out=lead(z, kept, n))
             xn = lead(x, 2, kept, n)
             xn[0], xn[1] = zn.real, zn.imag
-            c = self._product(xn, lead(out, 2, dim, n), lead(odd, 2, dim // 2, n))
+            c = self._product(xn, lead(out, 2, height, n), lead(odd, 2, dim // 2, n))
             yield c[0], c[1]

@@ -112,6 +112,62 @@ def test_matches_reference_path(n, initial, dmu, steps):
         assert np.abs(col - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
 
 
+def _odd_cat(n):
+    # (|N,0> - |0,N>)/sqrt2: the one mirror-odd state of these tests.
+    c = np.zeros(n + 1)
+    c[0], c[n] = np.sqrt(0.5), -np.sqrt(0.5)
+    return StateVector(c)
+
+
+SECTOR_CASES = [
+    *((n, initial) for n in (1, 2, 7, 8, 61, 200) for initial in ("cat", "me", "odd-cat")),
+    *((n, f"fock:{n // 2},{n // 2}") for n in (2, 8, 200)),
+]
+
+
+# Odd N with e_j < 0 swaps the parity labels of the eigensolver's blocks.
+@pytest.mark.parametrize("e_j_sign", [1.0, -1.0], ids=["ej+", "ej-"])
+@pytest.mark.parametrize("n,initial", SECTOR_CASES)
+def test_single_sector_basis_matches_reference(n, initial, e_j_sign):
+    h = build_hamiltonian(CouplingConfig(n, k=1.0, e_j=e_j_sign * 0.5 * n))
+    decomp = eigendecompose(h)
+    psi = _odd_cat(n) if initial == "odd-cat" else parse_state(initial, n)
+    t = np.linspace(0.0, 20.0, 2 * full_rows(n + 1) + 17)  # ends in a partial block
+    propagator = evolve_series(decomp, psi, t)
+    sector = "odd" if initial == "odd-cat" else "even"
+    assert propagator.sector == sector
+    assert propagator.kept_per_parity[sector == "even"] == 0
+    got = compute_series(propagator, t, h)
+    c = spectral_reference(decomp, psi.coefficients, t)
+    want = compute_series([(c.real, c.imag)], t, h)
+    # d is odd under the mirror: its weights in the sector basis are zeros.
+    for name in ("imbalance", "imbalance_scaled"):
+        assert np.array_equal(getattr(got, name), np.zeros(t.size)), name
+        assert not np.signbit(getattr(got, name)).any(), name
+    for name, col in columns(got).items():
+        ref = getattr(want, name)
+        assert np.abs(col - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
+    state = evolve(decomp, psi, t[-1])
+    assert state.dim == n + 1
+    assert np.abs(state.coefficients - c[:, -1]).max() <= 1e-10
+
+
+def test_only_single_sector_states_take_the_sector_basis():
+    t = np.linspace(0.0, 1.0, 50)
+    h = build_hamiltonian(CouplingConfig(200, k=1.0, e_j=100.0))
+    decomp = eigendecompose(h)
+    cat = evolve_series(decomp, parse_state("cat", 200), t)
+    assert cat.kept_per_parity[1] == 0 and cat.sector == "even"
+    assert [cr.shape for cr, _ in cat] == [(101, 50)]
+    fock = evolve_series(decomp, parse_state("fock:200,0", 200), t)
+    assert min(fock.kept_per_parity) > 0 and fock.sector is None
+    assert [cr.shape for cr, _ in fock] == [(201, 50)]
+    biased = build_hamiltonian(CouplingConfig(200, k=1.0, delta_mu=0.1, e_j=100.0))
+    cat = evolve_series(eigendecompose(biased), parse_state("cat", 200), t)
+    assert cat.kept_per_parity is None and cat.sector is None
+    assert [cr.shape for cr, _ in cat] == [(201, 50)]
+
+
 @pytest.mark.parametrize("n", [40, 41])
 def test_cat_keeps_at_most_its_parity_sector(n):
     _, summary = run_scenario(spec(n, "cat", k=1.0, e_j=1.0))
