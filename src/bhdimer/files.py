@@ -283,16 +283,9 @@ class _Shortest:
         return words
 
 
-@functools.cache
-def _csv_renderer() -> _Scientific:
-    """The long-double CSV renderer, its tables built on first use."""
-    return _Scientific()
-
-
-@functools.cache
-def _json_renderer() -> _Shortest:
-    """The long-double JSON value renderer, its tables built on first use."""
-    return _Shortest()
+# The long-double CSV and JSON value renderers, their tables built on first use.
+_csv_renderer = functools.cache(_Scientific)
+_json_renderer = functools.cache(_Shortest)
 
 
 def _render_list(separator: np.ndarray, values: np.ndarray) -> bytes:

@@ -4,12 +4,16 @@ numpy.linalg wraps no tridiagonal driver. eigh (dsyevd) on the densified
 matrix pays an O(n^3) Householder reduction, whose reflectors are all the
 identity here, before the divide and conquer that dstevd runs alone, so
 both give the same eigenpairs bit for bit. numpy's wheels ship
-scipy-openblas with an ILP64 LAPACKE; it is looked up on first use, not at
-import.
+scipy-openblas with an ILP64 LAPACKE, looked up on first use. dstevd's
+merges call threaded gemms, whose sums change with the thread count, so it
+runs on one OpenBLAS thread (openblas_set_num_threads_local, where the
+library has it) and gives the same bits whatever OPENBLAS_NUM_THREADS says.
 """
 
 import ctypes
 import functools
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -19,18 +23,54 @@ __all__ = ["dstevd", "dstevd_symbol"]
 
 
 @functools.cache
-def dstevd_symbol():
-    """scipy_LAPACKE_dstevd64_ of numpy's bundled OpenBLAS, or None without it."""
+def _library() -> tuple:
+    """(scipy_LAPACKE_dstevd64_, openblas_set_num_threads_local) of numpy's
+    bundled OpenBLAS, None for each one it lacks."""
     root = Path(np.__file__).parent
     for path in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
         try:
-            fn = ctypes.CDLL(str(path)).scipy_LAPACKE_dstevd64_
+            lib = ctypes.CDLL(str(path))
+            fn = lib.scipy_LAPACKE_dstevd64_
         except (OSError, AttributeError):
             continue
         fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, *[ctypes.c_void_p] * 3, ctypes.c_int64]
         fn.restype = ctypes.c_int64
-        return fn
-    return None
+        setter = getattr(lib, "openblas_set_num_threads_local", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return fn, setter
+    return None, None
+
+
+def dstevd_symbol():
+    """scipy_LAPACKE_dstevd64_ of numpy's bundled OpenBLAS, or None without it."""
+    return _library()[0]
+
+
+# The setter changes the whole process's thread count and returns the old one,
+# so overlapping calls (a threaded sweep) share one pin: the first sets one
+# thread, the last restores the count the first found.
+_pin_lock = threading.Lock()
+_pin = {"holders": 0, "saved": 0}
+
+
+@contextmanager
+def _one_blas_thread():
+    setter = _library()[1]
+    if setter is None:
+        yield
+        return
+    with _pin_lock:
+        if not _pin["holders"]:
+            _pin["saved"] = setter(1)
+        _pin["holders"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin["holders"] -= 1
+            if not _pin["holders"]:
+                setter(_pin["saved"])
 
 
 def dstevd(d: np.ndarray, e: np.ndarray) -> tuple | None:
@@ -50,7 +90,8 @@ def dstevd(d: np.ndarray, e: np.ndarray) -> tuple | None:
         raise RuntimeError(f"dstevd got diagonal {w.shape} and off-diagonal {scratch.shape}")
     z = np.empty((n, n), order="F")
     # 102 is LAPACK_COL_MAJOR, so z's leading dimension is n (LAPACK wants >= 1).
-    info = fn(102, b"V", n, w.ctypes.data, scratch.ctypes.data, z.ctypes.data, max(1, n))
+    with _one_blas_thread():
+        info = fn(102, b"V", n, w.ctypes.data, scratch.ctypes.data, z.ctypes.data, max(1, n))
     if info > 0:
         raise LinAlgError(f"dstevd did not converge (info = {info})")
     if info < 0:

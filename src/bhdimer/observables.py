@@ -14,16 +14,14 @@ collapses to the Shannon entropy of the basis weights,
 
 bounded by log2(N+1) (uniform weights) and 0 (a single Fock state).
 
-compute_series takes the state basis-major, one column per grid time, in
-the blocks of spectral.evolve_series, and reduces along axis 0: the moments
-are one weights @ p product, the energy cross term multiplies the
-contiguous slabs c[:-1] and c[1:]. The blocks are in the Fock basis, or in
-the parity sector basis a GridPropagator names when its state keeps one
-sector; the basis enters only as data (the Hamiltonian's block, the moment
-and entropy weights), and the sector has about half the rows. Every block
-reduces in leading views of one flat workspace per call (probabilities and
-a float scratch): a run allocates only length-n columns per block. The
-scalar functions reduce a single column the same way.
+compute_series reduces the basis-major blocks of spectral.evolve_series
+along axis 0: the moments are one weights @ p product, the energy cross
+term multiplies the contiguous slabs c[:-1] and c[1:]. The rows are the
+spectral.Basis the GridPropagator carries (Fock, a parity sector's, or a
+window of either), which enters only as data: Basis.reduction's Hamiltonian
+block and moment and entropy weights. Each block reduces in leading views
+of one flat workspace per call, so a run allocates only length-n columns
+per block. The scalar functions reduce a single column the same way.
 """
 
 from __future__ import annotations
@@ -32,19 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    CouplingConfig,
-    TridiagonalHamiltonian,
-    build_hamiltonian,
-    imbalance_diagonal,
-)
-from .spectral import GridPropagator, StateVector, _sector_block
+from .model import CouplingConfig, TridiagonalHamiltonian, build_hamiltonian
+from .spectral import Basis, GridPropagator, StateVector
 
 __all__ = [
-    "ObservableSeries",
-    "compute_series",
-    "entanglement_entropy",
-    "expectation_imbalance",
+    "ObservableSeries", "compute_series", "entanglement_entropy", "expectation_imbalance",
     "variance_imbalance",
 ]
 
@@ -98,13 +88,11 @@ def _block_columns(
 ) -> tuple:
     """Every observable column but t for cr + i ci, one column per time.
 
-    This is the one implementation of the formulas; compute_series and the
-    scalar functions are views of it. The rows of cr + i ci are the basis
-    the trajectory is in, which _basis describes: weights holds the rows
-    (d, d^2, diagonal) of the moments, then any rows whose products add to
-    the entropy in bits, and offdiagonal couples neighbouring rows. p and
-    work are C-contiguous scratch arrays of the block's shape, overwritten
-    here.
+    The one implementation of the formulas, in the basis Basis.reduction
+    describes: weights holds the rows (d, d^2, diagonal) of the moments,
+    then any rows whose products add to the entropy in bits, and offdiagonal
+    couples neighbouring rows. p and work are C-contiguous scratch arrays of
+    the block's shape, overwritten here.
     """
     np.multiply(cr, cr, out=p)
     np.multiply(ci, ci, out=work)
@@ -138,41 +126,23 @@ def _block_columns(
     )
 
 
-def _basis(h: TridiagonalHamiltonian, sector: str | None) -> tuple:
-    """(offdiagonal, weights) of _block_columns for the basis of the blocks.
-
-    sector None is the Fock basis. In a parity sector's basis (spectral's
-    module docstring) h is its sector block, d = N - 2n is odd under the
-    mirror, so <N1 - N2> is exactly 0, and d^2 keeps the sector's rows.
-    Each row i < dim // 2 splits its weight q over two Fock states,
-    -2 (q/2) log2(q/2) = -q log2 q + q: a last row adds those q to the entropy.
-    """
-    d = imbalance_diagonal(h.n_total)
-    if sector is None:
-        return h.offdiagonal, np.stack((d, d**2, h.diagonal))
-    diagonal, offdiagonal = _sector_block(h.diagonal, h.offdiagonal, sector == "even")
-    rows = diagonal.size
-    paired = np.arange(rows) < h.dim // 2
-    return offdiagonal, np.stack((np.zeros(rows), d[:rows] ** 2, diagonal, paired))
-
-
 def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries:
     """Observables along a trajectory delivered as consecutive (cr, ci) blocks.
 
-    blocks is usually spectral.evolve_series over t_grid. Each block holds
-    the real and imaginary coefficient parts of successive grid times, each
-    (rows, n) with one column per grid time; the columns of all blocks
-    together must match t_grid. The rows are the Fock basis (dim of them),
-    or the parity sector basis that a GridPropagator names in its sector.
-    Blocks are reduced as they arrive, so memory holds the output columns
-    and one block.
+    blocks is usually spectral.evolve_series over t_grid: the real and
+    imaginary coefficients of successive grid times, (rows, n) with one
+    column per time, whose columns together match t_grid. The rows are the
+    Basis a GridPropagator carries, or else the whole Fock basis. Memory
+    holds the output columns and one block.
     """
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError("t_grid must be one-dimensional")
     columns = np.empty((len(ObservableSeries.COLUMNS) - 1, t.size))
-    sector = blocks.sector if isinstance(blocks, GridPropagator) else None
-    offdiagonal, weights = _basis(h, sector)
+    basis = blocks.basis if isinstance(blocks, GridPropagator) else Basis(h.dim, np.arange(h.dim))
+    if basis.dim != h.dim:
+        raise ValueError("state dimension does not match Hamiltonian")
+    offdiagonal, weights = basis.reduction(h)
     rows = weights.shape[1]
     p = work = None
     start = 0

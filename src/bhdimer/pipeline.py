@@ -117,6 +117,16 @@ def _summarize(
     t = series.t
 
     envelope = None
+    cr = {
+        "detected": False,
+        "t_cr": None,
+        "t_cr_rescaled": None,
+        "collapse_time": None,
+        "reason": "series_too_short",
+        "window": spec.window,
+        "theta_c": spec.theta_c,
+        "theta_r": spec.theta_r,
+    }
     if len(series) >= 3 * spec.window:
         report = collapse_revival_time(
             t,
@@ -128,29 +138,11 @@ def _summarize(
             n_total=cfg.n_total,
         )
         envelope = report.envelope
-        cr = {
+        # The same keys and two more from the report; detected stays a bool.
+        keys = [*cr, "amplitude_floor", "initial_amplitude"]
+        cr = _json_dict({key: getattr(report, key) for key in keys}) | {
             "detected": report.detected,
-            "t_cr": _json_value(report.t_cr),
-            "t_cr_rescaled": _json_value(report.t_cr_rescaled),
-            "collapse_time": _json_value(report.collapse_time),
-            "reason": report.reason,
-            "window": report.window,
-            "theta_c": report.theta_c,
-            "theta_r": report.theta_r,
-            "amplitude_floor": _json_value(report.amplitude_floor),
-            "initial_amplitude": _json_value(report.initial_amplitude),
             "envelope_points": int(report.envelope.shape[0]),
-        }
-    else:
-        cr = {
-            "detected": False,
-            "t_cr": None,
-            "t_cr_rescaled": None,
-            "collapse_time": None,
-            "reason": "series_too_short",
-            "window": spec.window,
-            "theta_c": spec.theta_c,
-            "theta_r": spec.theta_r,
         }
 
     energy = series.energy
@@ -178,6 +170,9 @@ def _summarize(
             "kept_components": propagator.kept_components,
             "kept_per_parity": propagator.kept_per_parity,
             "dropped_weight": propagator.dropped_weight,
+            "kept_rows": propagator.basis.kept_rows,
+            "dropped_row_weight": propagator.dropped_row_weight,
+            "phase_error_bound": propagator.phase_error_bound,
             "eigensolver": "eigh" if lapack.dstevd_symbol() is None else "dstevd",
             "min_level_gap": np.diff(decomp.eigenvalues).min() if decomp.dim > 1 else None,
         }),
@@ -191,16 +186,12 @@ def run_scenario(
     """Run one scenario; write files when spec.out is set.
 
     `decomposition`, if given, must be eigendecompose of spec.config's
-    Hamiltonian; a sweep shares one per coupling.
-
-    An empty system (N = 0) has no dynamics, so its series collapses to the
-    single row t = 0 with every observable equal to zero.
-
-    The trajectory is propagated and reduced to observables block by block
-    (compute_series over evolve_series), so memory does not grow with the
-    number of steps beyond the output columns. The collapse/revival envelope
-    goes only to the file: the summary is the same with or without spec.out.
-    Raises ValueError when the phases max|lambda| * t_max overflow.
+    Hamiltonian; a sweep shares one per coupling. An empty system (N = 0) has
+    no dynamics: its series is the single row t = 0, every observable zero.
+    compute_series reduces evolve_series block by block, so memory holds the
+    output columns and a few blocks. The collapse/revival envelope goes only
+    to the file: the summary is the same with or without spec.out. Raises
+    ValueError when the phases max|lambda| * t_max overflow.
     """
     cfg = spec.config
     h = build_hamiltonian(cfg)
@@ -217,19 +208,11 @@ def run_scenario(
     return series, summary
 
 
-def _slug(text: str) -> str:
-    return (
-        text.replace("/", "over")
-        .replace("*", "x")
-        .replace("^", "")
-        .replace(":", "-")
-        .replace(",", "-")
-        .replace(" ", "")
-    )
+_SLUG = str.maketrans({"/": "over", "*": "x", "^": "", ":": "-", ",": "-", " ": ""})
 
 
 def _cell_file(ratio_token: str, initial: str, fmt: str) -> str:
-    return f"r{_slug(str(ratio_token))}__{_slug(initial)}.{fmt}"
+    return f"r{str(ratio_token).translate(_SLUG)}__{initial.translate(_SLUG)}.{fmt}"
 
 
 def _coupling(base: ScenarioSpec, ratio_token: str) -> CouplingConfig:
@@ -239,9 +222,8 @@ def _coupling(base: ScenarioSpec, ratio_token: str) -> CouplingConfig:
 
 
 def _sweep_cell(base: ScenarioSpec, ratio_token: str, initial: str, out_dir: Path | None) -> ScenarioSpec:
-    out = None
-    if out_dir is not None:
-        out = Path(out_dir) / _cell_file(ratio_token, initial, base.fmt)
+    name = _cell_file(ratio_token, initial, base.fmt)
+    out = None if out_dir is None else Path(out_dir) / name
     return replace(base, config=_coupling(base, ratio_token), initial=initial, out=out)
 
 

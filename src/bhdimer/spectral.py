@@ -4,53 +4,41 @@ Propagation works in the energy eigenbasis: diagonalize once, then
 
     |psi(t)> = sum_n a_n exp(-i lam_n t) |psi_n>,    a_n = <psi_n|psi(0)>.
 
-`GridPropagator` is the one implementation. It computes the overlaps once and
-drops the eigencomponents of smallest weight |a_n|^2 while their total stays
-within DROPPED_WEIGHT_MAX, which bounds the error of every coefficient by
-sqrt(DROPPED_WEIGHT_MAX) = 1e-14 (each row of V has unit norm). The dropped
-set includes the exact zeros of a parity sector the initial state does not
-touch. Grids whose phases max|lam| * t_max overflow are refused.
+`GridPropagator` is the one implementation, bound by `evolve_series` to the
+grid np.linspace(0, t_max, steps); `evolve` is column 1 of the grid [0, t].
+It drops the eigencomponents of smallest weight |a_n|^2 while their total
+stays within DROPPED_WEIGHT_MAX, which moves each coefficient by at most
+sqrt(DROPPED_WEIGHT_MAX) = 1e-14 (the rows of V have unit norm). Its blocks
+of block_rows(dim, steps) grid times are each one matmul of the kept
+eigenvector rows with the real and imaginary phases (2, kept, n): a table
+exp(-i lam k dt), k < rows, times a_n exp(-i lam_n t_s) at the block start
+t_s. The width depends on dim and steps alone, so every basis gets the same
+phases. The work runs in BLAS and numpy ufuncs, which release the GIL.
 
-`evolve_series` binds it to the uniform grid t_j = j*dt of
-np.linspace(0, t_max, steps), which every scenario runs on, and `evolve` is
-column 1 of the grid [0, t]. Iterating it yields blocks of
-block_rows(dim, steps) times: the phases of a block are one table
-exp(-i lam k dt), k < rows, built once and multiplied by
-a_n exp(-i lam_n t_s) at the block start t_s. A block is basis-major, one
-column per time: one matmul of the kept eigenvectors V (dim, kept) with the
-stacked real and imaginary phases (2, kept, n). At zero bias the kept
-components come even sector first and, with m = dim // 2, the product
-halves: E = V_even[:dim-m] x_even fills the top dim - m rows, O =
-V_odd[:m] x_odd goes to a buffer, and the mirrored bottom m rows become
-E[:m] - O, the top ones E[:m] + O (odd vectors vanish on the centre row of
-odd dim). A state that keeps one sector only (cat, me and other mirror
-images of themselves) skips the mirror: its blocks stay in that sector's
-orthonormal basis (e_i +- e_{dim-1-i})/sqrt2, i < m, plus e_m in the even
-sector of odd dim, whose rows are sqrt2 V[:m] and V[m]. They have dim - m
-(even) or m (odd) rows, GridPropagator.sector names the sector, and
-observables.compute_series reduces them there. A block holds about
-BLOCK_ELEMENTS values per float array (half that in a sector), so the
-elementwise passes stay in cache, and at least 64 times, so the product
-keeps a wide matrix at large dim. Its width depends on dim alone, so both
-bases get the same phases. Memory stays at a few blocks for any grid
-length; the time goes to BLAS and numpy ufuncs, which release the GIL.
+The rows of the blocks are a `Basis`, which observables.compute_series
+reduces in. With m = dim // 2 it is
+- the Fock basis on the whole matrix's path;
+- at zero bias, for a state that keeps one parity sector only (cat, me),
+  that sector's basis (e_i +- e_{dim-1-i})/sqrt2, i < m, plus e_m in the
+  even sector of odd dim, whose rows are sqrt2 V[:m] and V[m];
+- at zero bias with both sectors, the Fock basis with the product split:
+  the kept components come even sector first, E = V_even[:dim-m] x_even
+  fills the top rows and O = V_odd[:m] x_odd a buffer, then the mirrored
+  bottom m rows become E[:m] - O and the top ones E[:m] + O.
+b_i = sum_kept |a_n| |V_in| bounds |c_i(t)| at every t (b^E_i + b^O_i for
+both rows of a split pair). The blocks keep the fewest rows [lo, hi) whose
+dropped edge rows have b_i^2 totalling at most DROPPED_WEIGHT_MAX, counted
+per Fock row (a split window keeps the mirror images of its top rows), so a
+self-trapped state multiplies and reduces a few rows.
 
-The eigenpairs come from LAPACK's tridiagonal driver dstevd in numpy's
-OpenBLAS (bhdimer.lapack), or from numpy.linalg.eigh on the densified
-matrix where that library lacks it; both give the same bits. Before that, the
-off-diagonal is mapped to -|e| by a diagonal +-1 similarity. The solver then
-sees bit-identical input for either sign of the tunneling coupling, so the
-equivalence "flip e_j and c_n -> (-1)^n c_n" holds exactly in floating
-point, not merely to round-off.
-
-A mirror-symmetric matrix (palindromic diagonal and off-diagonal, as the
-dimer produces at zero bias) commutes with index reversal. It is
-diagonalized as two half-size tridiagonal blocks, one per parity sector, so
-every eigenvector is exactly even or odd under index reversal and
-trajectories from interchanged modes mirror each other down to summation
-round-off rather than eigenvector accuracy. SpectralDecomposition.even
-labels those columns, so GridPropagator can split its product by sector.
-Any other matrix is diagonalized whole, with no labels.
+The eigenpairs come from LAPACK's dstevd in numpy's OpenBLAS
+(bhdimer.lapack), or from numpy.linalg.eigh on the densified matrix where
+that library lacks it; both give the same bits. A diagonal +-1 similarity
+first maps the off-diagonal to -|e|, so "flip e_j and c_n -> (-1)^n c_n"
+holds exactly. A mirror-symmetric matrix (the dimer at zero bias) is
+diagonalized as two half-size blocks, one per parity sector, so every
+eigenvector is exactly even or odd (SpectralDecomposition.even) and
+interchanged modes mirror each other down to summation round-off.
 """
 
 from __future__ import annotations
@@ -62,17 +50,11 @@ import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
 from . import lapack
+from .model import imbalance_diagonal
 
 __all__ = [
-    "BLOCK_ELEMENTS",
-    "ConvergenceError",
-    "DROPPED_WEIGHT_MAX",
-    "GridPropagator",
-    "SpectralDecomposition",
-    "StateVector",
-    "block_rows",
-    "eigendecompose",
-    "evolve",
+    "BLOCK_ELEMENTS", "Basis", "ConvergenceError", "DROPPED_WEIGHT_MAX", "GridPropagator",
+    "SpectralDecomposition", "StateVector", "block_rows", "eigendecompose", "evolve",
     "evolve_series",
 ]
 
@@ -81,7 +63,7 @@ _SQRT_HALF = math.sqrt(0.5)
 # Largest total weight sum |a_n|^2 that GridPropagator may drop.
 DROPPED_WEIGHT_MAX = 1e-28
 # Grid times per block: rows * dim stays near 2^16 doubles (512 KiB) per
-# array, unless block_rows' floor of 64 rows applies.
+# array, in cache, unless block_rows' floor of 64 rows (a wide gemm) applies.
 BLOCK_ELEMENTS = 2**16
 
 
@@ -162,40 +144,27 @@ def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
 
 def _sector_block(d: np.ndarray, e: np.ndarray, even: bool) -> tuple:
     """Diagonal and off-diagonal of a mirror-symmetric tridiagonal matrix in
-    the basis of one parity sector.
+    the basis of one parity sector: n - m rows (even) or m rows (odd).
 
-    With m = n // 2, that basis is (e_i +- e_{n-1-i})/sqrt2 for i < m, plus
-    the centre vector e_m in the even sector of odd n: n - m rows (even) or
-    m rows (odd). Only the entries at the centre differ from the top-left
-    corner of the matrix. For even n the centre pair is coupled by e_{m-1},
-    which lands on the last diagonal entry as +-e_{m-1}. For odd n the
-    coupling of e_m to the even combination next to it is sqrt2 e_{m-1}.
+    Only the centre differs from the matrix's top-left corner: at even n the
+    centre pair's coupling e_{m-1} lands on the last diagonal entry as
+    +-e_{m-1}; at odd n e_m couples to its even neighbour by sqrt2 e_{m-1}.
     """
-    n = d.size
-    m = n // 2
+    n, m = d.size, d.size // 2
     rows = n - m if even else m
-    d_s = d[:rows].copy()
-    e_s = e[: rows - 1].copy()
-    if n % 2:
-        if even:
-            e_s[m - 1] *= math.sqrt(2.0)
-    elif even:
-        d_s[m - 1] += e[m - 1]
-    else:
-        d_s[m - 1] -= e[m - 1]
+    d_s, e_s = d[:rows].copy(), e[: rows - 1].copy()
+    if n % 2 and even:
+        e_s[m - 1] *= math.sqrt(2.0)
+    elif not n % 2:
+        d_s[m - 1] += e[m - 1] if even else -e[m - 1]
     return d_s, e_s
 
 
 def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
     """Eigenpairs of a mirror-symmetric tridiagonal matrix, ascending, and a
-    mask of the even columns.
-
-    The two _sector_block blocks are solved on their own. Each block
-    eigenvector maps back by copying (or negating) its entries into the
-    mirrored half, so every column is exactly palindromic or antipalindromic.
-    """
-    n = d.size
-    m = n // 2
+    mask of the even columns. Each _sector_block eigenvector maps back by
+    copying (or negating) its entries into the mirrored half."""
+    n, m = d.size, d.size // 2
     n_even = n - m
     lam_even, y = _tridiagonal_eigh(*_sector_block(d, e, True))
     lam_odd, z = _tridiagonal_eigh(*_sector_block(d, e, False))
@@ -221,13 +190,10 @@ def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
 def eigendecompose(h) -> SpectralDecomposition:
     """Full eigendecomposition of a TridiagonalHamiltonian.
 
-    Eigenvalues come back ascending (ties in the order even block, odd
-    block). The sign of each eigenvector is fixed by making its entry of
-    largest magnitude (lowest index on ties) positive, so repeated runs are
-    reproducible bit for bit.
-
-    Raises ConvergenceError if LAPACK fails to converge (does not happen for
-    finite input in practice).
+    Eigenvalues come back ascending (ties: even block first). Each
+    eigenvector's entry of largest magnitude (lowest index on ties) is
+    positive, so reruns give the same bits. Raises ConvergenceError if LAPACK
+    fails to converge (not seen for finite input).
     """
     d = np.asarray(h.diagonal, dtype=np.float64)
     e0 = np.asarray(h.offdiagonal, dtype=np.float64)
@@ -258,69 +224,106 @@ def eigendecompose(h) -> SpectralDecomposition:
 def evolve(decomp: SpectralDecomposition, initial: StateVector, t: float) -> StateVector:
     """State at time t from a normalized initial state.
 
-    Column 1 of evolve_series over the grid [0, t], whose phases are the
-    direct exp(-i lam t). Eigencomponents of total weight <=
-    DROPPED_WEIGHT_MAX are dropped, so each coefficient is within 1e-14 of
-    the exact sum plus round-off; the norm matches the input norm to ~1e-12
-    for dimensions in the thousands. Raises ValueError when t or
-    max|lambda| * |t| is not finite.
+    Column 1 of evolve_series over the grid [0, t], unfolded to the Fock
+    basis: each coefficient is within 2e-14 of the exact sum plus round-off.
+    Raises ValueError when t or max|lambda| * |t| is not finite.
     """
     propagator = evolve_series(decomp, initial, [0.0, t])
     ((cr, ci),) = propagator
-    c = np.zeros(decomp.dim, dtype=complex)
-    c[: cr.shape[0]] = cr[:, 1] + 1j * ci[:, 1]
-    if propagator.sector is not None:
-        # From the sector basis: c_i = +-c_{dim-1-i} = y_i / sqrt2 for i < m.
-        m = decomp.dim // 2
-        c[:m] *= _SQRT_HALF
-        c[decomp.dim - m :] = c[m - 1 :: -1] * (1.0 if propagator.sector == "even" else -1.0)
-    return StateVector(c)
+    return propagator.basis.unfold(cr[:, 1] + 1j * ci[:, 1])
 
 
 def evolve_series(decomp: SpectralDecomposition, initial: StateVector, t_grid) -> GridPropagator:
-    """The trajectory of a normalized initial state over a uniform grid.
-
-    t_grid must be np.linspace(0.0, t_max, steps) for a finite t_max (any
-    other grid is a ValueError); an empty grid yields no block. The result
-    is a GridPropagator: iterate it for (cr, ci) blocks, or pass it to
-    observables.compute_series.
-    """
+    """The GridPropagator of a normalized initial state over t_grid, which
+    must be np.linspace(0.0, t_max, steps); an empty grid yields no block."""
     return GridPropagator(decomp, initial, t_grid)
 
 
 def block_rows(dim: int, steps: int) -> int:
-    """Grid times per block of a GridPropagator for a dim-sized state.
-
-    BLOCK_ELEMENTS // dim, but at least 64, so that each gemm keeps 64
-    columns at large dim; never more than steps (one block for a short grid)
-    and never less than 1.
-    """
+    """Grid times per block of a GridPropagator for a dim-sized state:
+    BLOCK_ELEMENTS // dim, but at least 64 and at most steps (and >= 1)."""
     return max(1, min(steps, max(64, BLOCK_ELEMENTS // dim)))
+
+
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """The rows of a GridPropagator's blocks: dim = N + 1, and the ascending
+    index of each row in the Fock basis (sector None) or in the basis of the
+    parity sector "even" or "odd" (see the module docstring)."""
+
+    dim: int
+    rows: np.ndarray
+    sector: str | None = None
+
+    @property
+    def paired(self) -> np.ndarray:
+        """True for the sector rows (e_i +- e_{dim-1-i})/sqrt2."""
+        return self.rows < (self.dim // 2 if self.sector else 0)
+
+    @property
+    def kept_rows(self) -> int:
+        """Fock rows the blocks stand for; dim when no row was dropped."""
+        return int(self.rows.size + self.paired.sum())
+
+    def reduction(self, h) -> tuple:
+        """(offdiagonal, weights) of observables._block_columns in this basis.
+
+        offdiagonal couples consecutive rows: h's coupling where they are
+        neighbours in h (or its sector block), 0 where a split window's
+        halves meet. weights are the rows (d, d^2, diagonal) of the moments,
+        d = N - 2n. In a sector d is odd, so its row is 0, and a paired row
+        splits its weight q over two Fock states, -2 (q/2) log2(q/2) =
+        -q log2 q + q: a last row adds those q to the entropy.
+        """
+        r, d = self.rows, imbalance_diagonal(h.n_total)
+        diagonal, offdiagonal = h.diagonal, h.offdiagonal
+        if self.sector:
+            diagonal, offdiagonal = _sector_block(diagonal, offdiagonal, self.sector == "even")
+        coupling = np.where(r[1:] == r[:-1] + 1, offdiagonal[r[:-1]], 0.0)
+        if self.sector is None:
+            return coupling, np.stack((d[r], d[r] ** 2, diagonal[r]))
+        return coupling, np.stack((np.zeros(r.size), d[r] ** 2, diagonal[r], self.paired))
+
+    def unfold(self, column: np.ndarray) -> StateVector:
+        """The Fock-basis state of one block column; dropped rows are 0."""
+        c, top = np.zeros(self.dim, dtype=complex), self.rows[self.paired]
+        c[self.rows] = column * np.where(self.paired, _SQRT_HALF, 1.0)
+        c[self.dim - 1 - top] = c[top] * (-1.0 if self.sector == "odd" else 1.0)
+        return StateVector(c)
+
+
+def _window(weight: np.ndarray) -> tuple:
+    """(lo, hi, dropped): the fewest rows [lo, hi) whose dropped edge rows
+    weigh dropped <= DROPPED_WEIGHT_MAX in total; at least one row stays."""
+    size = weight.size
+    head = np.concatenate(([0.0], np.cumsum(weight)))  # weight of the rows < i
+    tail = np.concatenate((np.cumsum(weight[::-1])[::-1], [0.0]))  # rows >= i
+    lo = np.arange(min(size, int(np.searchsorted(head, DROPPED_WEIGHT_MAX, side="right"))))
+    # The first hi whose tail fits next to head[lo]: -tail ascends.
+    hi = np.maximum(np.searchsorted(-tail, head[lo] - DROPPED_WEIGHT_MAX), lo + 1)
+    dropped = head[lo] + tail[hi]
+    best = int(np.argmax(np.where(dropped <= DROPPED_WEIGHT_MAX, lo - hi, -size - 1)))
+    return int(lo[best]), int(hi[best]), float(dropped[best])
 
 
 class GridPropagator:
     """One initial state propagated over the uniform grid t_j = j*dt.
 
-    Iterating yields (cr, ci) for successive blocks of the grid: the real
-    and imaginary coefficients, (rows, n) with one column per grid time. The
-    rows are the Fock basis, dim of them, unless sector is set. They are
-    views of buffers the next block overwrites, so consume each block first.
-    Every iteration starts again at t = 0.
+    Iterating yields (cr, ci) blocks from t = 0: the real and imaginary
+    coefficients in basis, (rows, n) with one column per grid time, as views
+    of buffers the next block overwrites.
 
-    kept_components  eigencomponents the propagation keeps
-    kept_per_parity  [even, odd] counts of them; None without parity labels
-    sector           "even" or "odd" when every kept component lies in that
-                     parity sector, whose basis (see the module docstring)
-                     the rows are then in; None for the Fock basis
-    dropped_weight   sum of |a_n|^2 over the dropped ones, <= DROPPED_WEIGHT_MAX
+    basis               the Basis of the block rows
+    kept_components     eigencomponents the propagation keeps
+    kept_per_parity     [even, odd] counts of them; None without parity labels
+    dropped_weight      sum of |a_n|^2 over the dropped ones
+    dropped_row_weight  sum of b_i^2 over the Fock rows outside the window
+    phase_error_bound   eps * max|lambda_kept| * t_max, the round-off of the
+                        largest phase, which sets the error at large couplings
 
-    They depend only on the decomposition and the initial state, so they are
-    deterministic. The coefficients differ from the exact sum over all
-    eigencomponents by at most sqrt(dropped_weight) plus round-off.
-
-    Raises ValueError unless t_grid is np.linspace(0.0, t_max, steps) for a
-    finite t_max, and when max|lambda| * t_max is not finite: the phases
-    would be NaN.
+    All are deterministic. Both dropped weights are <= DROPPED_WEIGHT_MAX, so
+    each coefficient is within 2e-14 of the exact sum plus round-off. Raises
+    ValueError for another grid or when max|lambda| * t_max is not finite.
     """
 
     def __init__(self, decomp: SpectralDecomposition, initial: StateVector, t_grid):
@@ -346,32 +349,39 @@ class GridPropagator:
         keep = np.sort(order[n_drop:])
         self.kept_components = int(keep.size)
         self.dropped_weight = float(dropped[n_drop - 1]) if n_drop else 0.0
-        # _height: rows of a block, dim or the size of the sector.
-        self._dim = self._height = rows = decomp.dim
-        columns, paired = keep, 0
-        self.kept_per_parity = self.sector = self._v_odd = None
+
+        # The product multiplies the top `top` rows of v[:, columns]; a split
+        # one adds v_odd, the odd components' top m (= pairs) rows.
+        dim = decomp.dim
+        m, top, columns, sector, v_odd, pairs = dim // 2, dim, keep, None, None, 0
+        self.kept_per_parity = None
         if decomp.even is not None:
             even = decomp.even[keep]
             keep = np.concatenate((keep[even], keep[~even]))
-            n_even, m = int(even.sum()), decomp.dim // 2
+            n_even = int(even.sum())
             self.kept_per_parity = [n_even, keep.size - n_even]
+            top = dim - m if n_even else m
             if n_even in (0, keep.size):
-                # One sector, in its own basis: _v holds sqrt2 V[:m] plus the
-                # centre row V[m] of the even sector at odd dim.
-                self.sector = "even" if n_even else "odd"
-                self._height = rows = decomp.dim - m if n_even else m
-                columns, paired = keep, m
+                sector = "even" if n_even else "odd"
             else:
-                # Even components first: _v holds their top dim - m rows, _v_odd
-                # the odd ones' top m rows.
-                self._v_odd = np.ascontiguousarray(v[:m, keep[n_even:]])
-                rows, columns = decomp.dim - m, keep[:n_even]
-        self._v = np.ascontiguousarray(v[:rows, columns])
-        self._v[:paired] *= math.sqrt(2.0)
+                columns, pairs = keep[:n_even], m
+                v_odd = np.ascontiguousarray(v[:m, keep[n_even:]])
+        v_top = np.ascontiguousarray(v[:top, columns])
+        if sector:
+            v_top[:m] *= math.sqrt(2.0)
+        bound = np.abs(v_top) @ np.abs(a[columns])
+        if pairs:
+            bound[:m] += np.abs(v_odd) @ np.abs(a[keep[columns.size :]])
+        weight = bound**2
+        weight[:pairs] *= 2.0  # a split pair is two Fock rows
+        lo, hi, self.dropped_row_weight = _window(weight)
+        self._v, self._v_odd = v_top[lo:hi], v_odd if v_odd is None else v_odd[lo : min(hi, m)]
+        mirror = np.arange(dim - min(hi, m), dim - lo) if pairs else np.arange(0)
+        self.basis = Basis(dim, np.concatenate((np.arange(lo, hi), mirror)), sector)
         self._lam = decomp.eigenvalues[keep]
         self._a = a[keep]
 
-        self._steps = t.size
+        self._dim, self._steps = dim, t.size
         t_max = float(t[-1]) if t.size else 0.0
         # np.linspace's own step: its t_j is j * dt except the last, which is t_max.
         self._dt = t_max / (t.size - 1) if t.size > 1 else 0.0
@@ -381,27 +391,30 @@ class GridPropagator:
                 "phases overflow: max|lambda| * t_max is not finite "
                 f"(max|lambda| = {lam_max:.3g}, t_max = {t_max:.3g})"
             )
+        self.phase_error_bound = float(np.finfo(float).eps * lam_max * t_max)
 
     def _product(self, x: np.ndarray, out: np.ndarray, odd: np.ndarray) -> np.ndarray:
-        """out (2, dim, n) = V x (2, kept, n); odd is (2, dim // 2, n) scratch."""
+        """out (2, rows, n) = V x (2, kept, n); odd is (2, pairs, n) scratch."""
         if self._v_odd is None:
             return np.matmul(self._v, x, out=out)
-        m, n_even, dim = self._v_odd.shape[0], self._v.shape[1], self._dim
-        np.matmul(self._v, x[:, :n_even], out=out[:, : dim - m])
+        (top, n_even), pairs = self._v.shape, self._v_odd.shape[0]
+        np.matmul(self._v, x[:, :n_even], out=out[:, :top])
         np.matmul(self._v_odd, x[:, n_even:], out=odd)
-        np.subtract(out[:, :m], odd, out=out[:, : dim - m - 1 : -1])
-        out[:, :m] += odd
+        # The mirror rows follow the top ones in ascending Fock order.
+        np.subtract(out[:, :pairs], odd, out=out[:, top + pairs - 1 : top - 1 : -1])
+        out[:, :pairs] += odd
         return out
 
     def __iter__(self):
-        lam, dim, height, kept = self._lam, self._dim, self._height, self._lam.size
-        dt, steps = self._dt, self._steps
+        lam, dim, kept = self._lam, self._dim, self._lam.size
+        dt, steps, height = self._dt, self._steps, self.basis.rows.size
+        pairs = 0 if self._v_odd is None else self._v_odd.shape[0]
         # Block widths of dim whatever the basis: the same phases in each.
         rows = block_rows(dim, steps)
         table = np.exp(np.multiply.outer(lam, np.arange(rows) * dt) * -1j)
         # Flat workspaces: a partial last block takes contiguous leading views.
         z = np.empty(kept * rows, dtype=complex)
-        x, out, odd = (np.empty(size * rows) for size in (2 * kept, 2 * height, 2 * (dim // 2)))
+        x, out, odd = (np.empty(size * rows) for size in (2 * kept, 2 * height, 2 * pairs))
 
         def lead(buf, *shape):
             return buf[: math.prod(shape)].reshape(shape)
@@ -412,5 +425,5 @@ class GridPropagator:
             zn = np.multiply(table[:, :n], phase[:, None], out=lead(z, kept, n))
             xn = lead(x, 2, kept, n)
             xn[0], xn[1] = zn.real, zn.imag
-            c = self._product(xn, lead(out, 2, height, n), lead(odd, 2, dim // 2, n))
+            c = self._product(xn, lead(out, 2, height, n), lead(odd, 2, pairs, n))
             yield c[0], c[1]

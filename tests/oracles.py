@@ -3,8 +3,11 @@
 These deliberately avoid the library's propagation path: the propagator
 oracle exponentiates the dense Hamiltonian by scaling and squaring, the
 spectral reference sums every eigencomponent at each time with its own
-phases, and the moment oracles are direct sums over the basis.
+phases, the moment oracles are direct sums over the basis, and the Rabi
+limit has a closed form.
 """
+
+import math
 
 import numpy as np
 
@@ -71,3 +74,32 @@ def uniform_state_variance_exact(n_total: int) -> float:
     """sum_n (N-2n)^2 / (N+1) as an exact integer ratio."""
     total = sum((n_total - 2 * i) ** 2 for i in range(n_total + 1))
     return total / (n_total + 1)
+
+
+def rabi_limit_series(n_total: int, e_j: float, dmu: float, t) -> tuple:
+    """(imbalance, variance, entanglement bits) of |N,0> at k = 0, in closed form.
+
+    There H = -dmu J_z - e_j J_x rotates a spin N/2, so |N,0> stays a spin
+    coherent state: s_z(t) = u^2 + (1 - u^2) cos(Omega t) with
+    Omega = sqrt(e_j^2 + dmu^2) and u = dmu / Omega. Then <N1 - N2> = N s_z,
+    the variance is N (1 - s_z^2), and the Fock weights are
+    Binomial(N, (1 - s_z) / 2), whose Shannon entropy is the entanglement.
+    """
+    n = n_total
+    omega = math.hypot(e_j, dmu)
+    u = dmu / omega
+    s = u * u + (1.0 - u * u) * np.cos(omega * np.asarray(t, dtype=np.float64))
+    q = (1.0 - s) / 2.0
+    k = np.arange(n + 1.0)[:, None]
+    log_binom = np.array(
+        [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) for j in range(n + 1)]
+    )[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = (
+            log_binom
+            + np.where(k > 0, k * np.log(q), 0.0)
+            + np.where(k < n, (n - k) * np.log1p(-q), 0.0)
+        )
+        p = np.exp(log_p)
+        bits = -np.where(p > 0.0, p * log_p, 0.0).sum(axis=0) / math.log(2.0)
+    return n * s, n * (1.0 - s * s), bits

@@ -5,7 +5,8 @@ public function named in its LAYER_OF in each bhdimer module that binds it,
 refusing with LookupError a name bound to no function or to two objects.
 Its propagation and observables layers are the evolve_series and
 compute_series spans, so every run must call both, with the grid as the
-third and second positional argument. The harness is read with ast:
+third and second positional argument, whether or not the state keeps a
+window of its rows. The harness is read with ast:
 importing it would start its host-speed gauge.
 """
 
@@ -60,11 +61,14 @@ def test_each_run_traces_one_propagation_and_one_full_grid_reduction(monkeypatch
     tracer = tracing.Tracer()
     with tracer.installed("bhdimer", hooks):
         pipeline.run_scenario(base)
-        summary = pipeline.sweep(base, ["1", "0.25"], ["fock:20,0"], jobs=2)
-    assert [cell["status"] for cell in summary["cells"]] == ["ok", "ok"]
+        # At ratio N the state keeps a window of its rows.
+        summary = pipeline.sweep(base, ["1", "0.25", "N"], ["fock:20,0"], jobs=2)
+    assert [cell["status"] for cell in summary["cells"]] == ["ok", "ok", "ok"]
+    kept = [cell["summary"]["diagnostics"]["kept_rows"] for cell in summary["cells"]]
+    assert kept[:2] == [21, 21] and kept[2] < 21
 
     runs = [s for s in tracer.spans if s.name == "run_scenario"]
-    assert len(runs) == 3
+    assert len(runs) == 4
     for run in runs:
         children = [s for s in tracer.spans if s.parent == run.id]
         propagations = [s.counts for s in children if s.name == "evolve_series"]

@@ -5,7 +5,9 @@ compares it with the plain-numpy spectral reference of tests/oracles.py:
 every eigencomponent kept, direct phases exp(-i lam t_j) against the block
 phase table exp(-i lam k dt) exp(-i lam t_s), and one complex product per
 grid against the split real gemms per block. The truncation is checked
-against the dense scaling-and-squaring oracle of tests/oracles.py.
+against the dense scaling-and-squaring oracle of tests/oracles.py, and the
+row window of localized states against the spectral reference and, at large
+N, against the closed-form Rabi limit.
 """
 
 import tracemalloc
@@ -27,7 +29,7 @@ from bhdimer.spectral import (
 )
 from bhdimer.states import parse_state
 
-from oracles import brute_force_moments, propagate_dense, spectral_reference
+from oracles import brute_force_moments, propagate_dense, rabi_limit_series, spectral_reference
 
 
 def spec(n, initial, k=1.0, e_j=7.0, dmu=0.0, t_max=20.0, steps=1500):
@@ -59,22 +61,34 @@ def reference_series(s: ScenarioSpec):
 
 
 # At N = 61 the +-1 similarity swaps the even and odd labels between the
-# two signs, so the split product pairs its halves the other way round.
-@pytest.mark.parametrize("n,initial", [(60, "fock:45,15"), (61, "fock:46,15")])
-def test_tunneling_sign_flip_is_bitwise(n, initial):
+# two signs, so the split product pairs its halves the other way round. At
+# k = 7 N (ratio N) both states keep a window of rows.
+@pytest.mark.parametrize(
+    "n,initial,k",
+    [
+        pytest.param(60, "fock:45,15", 1.0, id="60-fock:45,15"),
+        pytest.param(61, "fock:46,15", 1.0, id="61-fock:46,15"),
+        pytest.param(60, "fock:60,0", 420.0, id="60-fock:60,0-window"),
+        pytest.param(61, "cat", 427.0, id="61-cat-window"),
+    ],
+)
+def test_tunneling_sign_flip_is_bitwise(n, initial, k):
     steps = full_rows(n + 1) + 703  # two blocks, the second partial
-    a, _ = run_scenario(spec(n, initial, e_j=7.0, steps=steps))
-    b, _ = run_scenario(spec(n, initial, e_j=-7.0, steps=steps))
+    a, diag = run_scenario(spec(n, initial, k=k, e_j=7.0, steps=steps))
+    b, _ = run_scenario(spec(n, initial, k=k, e_j=-7.0, steps=steps))
+    assert (diag["diagnostics"]["kept_rows"] < n + 1) == (k > 1.0)
     for name, col in columns(a).items():
         assert np.array_equal(col, getattr(b, name)), name
 
 
 def test_mirror_symmetry_at_zero_bias():
-    a, _ = run_scenario(spec(60, "fock:45,15"))
-    b, _ = run_scenario(spec(60, "fock:15,45"))
-    assert np.abs(a.imbalance + b.imbalance).max() <= 1e-9
-    assert np.abs(a.variance - b.variance).max() <= 1e-9
-    assert np.abs(a.entanglement_bits - b.entanglement_bits).max() <= 1e-9
+    # At k = 7 N (ratio N) fock:60,0 and fock:0,60 keep a window of rows.
+    for initial, mirror, k in (("fock:45,15", "fock:15,45", 1.0), ("fock:60,0", "fock:0,60", 420.0)):
+        a, _ = run_scenario(spec(60, initial, k=k))
+        b, _ = run_scenario(spec(60, mirror, k=k))
+        assert np.abs(a.imbalance + b.imbalance).max() <= 1e-9
+        assert np.abs(a.variance - b.variance).max() <= 1e-9
+        assert np.abs(a.entanglement_bits - b.entanglement_bits).max() <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -103,6 +117,7 @@ def test_matches_reference_path(n, initial, dmu, steps):
         assert split is None
     else:
         assert np.count_nonzero(split) == (1 if initial in ("cat", "me") else 2)
+    assert summary["diagnostics"]["kept_rows"] == n + 1  # Rabi side: no window
     want = reference_series(s)
     assert np.array_equal(got.t, want.t)
     for name, col in columns(got).items():
@@ -110,6 +125,62 @@ def test_matches_reference_path(n, initial, dmu, steps):
         # round-off of order eps * max|lambda| * t_max.
         ref = getattr(want, name)
         assert np.abs(col - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
+
+
+# Ratio k/e_j = N, self-trapped: each state keeps a window of rows. The split
+# product keeps the top rows of a window and their mirror images, which for
+# fock:74,26 are two runs around rows 26 and 74; cat keeps a window of its
+# sector; with bias the whole matrix's window is one run.
+@pytest.mark.parametrize(
+    "initial,dmu,parity",
+    [("fock:100,0", 0.0, [5, 5]), ("fock:74,26", 0.0, [11, 11]), ("cat", 0.0, [5, 0]),
+     ("fock:100,0", 0.3, None)],
+)
+def test_windowed_states_match_reference(initial, dmu, parity):
+    s = spec(100, initial, k=100.0, e_j=1.0, dmu=dmu, t_max=2.0, steps=2 * full_rows(101) + 17)
+    got, summary = run_scenario(s)
+    diag = summary["diagnostics"]
+    assert diag["kept_per_parity"] == parity
+    assert diag["kept_rows"] < 40
+    assert 0.0 < diag["dropped_row_weight"] <= DROPPED_WEIGHT_MAX
+    want = reference_series(s)
+    for name, col in columns(got).items():
+        ref = getattr(want, name)
+        assert np.abs(col - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
+
+
+def test_split_window_keeps_mirror_images():
+    h = build_hamiltonian(CouplingConfig(100, k=100.0, e_j=1.0))
+    decomp, t = eigendecompose(h), np.linspace(0.0, 1.0, 50)
+    basis = evolve_series(decomp, parse_state("fock:74,26", 100), t).basis
+    top = basis.rows[basis.rows < 50]
+    assert basis.sector is None and 26 in top and top.max() < 49
+    assert np.array_equal(basis.rows[top.size :], 100 - top[::-1])
+    # The two runs do not touch, so the coupling between them is dropped.
+    offdiagonal, _ = basis.reduction(h)
+    assert offdiagonal[top.size - 1] == 0.0
+    assert np.count_nonzero(offdiagonal) == basis.rows.size - 2
+
+
+# k = 0: the closed-form Rabi limit. dmu = 20 holds |N,0> near its start,
+# so the whole matrix keeps a window (about 36 of 1001 and 63 of 4001 rows);
+# at dmu = 0 the split product keeps every row. The tolerances scale with
+# the phase round-off the propagator reports.
+@pytest.mark.parametrize(
+    "n,dmu,t_max,windowed", [(1000, 20.0, 3.0, True), (4000, 20.0, 3.0, True), (1000, 0.0, 30.0, False)]
+)
+def test_rabi_limit_matches_closed_form(n, dmu, t_max, windowed):
+    h = build_hamiltonian(CouplingConfig(n, k=0.0, delta_mu=dmu, e_j=1.0))
+    t = np.linspace(0.0, t_max, 301)
+    propagator = evolve_series(eigendecompose(h), parse_state(f"fock:{n},0", n), t)
+    assert (propagator.basis.kept_rows < n // 10) == windowed
+    assert windowed or propagator.basis.kept_rows == n + 1
+    got = compute_series(propagator, t, h)
+    imbalance, variance, bits = rabi_limit_series(n, 1.0, dmu, t)
+    bound = 10.0 * propagator.phase_error_bound
+    assert np.abs(got.imbalance - imbalance).max() <= n * bound
+    assert np.abs(got.variance - variance).max() <= n * bound
+    assert np.abs(got.entanglement_bits - bits).max() <= bound
 
 
 def _odd_cat(n):
@@ -135,7 +206,7 @@ def test_single_sector_basis_matches_reference(n, initial, e_j_sign):
     t = np.linspace(0.0, 20.0, 2 * full_rows(n + 1) + 17)  # ends in a partial block
     propagator = evolve_series(decomp, psi, t)
     sector = "odd" if initial == "odd-cat" else "even"
-    assert propagator.sector == sector
+    assert propagator.basis.sector == sector
     assert propagator.kept_per_parity[sector == "even"] == 0
     got = compute_series(propagator, t, h)
     c = spectral_reference(decomp, psi.coefficients, t)
@@ -157,14 +228,14 @@ def test_only_single_sector_states_take_the_sector_basis():
     h = build_hamiltonian(CouplingConfig(200, k=1.0, e_j=100.0))
     decomp = eigendecompose(h)
     cat = evolve_series(decomp, parse_state("cat", 200), t)
-    assert cat.kept_per_parity[1] == 0 and cat.sector == "even"
+    assert cat.kept_per_parity[1] == 0 and cat.basis.sector == "even"
     assert [cr.shape for cr, _ in cat] == [(101, 50)]
     fock = evolve_series(decomp, parse_state("fock:200,0", 200), t)
-    assert min(fock.kept_per_parity) > 0 and fock.sector is None
+    assert min(fock.kept_per_parity) > 0 and fock.basis.sector is None
     assert [cr.shape for cr, _ in fock] == [(201, 50)]
     biased = build_hamiltonian(CouplingConfig(200, k=1.0, delta_mu=0.1, e_j=100.0))
     cat = evolve_series(eigendecompose(biased), parse_state("cat", 200), t)
-    assert cat.kept_per_parity is None and cat.sector is None
+    assert cat.kept_per_parity is None and cat.basis.sector is None
     assert [cr.shape for cr, _ in cat] == [(201, 50)]
 
 

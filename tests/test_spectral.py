@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +190,62 @@ def test_dstevd_matches_the_eigh_fallback_bitwise(h, monkeypatch):
     assert np.array_equal(fast.eigenvalues, dense.eigenvalues)
     assert np.array_equal(fast.eigenvectors, dense.eigenvectors)
     assert (fast.even is None and dense.even is None) or np.array_equal(fast.even, dense.even)
+
+
+needs_thread_pin = pytest.mark.skipif(
+    lapack._library()[1] is None,
+    reason="numpy's OpenBLAS exports no openblas_set_num_threads_local",
+)
+
+# sha256 of a biased N = 1000 decomposition (the whole matrix's dstevd) and
+# of the CSV series it gives.
+_THREAD_PROBE = """
+import hashlib, sys
+from pathlib import Path
+from bhdimer import CouplingConfig, ScenarioSpec, eigendecompose, run_scenario
+from bhdimer.model import build_hamiltonian
+config = CouplingConfig(1000, k=1.0, delta_mu=0.1, e_j=1e6)
+d = eigendecompose(build_hamiltonian(config))
+out = Path(sys.argv[1])
+run_scenario(ScenarioSpec(config, "fock:1000,0", t_max=30.0, steps=2000, out=out), decomposition=d)
+for data in (d.eigenvalues.tobytes() + d.eigenvectors.tobytes(), out.read_bytes()):
+    print(hashlib.sha256(data).hexdigest())
+"""
+
+
+@needs_dstevd
+@needs_thread_pin
+def test_output_bits_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(lapack.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE, str(tmp_path / f"{threads}.csv")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.split())
+    assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
+
+
+@needs_dstevd
+@needs_thread_pin
+def test_overlapping_dstevd_calls_restore_the_thread_count():
+    setter = lapack._library()[1]  # returns the count it replaces
+    h = build_hamiltonian(CouplingConfig(300, k=1.0, delta_mu=0.1, e_j=1.0))
+    want = lapack.dstevd(h.diagonal, h.offdiagonal)
+    before, interval = setter(2), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda _: lapack.dstevd(h.diagonal, h.offdiagonal), range(24)))
+    finally:
+        sys.setswitchinterval(interval)
+        restored = setter(before)
+    assert restored == 2
+    for lam, v in got:
+        assert np.array_equal(lam, want[0]) and np.array_equal(v, want[1])
 
 
 class TestParityLabels:
