@@ -11,11 +11,7 @@ The coupling ratio r = k/ej organizes the dynamics twice over:
   the Rabi-Josephson crossover.
 
 Collapse and revival of the imbalance oscillation is detected from a
-sliding-window amplitude envelope. The detector has three knobs, documented
-on collapse_revival_time and echoed into every report: the window length and
-the two thresholds theta_c (collapse) and theta_r (revival), both relative
-to the initial amplitude, so the detector is invariant under positive
-rescaling of the signal.
+sliding-window amplitude envelope by collapse_revival_time.
 """
 
 from __future__ import annotations
@@ -36,6 +32,7 @@ __all__ = [
     "Phase",
     "Regime",
     "RegimeReport",
+    "check_detector",
     "classify",
     "collapse_revival_time",
     "delta_mu_dominance",
@@ -57,17 +54,11 @@ class Regime(enum.Enum):
     JOSEPHSON_FOCK_CROSSOVER = "josephson_fock_crossover"
     FOCK = "fock"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class Phase(enum.Enum):
     DELOCALIZED = "delocalized"
     THRESHOLD = "threshold"
     SELF_TRAPPED = "self_trapped"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -82,13 +73,12 @@ class RegimeReport:
 def classify(config: CouplingConfig) -> RegimeReport:
     """Classify a configuration by its coupling ratio k/ej.
 
-    With the tunneling switched off (ej = 0) the ratio is reported as +inf
+    With the tunneling switched off the ratio is +inf (CouplingConfig.ratio)
     and the system is trivially in the Fock regime and self-trapped.
     """
-    n = config.n_total
-    if config.e_j == 0.0:
-        return RegimeReport(math.inf, Regime.FOCK, Phase.SELF_TRAPPED)
-    r = config.k / config.e_j
+    n, r = config.n_total, config.ratio
+    if r == math.inf:
+        return RegimeReport(r, Regime.FOCK, Phase.SELF_TRAPPED)
 
     inv_n = 1.0 / n if n > 0 else math.inf
     if r < inv_n / 10.0:
@@ -112,6 +102,16 @@ def classify(config: CouplingConfig) -> RegimeReport:
     else:
         phase = Phase.SELF_TRAPPED
     return RegimeReport(r, regime, phase)
+
+
+def check_detector(window: int, theta_c=DEFAULT_THETA_C, theta_r=DEFAULT_THETA_R) -> None:
+    """Refuse detector settings outside their ranges with a ValueError."""
+    if window < 3 or window % 2 == 0:
+        raise ValueError(f"window must be odd and >= 3, got {window}")
+    if not 0.0 < theta_c < 1.0:
+        raise ValueError(f"theta_c must be in (0, 1), got {theta_c}")
+    if not 0.0 < theta_r <= 1.0:
+        raise ValueError(f"theta_r must be in (0, 1], got {theta_r}")
 
 
 def _check_uniform_grid(t: np.ndarray) -> float:
@@ -151,8 +151,7 @@ def envelope(t, values, window: int = DEFAULT_WINDOW):
     x = np.asarray(values, dtype=np.float64)
     if t.ndim != 1 or x.shape != t.shape:
         raise ValueError("t and values must be 1-d arrays of equal length")
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 3, got {window}")
+    check_detector(window)
     if t.size < 3 * window:
         raise ValueError(
             f"series too short: {t.size} samples for window {window} "
@@ -217,10 +216,7 @@ def collapse_revival_time(
     Every report carries the envelope, a (points, 2) array of (center time,
     amplitude) rows; run_scenario passes it to the writer, not the summary.
     """
-    if not 0.0 < theta_c < 1.0:
-        raise ValueError(f"theta_c must be in (0, 1), got {theta_c}")
-    if not 0.0 < theta_r <= 1.0:
-        raise ValueError(f"theta_r must be in (0, 1], got {theta_r}")
+    check_detector(window, theta_c, theta_r)
     t_env, amp = envelope(t, values, window)
 
     a0 = float(amp[0])

@@ -16,7 +16,7 @@ In this basis H is real symmetric tridiagonal with
     d_n = (k/8) (N - 2n)^2 - (dmu/2) (N - 2n)
     e_n = -(ej/2) sqrt((n+1)(N-n))          couples n and n+1,
 
-which is all this module builds; nothing here is ever densified.
+which is all this module builds; only to_dense ever densifies it.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class TridiagonalHamiltonian:
         return self.dim - 1
 
     def to_dense(self) -> np.ndarray:
-        """Dense (dim, dim) copy; meant for small systems and tests."""
+        """Dense (dim, dim) copy: for small systems, tests and the eigh fallback."""
         a = np.diag(self.diagonal)
         m = self.offdiagonal.size
         if m:

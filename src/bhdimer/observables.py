@@ -13,20 +13,11 @@ collapses to the Shannon entropy of the basis weights,
     E = -sum_n p_n log2 p_n,
 
 bounded by log2(N+1) (uniform weights) and 0 (a single Fock state).
-
-compute_series reduces the basis-major blocks of spectral.evolve_series
-along axis 0: the moments are one weights @ p product, the energy cross
-term multiplies the contiguous slabs c[:-1] and c[1:]. The rows are the
-spectral.Basis the GridPropagator carries (Fock, a parity sector's, or a
-window of either), which enters only as data: Basis.reduction's Hamiltonian
-block and moment and entropy weights. Each block reduces in leading views
-of one flat workspace per call, so a run allocates only length-n columns
-per block. The scalar functions reduce a single column the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,16 +46,6 @@ class ObservableSeries:
     norm_error: np.ndarray
     energy: np.ndarray
 
-    COLUMNS = (
-        "t",
-        "imbalance",
-        "imbalance_scaled",
-        "variance",
-        "entanglement_bits",
-        "norm_error",
-        "energy",
-    )
-
     def __post_init__(self):
         n = None
         for name in self.COLUMNS:
@@ -80,6 +61,10 @@ class ObservableSeries:
 
     def __len__(self) -> int:
         return self.t.size
+
+
+# The column names in field order: the CSV header and the JSON series keys.
+ObservableSeries.COLUMNS = tuple(field.name for field in fields(ObservableSeries))
 
 
 def _block_columns(

@@ -13,7 +13,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .analysis import (
     DEFAULT_THETA_C,
     DEFAULT_THETA_R,
     DEFAULT_WINDOW,
+    check_detector,
     classify,
     collapse_revival_time,
     delta_mu_dominance,
@@ -64,12 +65,7 @@ class ScenarioSpec:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValueError(f"window must be odd and >= 3, got {self.window}")
-        if not 0.0 < self.theta_c < 1.0:
-            raise ValueError(f"theta_c must be in (0, 1), got {self.theta_c}")
-        if not 0.0 < self.theta_r <= 1.0:
-            raise ValueError(f"theta_r must be in (0, 1], got {self.theta_r}")
+        check_detector(self.window, self.theta_c, self.theta_r)
         parse_state(self.initial, self.config.n_total)  # fail early
         if self.out is not None:
             object.__setattr__(self, "out", Path(self.out))
@@ -85,20 +81,12 @@ def _json_value(x):
 
 
 def _scenario_dict(spec: ScenarioSpec) -> dict:
-    cfg = spec.config
-    return {
-        "n_total": cfg.n_total,
-        "k": cfg.k,
-        "delta_mu": cfg.delta_mu,
-        "e_j": cfg.e_j,
-        "initial": spec.initial,
-        "t_max": spec.t_max,
-        "steps": spec.steps,
-        "window": spec.window,
-        "theta_c": spec.theta_c,
-        "theta_r": spec.theta_r,
-        "format": spec.fmt,
-    }
+    """The files' "spec" member: the coupling's fields, then the run's but
+    config and out, in field order, with fmt named "format"."""
+    run = {field.name: getattr(spec, field.name) for field in fields(spec)}
+    del run["config"], run["out"]
+    run["format"] = run.pop("fmt")
+    return asdict(spec.config) | run
 
 
 def _json_dict(d: dict) -> dict:
@@ -188,10 +176,9 @@ def run_scenario(
     `decomposition`, if given, must be eigendecompose of spec.config's
     Hamiltonian; a sweep shares one per coupling. An empty system (N = 0) has
     no dynamics: its series is the single row t = 0, every observable zero.
-    compute_series reduces evolve_series block by block, so memory holds the
-    output columns and a few blocks. The collapse/revival envelope goes only
-    to the file: the summary is the same with or without spec.out. Raises
-    ValueError when the phases max|lambda| * t_max overflow.
+    The collapse/revival envelope goes only to the file: the summary is the
+    same with or without spec.out. Raises ValueError when the phases
+    max|lambda| * t_max overflow.
     """
     cfg = spec.config
     h = build_hamiltonian(cfg)

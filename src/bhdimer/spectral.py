@@ -4,32 +4,13 @@ Propagation works in the energy eigenbasis: diagonalize once, then
 
     |psi(t)> = sum_n a_n exp(-i lam_n t) |psi_n>,    a_n = <psi_n|psi(0)>.
 
-`GridPropagator` is the one implementation, bound by `evolve_series` to the
-grid np.linspace(0, t_max, steps); `evolve` is column 1 of the grid [0, t].
-It drops the eigencomponents of smallest weight |a_n|^2 while their total
-stays within DROPPED_WEIGHT_MAX, which moves each coefficient by at most
-sqrt(DROPPED_WEIGHT_MAX) = 1e-14 (the rows of V have unit norm). Its blocks
-of block_rows(dim, steps) grid times are each one matmul of the kept
-eigenvector rows with the real and imaginary phases (2, kept, n): a table
-exp(-i lam k dt), k < rows, times a_n exp(-i lam_n t_s) at the block start
-t_s. The width depends on dim and steps alone, so every basis gets the same
-phases. The work runs in BLAS and numpy ufuncs, which release the GIL.
-
-The rows of the blocks are a `Basis`, which observables.compute_series
-reduces in. With m = dim // 2 it is
-- the Fock basis on the whole matrix's path;
-- at zero bias, for a state that keeps one parity sector only (cat, me),
-  that sector's basis (e_i +- e_{dim-1-i})/sqrt2, i < m, plus e_m in the
-  even sector of odd dim, whose rows are sqrt2 V[:m] and V[m];
-- at zero bias with both sectors, the Fock basis with the product split:
-  the kept components come even sector first, E = V_even[:dim-m] x_even
-  fills the top rows and O = V_odd[:m] x_odd a buffer, then the mirrored
-  bottom m rows become E[:m] - O and the top ones E[:m] + O.
-b_i = sum_kept |a_n| |V_in| bounds |c_i(t)| at every t (b^E_i + b^O_i for
-both rows of a split pair). The blocks keep the fewest rows [lo, hi) whose
-dropped edge rows have b_i^2 totalling at most DROPPED_WEIGHT_MAX, counted
-per Fock row (a split window keeps the mirror images of its top rows), so a
-self-trapped state multiplies and reduces a few rows.
+`GridPropagator` is the one implementation, which `evolve_series` and
+`evolve` bind to a grid. Its blocks of block_rows(dim, steps) grid times are
+each one matmul of the kept eigenvector rows with the real and imaginary
+phases (2, kept, n): a table exp(-i lam k dt), k < rows, times
+a_n exp(-i lam_n t_s) at the block start t_s. The width depends on dim and
+steps alone, so every basis gets the same phases. The work runs in BLAS and
+numpy ufuncs, which release the GIL.
 
 The eigenpairs come from LAPACK's dstevd in numpy's OpenBLAS
 (bhdimer.lapack), or from numpy.linalg.eigh on the densified matrix where
@@ -50,7 +31,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
 from . import lapack
-from .model import imbalance_diagonal
+from .model import TridiagonalHamiltonian, imbalance_diagonal
 
 __all__ = [
     "BLOCK_ELEMENTS", "Basis", "ConvergenceError", "DROPPED_WEIGHT_MAX", "GridPropagator",
@@ -131,10 +112,8 @@ class SpectralDecomposition:
 def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
     try:
         solved = lapack.dstevd(d, e)
-        if solved is None:  # no dstevd in numpy's OpenBLAS: eigh reads the lower triangle
-            a = np.diag(d)
-            a[np.arange(1, d.size), np.arange(e.size)] = e
-            solved = eigh(a, UPLO="L")
+        if solved is None:  # no dstevd in numpy's OpenBLAS
+            solved = eigh(TridiagonalHamiltonian(d, e).to_dense(), UPLO="L")
         return solved
     except LinAlgError as exc:
         raise ConvergenceError(
@@ -249,7 +228,8 @@ def block_rows(dim: int, steps: int) -> int:
 class Basis:
     """The rows of a GridPropagator's blocks: dim = N + 1, and the ascending
     index of each row in the Fock basis (sector None) or in the basis of the
-    parity sector "even" or "odd" (see the module docstring)."""
+    parity sector "even" or "odd" at zero bias: (e_i +- e_{dim-1-i})/sqrt2
+    for i < dim // 2, plus e_{dim // 2} in the even sector of odd dim."""
 
     dim: int
     rows: np.ndarray
@@ -313,11 +293,13 @@ class GridPropagator:
     coefficients in basis, (rows, n) with one column per grid time, as views
     of buffers the next block overwrites.
 
-    basis               the Basis of the block rows
+    basis               the Basis of the block rows: a parity sector's if the
+                        state keeps only that one, else Fock; cut by _window
     kept_components     eigencomponents the propagation keeps
     kept_per_parity     [even, odd] counts of them; None without parity labels
-    dropped_weight      sum of |a_n|^2 over the dropped ones
-    dropped_row_weight  sum of b_i^2 over the Fock rows outside the window
+    dropped_weight      sum of |a_n|^2 over the dropped ones, the lightest
+    dropped_row_weight  sum of b_i^2 over the Fock rows outside the window,
+                        b_i = sum_kept |a_n| |V_in| >= |c_i(t)| at every t
     phase_error_bound   eps * max|lambda_kept| * t_max, the round-off of the
                         largest phase, which sets the error at large couplings
 
@@ -394,7 +376,10 @@ class GridPropagator:
         self.phase_error_bound = float(np.finfo(float).eps * lam_max * t_max)
 
     def _product(self, x: np.ndarray, out: np.ndarray, odd: np.ndarray) -> np.ndarray:
-        """out (2, rows, n) = V x (2, kept, n); odd is (2, pairs, n) scratch."""
+        """out (2, rows, n) = V x (2, kept, n); odd is (2, pairs, n) scratch.
+        Split, x holds the even components first: E = V_even x_even fills the
+        top rows, O = V_odd x_odd goes to odd, then the first pairs rows take
+        E + O and their mirror rows, after the top ones, E - O."""
         if self._v_odd is None:
             return np.matmul(self._v, x, out=out)
         (top, n_even), pairs = self._v.shape, self._v_odd.shape[0]

@@ -63,8 +63,6 @@ def parse_state(descriptor: str, n_total: int) -> StateVector:
     match = _FOCK_RE.match(text)
     if match:
         m, n = int(match.group(1)), int(match.group(2))
-        if m < 0 or n < 0:
-            raise ValueError(f"occupations must be >= 0 in {descriptor!r}")
         if m + n != n_total:
             raise ValueError(
                 f"{descriptor!r} has {m + n} bosons but the configuration "

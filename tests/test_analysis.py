@@ -47,10 +47,12 @@ class TestClassify:
         assert report.phase is Phase.SELF_TRAPPED
 
     def test_no_tunneling(self):
-        report = classify(CouplingConfig(50, k=1.0, e_j=0.0))
-        assert report.ratio == math.inf
-        assert report.regime is Regime.FOCK
-        assert report.phase is Phase.SELF_TRAPPED
+        # A ratio that overflows to +inf counts as no tunneling, not as the threshold.
+        for e_j in (0.0, 1e-10):
+            report = classify(CouplingConfig(50, k=1e308 if e_j else 1.0, e_j=e_j))
+            assert report.ratio == math.inf
+            assert report.regime is Regime.FOCK
+            assert report.phase is Phase.SELF_TRAPPED
 
     def test_phase_boundaries_strict(self):
         threshold = 4.0 / 100.0
@@ -239,10 +241,16 @@ class TestCollapseRevivalTime:
 
     def test_bad_thresholds_rejected(self):
         t, x = synthetic_collapse_revival()
-        with pytest.raises(ValueError):
-            collapse_revival_time(t, x, theta_c=0.0)
-        with pytest.raises(ValueError):
-            collapse_revival_time(t, x, theta_r=1.5)
+        for theta_c in (0.0, 1.0, 2.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^theta_c must be in \(0, 1\), got {theta_c}$"):
+                collapse_revival_time(t, x, theta_c=theta_c)
+        for theta_r in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=rf"^theta_r must be in \(0, 1\], got {theta_r}$"):
+                collapse_revival_time(t, x, theta_r=theta_r)
+        for window in (10, 1, -3):
+            for detector in (envelope, collapse_revival_time):
+                with pytest.raises(ValueError, match=rf"^window must be odd and >= 3, got {window}$"):
+                    detector(t, x, window=window)
 
 
 class TestTimeAveragedImbalance:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bhdimer import cli, files, lapack, pipeline
-from bhdimer.analysis import collapse_revival_time
+from bhdimer.analysis import collapse_revival_time, envelope
 from bhdimer.cli import main
 from bhdimer.files import CSV_HEADER, read_series
 from bhdimer.pipeline import ScenarioSpec, run_scenario, sweep
@@ -99,8 +99,16 @@ class TestScenarioSpec:
             small_spec(fmt="xml")
 
     def test_even_window_rejected(self):
-        with pytest.raises(ValueError):
-            small_spec(window=10)
+        # The spec refuses a window as the detector does, with its message.
+        t = np.linspace(0.0, 1.0, 100)
+        for window in (10, 2, 1, -3):
+            message = rf"^window must be odd and >= 3, got {window}$"
+            with pytest.raises(ValueError, match=message):
+                small_spec(window=window)
+            with pytest.raises(ValueError, match=message):
+                envelope(t, np.sin(t), window=window)
+            with pytest.raises(ValueError, match=message):
+                collapse_revival_time(t, np.sin(t), window=window)
 
     def test_initial_must_match_n(self):
         with pytest.raises(ValueError):
@@ -119,8 +127,15 @@ class TestScenarioSpec:
         ],
     )
     def test_thresholds_out_of_range_rejected(self, thetas):
-        with pytest.raises(ValueError, match="theta_"):
+        # The spec refuses a threshold as the detector does, with its message.
+        ((name, value),) = thetas.items()
+        interval = {"theta_c": r"\(0, 1\)", "theta_r": r"\(0, 1\]"}[name]
+        message = rf"^{name} must be in {interval}, got {value}$"
+        with pytest.raises(ValueError, match=message):
             small_spec(**thetas)
+        t = np.linspace(0.0, 1.0, 100)
+        with pytest.raises(ValueError, match=message):
+            collapse_revival_time(t, np.sin(t), **thetas)
 
     def test_theta_r_one_accepted(self):
         assert small_spec(theta_r=1.0).theta_r == 1.0
@@ -235,6 +250,20 @@ class TestRunScenario:
         bad.write_text(CSV_HEADER + "\n" + body)
         with pytest.raises(ValueError, match="bad.csv"):
             read_series(bad)
+
+    def test_format_member_order_is_pinned(self, tmp_path):
+        # Literals on purpose: both orders derive from dataclass fields, so a
+        # reordered field would otherwise change the files unnoticed.
+        columns = "t,imbalance,imbalance_scaled,variance,entanglement_bits,norm_error,energy"
+        assert CSV_HEADER == columns
+        spec = small_spec(tmp_path, fmt="json")
+        run_scenario(spec)
+        payload = json.loads(spec.out.read_text())
+        assert list(payload["spec"]) == [
+            "n_total", "k", "delta_mu", "e_j", "initial", "t_max", "steps", "window",
+            "theta_c", "theta_r", "format",
+        ]
+        assert ",".join(payload["series"]) == columns
 
     def test_json_structure(self, tmp_path):
         spec = small_spec(tmp_path, fmt="json")

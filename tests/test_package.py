@@ -1,0 +1,36 @@
+"""The package surface: every exported name resolves, and the README's
+Python API example runs and prints what its comments say."""
+
+import importlib
+import math
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import bhdimer
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+MODULES = ["bhdimer"] + [
+    f"bhdimer.{info.name}" for info in pkgutil.iter_modules(bhdimer.__path__)
+    if info.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = module.__all__
+    assert len(set(exported)) == len(exported)
+    assert [item for item in exported if not hasattr(module, item)] == []
+
+
+def test_readme_python_api_example_runs(capsys):
+    section = README.read_text().split("## Python API", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, str(README), "exec"), {})
+    t_cr_over_pi, regime = capsys.readouterr().out.splitlines()
+    assert math.isclose(float(t_cr_over_pi), 4.0, rel_tol=0.05)
+    assert regime == "rabi delocalized"

@@ -87,7 +87,10 @@ class TestParseState:
         with pytest.raises(ValueError, match="fixes N"):
             parse_state("fock:3,2", 6)
 
-    @pytest.mark.parametrize("bad", ["", "fock:", "fock:1", "fock:a,b", "coherent", "fock:1,-2"])
+    # fock:5,-2 and fock:-1,4 carry N = 3 bosons: fock itself refuses them.
+    @pytest.mark.parametrize(
+        "bad", ["", "fock:", "fock:1", "fock:a,b", "coherent", "fock:1,-2", "fock:5,-2", "fock:-1,4"]
+    )
     def test_garbage_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_state(bad, 3)
