@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import DEFAULT_THETA_C, DEFAULT_THETA_R, DEFAULT_WINDOW
@@ -17,8 +18,9 @@ from .spectral import ConvergenceError
 
 __all__ = ["build_parser", "main"]
 
-# ScenarioSpec fields that a preset or a flag of the same name may set.
-_SPEC_FIELDS = ("t_max", "steps", "window", "theta_c", "theta_r", "fmt")
+# ScenarioSpec fields that a preset or a flag of the same name may set: all
+# but those main sets itself.
+_SPEC_FIELDS = [f.name for f in fields(ScenarioSpec) if f.name not in ("config", "initial", "out")]
 
 
 def _tokens(sep: str):

@@ -10,13 +10,13 @@ long lists (CSV rows, the JSON series columns and the envelope's "t" and
 numpy: a CSV value by _Scientific, a JSON value by _Shortest as the bytes of
 repr(float(v)), which json writes. Each renderer hands the few values it
 cannot settle exactly to Python's own formatting. A series or envelope value
-that is not finite is refused before any file is opened.
+that is not finite is refused before any file is opened. The reader streams
+too, READ_CHUNK bytes of text at a time.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import json
 import threading
 from pathlib import Path
@@ -25,7 +25,7 @@ import numpy as np
 
 from .observables import ObservableSeries
 
-__all__ = ["CSV_HEADER", "ROW_CHUNK", "read_series", "write_json", "write_output"]
+__all__ = ["CSV_HEADER", "READ_CHUNK", "ROW_CHUNK", "read_series", "write_json", "write_output"]
 
 CSV_HEADER = ",".join(ObservableSeries.COLUMNS)
 
@@ -33,6 +33,9 @@ CSV_HEADER = ",".join(ObservableSeries.COLUMNS)
 # many values as that many rows hold): bounds the text and the temporaries
 # alive at once, whatever the number of steps.
 ROW_CHUNK = 1024
+
+# Bytes of file text the reader takes at a time: bounds the text alive at once.
+READ_CHUNK = 1 << 16
 
 # Rendered text stands a 0 byte for each absent character; _squeeze drops them.
 _EXPONENTS = range(-324, 309)  # decimal exponents of the finite doubles
@@ -373,54 +376,119 @@ def write_output(
 def read_series(path) -> ObservableSeries:
     """Read back a series file written by this module (CSV or JSON).
 
-    A CSV file must hold the header and at least one row of 7 values per
-    line. A JSON file must have the indent=2 layout the writer produces, with
-    "series" as its last top-level member: one list of finite numbers per
-    column, ObservableSeries.COLUMNS in order, of equal length. Only that
-    member is decoded, a column at a time, not the spec and summary before
-    it. Any other layout (the pre-columnar list of rows too) is a ValueError.
+    A CSV file must hold the header and at least one row of 7 finite values
+    per line. A JSON file must have the indent=2 layout the writer produces,
+    with "series" as its last top-level member: one non-empty list of finite
+    numbers per column, ObservableSeries.COLUMNS in order, of equal length.
+    Only that member is decoded, not the spec and summary before it. Any
+    other layout (the pre-columnar list of rows too) is a ValueError.
+
+    The file is read READ_CHUNK bytes at a time, a JSON column decoded a
+    piece at a time, so beside the columns returned a read holds a few
+    READ_CHUNK of text and decoded values, whatever the length of the series.
     """
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return _read_json_series(path, text)
-    header, _, body = text.partition("\n")
-    if header != CSV_HEADER:
-        raise ValueError(f"{path} does not carry the expected CSV header")
-    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-    if data.shape[1] != 7:
-        raise ValueError(f"{path}: the CSV body does not hold rows of 7 values")
+    with open(path, "rb") as f:
+        head = bytearray(f.read(len(CSV_HEADER) + 1))
+        if head.lstrip().startswith(b"{"):
+            return _read_json_series(path, f, head)
+        if head != (CSV_HEADER + "\n").encode():
+            raise ValueError(f"{path} does not carry the expected CSV header")
+        # Given at least as many rows as the body holds, loadtxt allocates
+        # them once instead of growing its array a quarter at a time.
+        lines = sum(chunk.count(b"\n") for chunk in iter(lambda: f.read(READ_CHUNK), b""))
+        f.seek(len(head))
+        data = np.loadtxt(f, delimiter=",", ndmin=2, max_rows=lines + 1)
+    # min and max reduce without a temporary the size of the body; NaN propagates.
+    width = len(ObservableSeries.COLUMNS)
+    if data.shape[1] != width or not np.isfinite([data.min(), data.max()]).all():
+        raise ValueError(f"{path}: the CSV body does not hold rows of {width} finite values")
     return ObservableSeries(*data.T)
 
 
 # In an indent=2 file only a top-level key follows a raw newline and exactly
-# two spaces, and no JSON string holds a raw newline.
-_SERIES_MEMBER = '\n  "series": '
+# two spaces, and no JSON string holds a raw newline: the first such "series"
+# key met is the member the writer puts last.
+_SERIES_MEMBER = b'\n  "series": '
+_SERIES_END = b"\n  }\n}\n"
 
 
-def _read_json_series(path, text: str) -> ObservableSeries:
-    at = text.rfind(_SERIES_MEMBER)
-    if at < 0:
-        raise ValueError(f"{path} has no top-level series in the indent=2 layout")
-    at += len(_SERIES_MEMBER)
-    if text.startswith("[", at):
+def _fill(f, buf: bytearray, size: int) -> bool:
+    """Read chunks of `f` onto `buf` until it holds `size` bytes; False if
+    the file ends first."""
+    while len(buf) < size and (chunk := f.read(READ_CHUNK)):
+        buf += chunk
+    return len(buf) >= size
+
+
+def _read_json_series(path, f, buf: bytearray) -> ObservableSeries:
+    while (at := buf.find(_SERIES_MEMBER)) < 0:
+        del buf[: len(buf) - len(_SERIES_MEMBER) + 1]
+        if not _fill(f, buf, len(buf) + 1):
+            raise ValueError(f"{path} has no top-level series in the indent=2 layout")
+    del buf[: at + len(_SERIES_MEMBER)]
+    if _fill(f, buf, 1) and buf[0] == ord("["):
         raise ValueError(f"{path} is in the pre-columnar row layout: its series is a list of rows")
-    decode = json.JSONDecoder(parse_int=float).raw_decode
-    columns = {}
+    decode = json.JSONDecoder(parse_int=float).decode
+    columns, size = {}, 0
     for i, name in enumerate(ObservableSeries.COLUMNS):
-        key = ("," if i else "{") + f'\n    "{name}": '
-        if not text.startswith(key, at):
+        key = (("," if i else "{") + f'\n    "{name}": ').encode()
+        _fill(f, buf, len(key) + 1)  # and the head of the column
+        if not buf.startswith(key):
             raise ValueError(f"{path}: the series does not hold column {name} where written")
-        try:
-            values, at = decode(text, at + len(key))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: series column {name} is not valid JSON: {exc}") from exc
-        if not isinstance(values, list) or not set(map(type, values)) <= {float}:
-            raise ValueError(f"{path}: series column {name} is not a list of numbers")
-        columns[name] = values = np.array(values, dtype=np.float64)
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path}: series column {name} holds a non-finite value")
-    if text[at:] != "\n  }\n}\n":
+        del buf[: len(key)]
+        columns[name] = _read_column(f"{path}: series column {name}", f, buf, decode, size)
+        size = columns[name].size  # what every later column should hold
+    _fill(f, buf, len(_SERIES_END) + 1)
+    if buf != _SERIES_END:
         raise ValueError(f"{path}: the series has more than its columns or is not the last member")
     if len({values.size for values in columns.values()}) != 1:
         raise ValueError(f"{path}: the series columns differ in length")
     return ObservableSeries(**columns)
+
+
+def _read_column(column: str, f, buf: bytearray, decode, size: int) -> np.ndarray:
+    """Decode the list at the head of `buf`, reading on from `f`, into an
+    array grown from `size` values; leave in `buf` what follows the list.
+
+    A piece runs from the "[" to the "]", or to the last "," buffered before
+    any string, list or object (which alone could hold a ","; one is refused
+    where it starts). That "," stands in for "]" while the piece is decoded;
+    the next piece then starts with "[0," written over the bytes up to it,
+    its 0 dropped.
+    """
+    values, n, lead = np.empty(size), 0, 0
+    while True:
+        stop = min((i for c in b'"[]{' if (i := buf.find(c, 1)) > 0), default=len(buf))
+        last = stop < len(buf) and buf[stop] == ord("]")
+        cut = -1 if last else buf.rfind(b",", 1 + 2 * lead, stop)
+        if not buf.startswith(b"[") or stop < len(buf) and not last and cut < 0:
+            raise ValueError(f"{column} is not a list of numbers")
+        if last:
+            end = stop + 1
+        elif cut > 0:
+            end = cut + 1
+            if lead or buf[1:cut].strip():  # else "[ ,", which fails to decode
+                buf[cut] = ord("]")
+        elif _fill(f, buf, len(buf) + 1):
+            continue
+        else:
+            end = len(buf)  # the file ends inside the list, which then fails to decode
+        try:
+            piece = decode(str(memoryview(buf)[:end], "utf-8"))[lead:]
+        except json.JSONDecodeError as exc:
+            at = f.tell() - len(buf) + exc.pos
+            raise ValueError(f"{column} is not valid JSON: {exc.msg} at byte {at}") from exc
+        if not piece or not set(map(type, piece)) <= {float}:
+            raise ValueError(f"{column} is not a list of numbers")
+        if not np.isfinite(piece := np.array(piece)).all():
+            raise ValueError(f"{column} holds a non-finite value")
+        if n + piece.size > values.size:
+            values.resize(max(2 * values.size, n + piece.size), refcheck=False)
+        values[n : n + piece.size], n = piece, n + piece.size
+        if last:
+            del buf[:end]
+            values.resize(n, refcheck=False)
+            return values
+        buf[cut - 2 : end] = b"[0,"
+        del buf[: cut - 2]
+        lead = 1

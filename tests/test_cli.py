@@ -193,16 +193,43 @@ class TestRunScenario:
                 "bad.json",
                 id="trailing-data",
             ),
+            pytest.param(
+                lambda payload: (text := json.dumps(payload, indent=2))[:-2]
+                + ","
+                + text[text.index('\n  "series": ') :]
+                + "\n",
+                "bad.json: the series has more than its columns or is not the last member",
+                id="duplicate-series",
+            ),
             *(
                 pytest.param(
                     _with_series(lambda s, v=value: dict(s, imbalance=[v] + s["imbalance"][1:])),
-                    "bad.json.*imbalance",
+                    f"bad.json: series column imbalance {fault}",
                     id=f"{name}-entry",
                 )
-                for name, value in [
-                    ("null", None), ("string", "1.5"), ("boolean", True),
-                    ("nan", math.nan), ("infinity", math.inf), ("list", [1.0]),
+                for name, value, fault in [
+                    ("null", None, "is not a list of numbers"),
+                    ("string", "1.5", "is not a list of numbers"),
+                    ("comma-string", "1,5", "is not a list of numbers"),
+                    ("boolean", True, "is not a list of numbers"),
+                    ("nan", math.nan, "holds a non-finite value"),
+                    ("infinity", math.inf, "holds a non-finite value"),
+                    ("list", [1.0], "is not a list of numbers"),
+                    ("pair", [1.0, 2.0], "is not a list of numbers"),
                 ]
+            ),
+            pytest.param(
+                _with_series(lambda s: dict(s, imbalance=[])),
+                "bad.json: series column imbalance is not a list of numbers",
+                id="empty-column",
+            ),
+            pytest.param(
+                lambda payload: json.dumps(payload, indent=2).replace(
+                    '\n    ],\n    "imbalance"', ',\n    ],\n    "imbalance"'
+                )
+                + "\n",
+                "bad.json: series column t is not valid JSON: Expecting value",
+                id="trailing-comma",
             ),
             pytest.param(
                 _with_series(lambda s: {k: v for k, v in s.items() if k != "energy"}),
@@ -231,19 +258,28 @@ class TestRunScenario:
             ),
         ],
     )
-    def test_json_read_back_requires_the_written_layout(self, tmp_path, layout, message):
+    def test_json_read_back_requires_the_written_layout(
+        self, tmp_path, monkeypatch, layout, message
+    ):
         spec = small_spec(tmp_path, fmt="json")
         run_scenario(spec)
         bad = tmp_path / "bad.json"
         bad.write_text(layout(json.loads(spec.out.read_text())))
-        with pytest.raises(ValueError, match=message):
-            read_series(bad)
+        # At 1-byte chunks every bad entry of two or more bytes straddles a
+        # chunk boundary; 7 and 64 cut the file at other offsets.
+        for chunk in (files.READ_CHUNK, *_READ_CHUNKS):
+            monkeypatch.setattr(files, "READ_CHUNK", chunk)
+            with pytest.raises(ValueError, match=message):
+                read_series(bad)
 
     @pytest.mark.filterwarnings("ignore:loadtxt")
     @pytest.mark.parametrize(
         "body",
-        ["1.0\n" * 14, ",".join(["1.0"] * 14) + "\n", ""],
-        ids=["one-per-line", "fourteen-per-line", "header-only"],
+        [
+            "1.0\n" * 14, ",".join(["1.0"] * 14) + "\n", "",
+            "nan,inf,1,2,3,4,5\n", "1,2,3,4,5,6,7\n1,2,3,4,5,6,-inf\n", "1,2,3,NaN,5,6,7\n",
+        ],
+        ids=["one-per-line", "fourteen-per-line", "header-only", "nan-inf", "late-inf", "nan"],
     )
     def test_csv_read_back_requires_seven_columns(self, tmp_path, body):
         bad = tmp_path / "bad.csv"
@@ -997,9 +1033,31 @@ def _written(directory) -> dict:
     return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
 
 
-def _assert_matches_oracle(spec, series, summary):
+# READ_CHUNK sizes every checked file is also read back at.
+_READ_CHUNKS = (1, 7, 64)
+
+
+def _assert_matches_oracle(spec, series, summary, read_chunks=_READ_CHUNKS):
     expected = {name: text.encode() for name, text in _oracle(spec, series, summary).items()}
     assert _written(spec.out.parent) == expected
+    _assert_reads_back(spec.out, series, read_chunks)
+
+
+def _assert_reads_back(path, series, read_chunks):
+    """`path` reads back the same bits at the module's READ_CHUNK and at each
+    of `read_chunks`: the series itself from JSON, its print from CSV."""
+    expected = {name: getattr(series, name) for name in ObservableSeries.COLUMNS}
+    if path.suffix == ".csv":
+        expected = {
+            name: np.array([float(f"{v:.11e}") for v in column.tolist()])
+            for name, column in expected.items()
+        }
+    with pytest.MonkeyPatch.context() as patch:
+        for chunk in (files.READ_CHUNK, *read_chunks):
+            patch.setattr(files, "READ_CHUNK", chunk)
+            back = read_series(path)
+            for name, column in expected.items():
+                assert getattr(back, name).tobytes() == column.tobytes(), (chunk, name)
 
 
 class TestByteFormat:
@@ -1035,7 +1093,10 @@ class TestByteFormat:
         # A CSV chunk holds ROW_CHUNK rows, a JSON one 7 * ROW_CHUNK values of a column.
         rows = files.ROW_CHUNK * (7 if fmt == "json" else 1)
         spec = small_spec(tmp_path, fmt=fmt, steps=int(chunks * rows))
-        _assert_matches_oracle(spec, *run_scenario(spec))
+        # Read back at 64-byte chunks only: at 1-byte chunks the reader's
+        # Python loop costs about 3 us a byte (2-vCPU x86 VM), and these
+        # files reach 4 MB.
+        _assert_matches_oracle(spec, *run_scenario(spec), read_chunks=(64,))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_system(self, tmp_path, fmt):
@@ -1121,8 +1182,30 @@ class TestByteFormat:
         for ratio in ratios:
             for initial in initials:
                 spec = pipeline._sweep_cell(base, ratio, initial, tmp_path / "single")
-                expected.update(_oracle(spec, *run_scenario(spec)))
+                series, cell_summary = run_scenario(spec)
+                expected.update(_oracle(spec, series, cell_summary))
+                _assert_reads_back(tmp_path / "sweep" / spec.out.name, series, _READ_CHUNKS)
         assert _written(tmp_path / "sweep") == {k: v.encode() for k, v in expected.items()}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_read_memory_is_bounded_by_the_columns(self, tmp_path, fmt):
+        # Beside the seven float64 columns it returns, the reader may hold a
+        # few chunks of text and their decoded values, whatever the steps.
+        steps = 50_000
+        rng = np.random.default_rng(18)
+        series = ObservableSeries(*rng.standard_normal((7, steps)))
+        out = tmp_path / f"run.{fmt}"
+        files.write_output(out, fmt, {}, series, {}, None)
+        tracemalloc.start()
+        try:
+            back = read_series(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 8 * steps + 8 * files.READ_CHUNK
+        if fmt == "json":
+            for name in ObservableSeries.COLUMNS:
+                assert getattr(back, name).tobytes() == getattr(series, name).tobytes()
 
     def test_write_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch):
         # tracemalloc sees the text, the float objects and numpy's buffers.
