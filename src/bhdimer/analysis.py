@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import CouplingConfig
 from .observables import expectation_imbalance
@@ -124,14 +123,18 @@ def _check_uniform_grid(t: np.ndarray) -> float:
     return step
 
 
-def _running(extreme: np.ufunc, x: np.ndarray, window: int) -> np.ndarray:
-    """np.maximum or np.minimum over each full window of x, as reduced from
-    sliding_window_view(x, window), in O(x.size) (van Herk/Gil-Werman): a
-    window is the suffix of one window-sized block and the prefix of the next."""
+def _running(reduce: np.ufunc, x: np.ndarray, window: int) -> np.ndarray:
+    """np.maximum, np.minimum or np.add over each full window of x, as reduced
+    from sliding_window_view(x, window), in O(x.size) (van Herk/Gil-Werman): a
+    window is the suffix of one window-sized block and the prefix of the next.
+    A window that starts a block is that block's suffix alone: the sum takes
+    0 for the prefix there, not the block a second time."""
     blocks = np.pad(x, (0, -x.size % window)).reshape(-1, window)
-    prefix = extreme.accumulate(blocks, axis=1).ravel()
-    suffix = extreme.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return extreme(suffix[: x.size - window + 1], prefix[window - 1 : x.size])
+    prefix = reduce.accumulate(blocks, axis=1)
+    suffix = reduce.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    if reduce is np.add:
+        prefix[:, -1] = 0.0
+    return reduce(suffix[: x.size - window + 1], prefix.ravel()[window - 1 : x.size])
 
 
 def envelope(t, values, window: int = DEFAULT_WINDOW):
@@ -160,7 +163,10 @@ def envelope(t, values, window: int = DEFAULT_WINDOW):
     _check_uniform_grid(t)
 
     half = window // 2
-    running_mean = sliding_window_view(x, window).mean(axis=1)
+    # Sums of x - x[0]: a constant series detrends to exact zeros whichever
+    # order the window sums take, and an offset adds nothing to their round-off.
+    x = x - x[0]
+    running_mean = _running(np.add, x, window) / window
     detrended = x[half : x.size - half] - running_mean
     spread = _running(np.maximum, detrended, window) - _running(np.minimum, detrended, window)
     return t[2 * half : t.size - 2 * half], 0.5 * spread

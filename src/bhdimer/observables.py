@@ -1,18 +1,20 @@
 """Observables of the dimer state: imbalance moments and mode entanglement.
 
-Everything reported here is a function of the basis probabilities
-p_n = |c_n|^2 plus, for the energy, the nearest-neighbor coherences.
-Probabilities are renormalized by their sum before use, so a state whose
-norm has drifted by round-off still yields the observables of the ray it
-represents; the drift itself is reported separately as norm_error.
+Everything reported here is a function of the basis weights
+P_n = |c_n|^2 plus, for the energy, the nearest-neighbor coherences. Every
+observable is that of the normalized weights p_n = P_n / T, T = sum_n P_n,
+so a state whose norm has drifted by round-off still yields the observables
+of the ray it represents; the drift itself is reported separately as
+norm_error.
 
 The entanglement between the two modes of a pure state is the von Neumann
 entropy of either reduced density matrix, which for fixed total number
 collapses to the Shannon entropy of the basis weights,
 
-    E = -sum_n p_n log2 p_n,
+    E = -sum_n p_n log2 p_n = log2 T - (sum_n P_n log2 P_n) / T,
 
-bounded by log2(N+1) (uniform weights) and 0 (a single Fock state).
+bounded by log2(N+1) (uniform weights) and 0 (a single Fock state). The
+second form divides only the sums by T, not every weight.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ __all__ = [
     "variance_imbalance",
 ]
 
-# Weights below this underflow log2 into junk; they contribute exactly zero,
-# as does an exact zero weight.
+# The entropy takes log2 of max(P, this): a smaller weight, whose log2 is -inf
+# or junk, adds P log2(_ENTROPY_FLOOR), -0.0 for an exact zero and far below
+# the round-off of the sum otherwise.
 _ENTROPY_FLOOR = 1e-300
 
 
@@ -68,39 +71,44 @@ ObservableSeries.COLUMNS = tuple(field.name for field in fields(ObservableSeries
 
 
 def _block_columns(
-    cr: np.ndarray, ci: np.ndarray, offdiagonal: np.ndarray, weights: np.ndarray,
-    n_total: int, p: np.ndarray, work: np.ndarray,
+    c: np.ndarray, offdiagonal: np.ndarray, weights: np.ndarray, n_total: int,
+    scratch: np.ndarray,
 ) -> tuple:
-    """Every observable column but t for cr + i ci, one column per time.
+    """Every observable column but t for a complex block (rows, n) viewed as
+    floats c (rows, 2n), one (re, im) pair of columns per time.
 
     The one implementation of the formulas, in the basis Basis.reduction
-    describes: weights holds the rows (d, d^2, diagonal) of the moments,
+    describes: weights holds the rows (1, d, d^2, diagonal) of the moments,
     then any rows whose products add to the entropy in bits, and offdiagonal
-    couples neighbouring rows. p and work are C-contiguous scratch arrays of
-    the block's shape, overwritten here.
+    couples neighbouring rows. scratch is a flat float array of at least
+    2 rows n, overwritten here: the weights P = re^2 + im^2 and a second
+    (rows, n) array, then the coherences (rows - 1, 2n). Every moment of
+    every time comes from one product with P; only those sums are divided
+    by the norm T, never the block.
     """
-    np.multiply(cr, cr, out=p)
-    np.multiply(ci, ci, out=work)
-    p += work
-    total = p.sum(axis=0)
+    rows, n = c.shape[0], c.shape[1] // 2
+    p, terms = scratch[: 2 * rows * n].reshape(2, rows, n)
+    np.multiply(c[:, 0::2], c[:, 0::2], out=p)
+    np.multiply(c[:, 1::2], c[:, 1::2], out=terms)
+    p += terms
+    moments = weights @ p
+    total = moments[0]
     if np.any(total == 0.0):
         raise ValueError("state has zero norm")
-    p /= total
-    moments = weights @ p
-    imbalance = moments[0] + 0.0
-    variance = np.maximum(moments[1] - imbalance**2, 0.0)
-    energy = moments[2]
-    entropy = _entropy_bits(p, work) + moments[3:].sum(axis=0)
+    moments[1:] /= total
+    imbalance = moments[1] + 0.0
+    variance = np.maximum(moments[2] - imbalance**2, 0.0)
+    energy = moments[3]
+    np.log2(np.maximum(p, _ENTROPY_FLOOR, out=terms), out=terms)
+    entropy = np.log2(total) - np.einsum("ij,ij->j", p, terms) / total
+    entropy += moments[4:].sum(axis=0)
     if offdiagonal.size:
-        # p is free now: the two products go into contiguous (rows-1, n)
-        # leading views of the scratch.
-        size = (cr.shape[0] - 1) * cr.shape[1]
-        cross = work.reshape(-1)[:size].reshape(-1, cr.shape[1])
-        cross_i = p.reshape(-1)[:size].reshape(-1, cr.shape[1])
-        np.multiply(cr[:-1], cr[1:], out=cross)
-        np.multiply(ci[:-1], ci[1:], out=cross_i)
-        cross += cross_i
-        energy += 2.0 * (offdiagonal @ cross) / total
+        # Re(c_i* c_{i+1}) = re re' + im im': the products on the floats,
+        # then their sums over rows folded pairwise.
+        cross = scratch[: 2 * (rows - 1) * n].reshape(rows - 1, 2 * n)
+        np.multiply(c[:-1], c[1:], out=cross)
+        sums = offdiagonal @ cross
+        energy += 2.0 * (sums[0::2] + sums[1::2]) / total
     return (
         imbalance,
         imbalance / n_total if n_total else np.zeros_like(imbalance),
@@ -112,13 +120,14 @@ def _block_columns(
 
 
 def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries:
-    """Observables along a trajectory delivered as consecutive (cr, ci) blocks.
+    """Observables along a trajectory delivered as consecutive complex blocks.
 
-    blocks is usually spectral.evolve_series over t_grid: the real and
-    imaginary coefficients of successive grid times, (rows, n) with one
-    column per time, whose columns together match t_grid. The rows are the
-    Basis a GridPropagator carries, or else the whole Fock basis. Memory
-    holds the output columns and one block.
+    blocks is usually spectral.evolve_series over t_grid: the coefficients
+    of successive grid times, (rows, n) with one column per time, whose
+    columns together match t_grid. The rows are the Basis a GridPropagator
+    carries, or else the whole Fock basis. Memory holds the output columns,
+    one block and scratch of its size; a C-contiguous complex128 block is
+    reduced where it lies, any other is copied first.
     """
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1:
@@ -129,42 +138,29 @@ def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSerie
         raise ValueError("state dimension does not match Hamiltonian")
     offdiagonal, weights = basis.reduction(h)
     rows = weights.shape[1]
-    p = work = None
+    scratch = None
     start = 0
-    for cr, ci in blocks:
-        if cr.shape[0] != rows:
+    for block in blocks:
+        c = np.ascontiguousarray(block, dtype=complex).view(np.float64)
+        if c.shape[0] != rows:
             raise ValueError("state dimension does not match Hamiltonian")
-        n = cr.shape[1]
+        n = c.shape[1] // 2
         if start + n > t.size:
             raise ValueError("t_grid and states must have equal length")
-        if p is None or n * rows > p.size:
-            p, work = np.empty((2, n * rows))
-        views = (a[: n * rows].reshape(rows, n) for a in (p, work))
-        columns[:, start : start + n] = _block_columns(
-            cr, ci, offdiagonal, weights, h.n_total, *views
-        )
+        if scratch is None or 2 * n * rows > scratch.size:
+            scratch = np.empty(2 * n * rows)
+        columns[:, start : start + n] = _block_columns(c, offdiagonal, weights, h.n_total, scratch)
         start += n
     if start != t.size:
         raise ValueError("t_grid and states must have equal length")
     return ObservableSeries(t, *columns)
 
 
-def _entropy_bits(p: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    # terms is scratch of p's shape. A weight at or below the floor gives
-    # p log2(_ENTROPY_FLOOR), which is -0.0 for an exact zero and far below
-    # the round-off of the sum otherwise.
-    np.log2(np.maximum(p, _ENTROPY_FLOOR, out=terms), out=terms)
-    terms *= p
-    # -sum p log2 p; the trailing +0.0 turns -0.0 into +0.0.
-    return -terms.sum(axis=0) + 0.0
-
-
 def _state_series(state: StateVector) -> ObservableSeries:
     # One column; the energy-free observables need no couplings, so the
     # Hamiltonian is the zero one.
-    c = state.coefficients[:, None]
     h = build_hamiltonian(CouplingConfig(state.n_total))
-    return compute_series([(c.real, c.imag)], [0.0], h)
+    return compute_series([state.coefficients[:, None]], [0.0], h)
 
 
 def expectation_imbalance(state: StateVector) -> float:

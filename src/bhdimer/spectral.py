@@ -6,9 +6,10 @@ Propagation works in the energy eigenbasis: diagonalize once, then
 
 `GridPropagator` is the one implementation, which `evolve_series` and
 `evolve` bind to a grid. Its blocks of block_rows(dim, steps) grid times are
-each one matmul of the kept eigenvector rows with the real and imaginary
-phases (2, kept, n): a table exp(-i lam k dt), k < rows, times
-a_n exp(-i lam_n t_s) at the block start t_s. The width depends on dim and
+each one real matmul of the kept eigenvector rows with the complex phases
+(kept, n) viewed as floats (kept, 2n): a table exp(-i lam k dt), k < rows,
+times a_n exp(-i lam_n t_s) at the block start t_s. The float product
+(rows, 2n) is the complex block (rows, n). The width depends on dim and
 steps alone, so every basis gets the same phases. The work runs in BLAS and
 numpy ufuncs, which release the GIL.
 
@@ -43,8 +44,9 @@ _SQRT_HALF = math.sqrt(0.5)
 
 # Largest total weight sum |a_n|^2 that GridPropagator may drop.
 DROPPED_WEIGHT_MAX = 1e-28
-# Grid times per block: rows * dim stays near 2^16 doubles (512 KiB) per
-# array, in cache, unless block_rows' floor of 64 rows (a wide gemm) applies.
+# Grid times per block: rows * dim stays near 2^16 complex coefficients
+# (1 MiB) per block, in cache, unless block_rows' floor of 64 rows (a wide
+# gemm) applies.
 BLOCK_ELEMENTS = 2**16
 
 
@@ -208,8 +210,8 @@ def evolve(decomp: SpectralDecomposition, initial: StateVector, t: float) -> Sta
     Raises ValueError when t or max|lambda| * |t| is not finite.
     """
     propagator = evolve_series(decomp, initial, [0.0, t])
-    ((cr, ci),) = propagator
-    return propagator.basis.unfold(cr[:, 1] + 1j * ci[:, 1])
+    (c,) = propagator
+    return propagator.basis.unfold(c[:, 1])
 
 
 def evolve_series(decomp: SpectralDecomposition, initial: StateVector, t_grid) -> GridPropagator:
@@ -250,19 +252,21 @@ class Basis:
 
         offdiagonal couples consecutive rows: h's coupling where they are
         neighbours in h (or its sector block), 0 where a split window's
-        halves meet. weights are the rows (d, d^2, diagonal) of the moments,
-        d = N - 2n. In a sector d is odd, so its row is 0, and a paired row
-        splits its weight q over two Fock states, -2 (q/2) log2(q/2) =
-        -q log2 q + q: a last row adds those q to the entropy.
+        halves meet. weights are the rows (1, d, d^2, diagonal) of the
+        moments, the first giving the norm, d = N - 2n. In a sector d is
+        odd, so its row is 0, and a paired row splits its weight q over two
+        Fock states, -2 (q/2) log2(q/2) = -q log2 q + q: a last row adds
+        those q to the entropy.
         """
         r, d = self.rows, imbalance_diagonal(h.n_total)
         diagonal, offdiagonal = h.diagonal, h.offdiagonal
         if self.sector:
             diagonal, offdiagonal = _sector_block(diagonal, offdiagonal, self.sector == "even")
         coupling = np.where(r[1:] == r[:-1] + 1, offdiagonal[r[:-1]], 0.0)
+        ones = np.ones(r.size)
         if self.sector is None:
-            return coupling, np.stack((d[r], d[r] ** 2, diagonal[r]))
-        return coupling, np.stack((np.zeros(r.size), d[r] ** 2, diagonal[r], self.paired))
+            return coupling, np.stack((ones, d[r], d[r] ** 2, diagonal[r]))
+        return coupling, np.stack((ones, 0.0 * ones, d[r] ** 2, diagonal[r], self.paired))
 
     def unfold(self, column: np.ndarray) -> StateVector:
         """The Fock-basis state of one block column; dropped rows are 0."""
@@ -289,9 +293,9 @@ def _window(weight: np.ndarray) -> tuple:
 class GridPropagator:
     """One initial state propagated over the uniform grid t_j = j*dt.
 
-    Iterating yields (cr, ci) blocks from t = 0: the real and imaginary
-    coefficients in basis, (rows, n) with one column per grid time, as views
-    of buffers the next block overwrites.
+    Iterating yields complex blocks from t = 0: the coefficients in basis,
+    (rows, n) with one column per grid time, as views of a buffer the next
+    block overwrites.
 
     basis               the Basis of the block rows: a parity sector's if the
                         state keeps only that one, else Fock; cut by _window
@@ -376,18 +380,19 @@ class GridPropagator:
         self.phase_error_bound = float(np.finfo(float).eps * lam_max * t_max)
 
     def _product(self, x: np.ndarray, out: np.ndarray, odd: np.ndarray) -> np.ndarray:
-        """out (2, rows, n) = V x (2, kept, n); odd is (2, pairs, n) scratch.
-        Split, x holds the even components first: E = V_even x_even fills the
-        top rows, O = V_odd x_odd goes to odd, then the first pairs rows take
-        E + O and their mirror rows, after the top ones, E - O."""
+        """out (rows, 2n) = V x (kept, 2n), each a complex array viewed as
+        floats; odd is (pairs, 2n) scratch. Split, x holds the even
+        components first: E = V_even x_even fills the top rows, O = V_odd
+        x_odd goes to odd, then the first pairs rows take E + O and their
+        mirror rows, after the top ones, E - O."""
         if self._v_odd is None:
             return np.matmul(self._v, x, out=out)
         (top, n_even), pairs = self._v.shape, self._v_odd.shape[0]
-        np.matmul(self._v, x[:, :n_even], out=out[:, :top])
-        np.matmul(self._v_odd, x[:, n_even:], out=odd)
+        np.matmul(self._v, x[:n_even], out=out[:top])
+        np.matmul(self._v_odd, x[n_even:], out=odd)
         # The mirror rows follow the top ones in ascending Fock order.
-        np.subtract(out[:, :pairs], odd, out=out[:, top + pairs - 1 : top - 1 : -1])
-        out[:, :pairs] += odd
+        np.subtract(out[:pairs], odd, out=out[top + pairs - 1 : top - 1 : -1])
+        out[:pairs] += odd
         return out
 
     def __iter__(self):
@@ -398,8 +403,10 @@ class GridPropagator:
         rows = block_rows(dim, steps)
         table = np.exp(np.multiply.outer(lam, np.arange(rows) * dt) * -1j)
         # Flat workspaces: a partial last block takes contiguous leading views.
+        # The real V times the float view of z: a complex operand would make
+        # numpy copy V to complex and do four times the flops.
         z = np.empty(kept * rows, dtype=complex)
-        x, out, odd = (np.empty(size * rows) for size in (2 * kept, 2 * height, 2 * pairs))
+        out, odd = (np.empty(2 * size * rows) for size in (height, pairs))
 
         def lead(buf, *shape):
             return buf[: math.prod(shape)].reshape(shape)
@@ -408,7 +415,7 @@ class GridPropagator:
             n = min(rows, steps - start)
             phase = self._a * np.exp(lam * (-1j * (start * dt)))
             zn = np.multiply(table[:, :n], phase[:, None], out=lead(z, kept, n))
-            xn = lead(x, 2, kept, n)
-            xn[0], xn[1] = zn.real, zn.imag
-            c = self._product(xn, lead(out, 2, height, n), lead(odd, 2, pairs, n))
-            yield c[0], c[1]
+            c = self._product(
+                zn.view(np.float64), lead(out, height, 2 * n), lead(odd, pairs, 2 * n)
+            )
+            yield c.view(complex)

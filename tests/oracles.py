@@ -3,8 +3,8 @@
 These deliberately avoid the library's propagation path: the propagator
 oracle exponentiates the dense Hamiltonian by scaling and squaring, the
 spectral reference sums every eigencomponent at each time with its own
-phases, the moment oracles are direct sums over the basis, and the Rabi
-limit has a closed form.
+phases, the moment oracles are direct sums over the basis (one of them in
+np.longdouble), and the Rabi limit has a closed form.
 """
 
 import math
@@ -68,6 +68,45 @@ def brute_force_moments(coefficients) -> tuple[float, float]:
     mean = sum(pn * (n_total - 2 * i) for i, pn in enumerate(p)) / total
     second = sum(pn * (n_total - 2 * i) ** 2 for i, pn in enumerate(p)) / total
     return mean, second - mean**2
+
+
+def longdouble_series(blocks, basis, h) -> dict:
+    """Every observable column but t of complex blocks in basis, reduced in
+    np.longdouble from the Fock weights they unfold to.
+
+    basis holds rows, sector and dim as spectral.Basis does: a sector row
+    i < dim // 2 stands for (e_i +- e_{dim-1-i})/sqrt2, odd sector minus.
+    Each weight is normalized before the sums; a zero weight adds nothing
+    to the entropy.
+    """
+    c = np.concatenate(blocks, axis=1)
+    ld = np.longdouble
+    rows, dim = np.asarray(basis.rows), basis.dim
+    paired = rows < (dim // 2 if basis.sector else 0)
+    scale = np.where(paired, np.sqrt(ld(0.5)), ld(1.0))[:, None]
+    re, im = np.zeros((dim, c.shape[1]), dtype=ld), np.zeros((dim, c.shape[1]), dtype=ld)
+    re[rows], im[rows] = c.real.astype(ld) * scale, c.imag.astype(ld) * scale
+    sign = -1 if basis.sector == "odd" else 1
+    mirror = dim - 1 - rows[paired]
+    re[mirror], im[mirror] = sign * re[rows[paired]], sign * im[rows[paired]]
+    weight = re**2 + im**2
+    total = weight.sum(axis=0)
+    p = weight / total
+    d = (dim - 1 - 2 * np.arange(dim)).astype(ld)[:, None]
+    mean = (d * p).sum(axis=0)
+    logs = np.log2(np.where(p > 0, p, ld(1.0)))
+    off = np.asarray(h.offdiagonal, dtype=ld)[:, None]
+    coherence = (off * (re[:-1] * re[1:] + im[:-1] * im[1:])).sum(axis=0)
+    columns = {
+        "imbalance": mean,
+        "imbalance_scaled": mean / (dim - 1) if dim > 1 else 0 * mean,
+        "variance": np.maximum((d * d * p).sum(axis=0) - mean * mean, 0),
+        "entanglement_bits": -(p * logs).sum(axis=0),
+        "norm_error": np.abs(np.sqrt(total) - 1),
+        "energy": (np.asarray(h.diagonal, dtype=ld)[:, None] * p).sum(axis=0)
+        + 2 * coherence / total,
+    }
+    return {name: col.astype(np.float64) for name, col in columns.items()}
 
 
 def uniform_state_variance_exact(n_total: int) -> float:

@@ -114,6 +114,36 @@ class TestRunningExtreme:
             self.assert_matches(x, window)
 
 
+class TestRunningMean:
+    """The O(n) window sums over the same blocks, divided by the window,
+    against sliding_window_view(...).mean: both add at most window values,
+    so they agree within eps * window * max|x|."""
+
+    @staticmethod
+    def assert_close(x, window):
+        x = np.asarray(x, dtype=np.float64)
+        want = sliding_window_view(x, window).mean(axis=1)
+        got = _running(np.add, x, window) / window
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= np.finfo(float).eps * window * np.abs(x).max()
+
+    @pytest.mark.parametrize("size_windows", [3, 3.5, 4, 49.75])
+    @pytest.mark.parametrize("window", [3, 1005])
+    def test_offset_random_data(self, size_windows, window):
+        # Lengths of exactly three windows, of whole windows and of neither.
+        size = round(size_windows * window)
+        x = 100.0 + np.random.default_rng(size).normal(size=size)
+        self.assert_close(x, window)
+
+    @pytest.mark.parametrize("size,window", [(31, 5), (32, 5), (34, 3), (1000, 7)])
+    def test_length_not_a_multiple_of_the_window(self, size, window):
+        self.assert_close(np.sin(np.arange(size) * 0.7), window)
+
+    def test_block_start_counts_its_block_once(self):
+        # Every window of 3 ones sums to exactly 3, also those starting at 0, 3, 6.
+        assert np.array_equal(_running(np.add, np.ones(10), 3), np.full(8, 3.0))
+
+
 class TestEnvelope:
     def test_constant_series_has_zero_amplitude(self):
         t = np.linspace(0.0, 10.0, 500)

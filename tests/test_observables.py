@@ -14,16 +14,15 @@ from bhdimer.observables import (
     expectation_imbalance,
     variance_imbalance,
 )
-from bhdimer.spectral import StateVector, eigendecompose, evolve, evolve_series
-from bhdimer.states import cat, fock, maximally_entangled
+from bhdimer.spectral import Basis, StateVector, block_rows, eigendecompose, evolve, evolve_series
+from bhdimer.states import cat, fock, maximally_entangled, parse_state
 
-from oracles import brute_force_moments, uniform_state_variance_exact
+from oracles import brute_force_moments, longdouble_series, uniform_state_variance_exact
 
 
 def single_row(state, t, h):
     """Every observable of one state at time t: a one-column compute_series."""
-    c = state.coefficients[:, None]
-    row = compute_series([(c.real, c.imag)], [t], h)
+    row = compute_series([state.coefficients[:, None]], [t], h)
     return SimpleNamespace(**{name: float(getattr(row, name)[0]) for name in row.COLUMNS})
 
 
@@ -227,13 +226,70 @@ class TestReduceBlocks:
         sparse[1, 2, ::3] = 1e-160  # weight 1e-320, below the entropy floor
         t = np.arange(8.0)
         # Blocks are basis-major, one column per time: feed the transposes.
-        dense, sparse = dense.transpose(0, 2, 1), sparse.transpose(0, 2, 1)
-        both = compute_series([(dense[0], dense[1]), (sparse[0], sparse[1])], t, h)
-        first = compute_series([(dense[0], dense[1])], t[:5], h)
-        second = compute_series([(sparse[0], sparse[1])], t[5:], h)
+        dense, sparse = ((a[0] + 1j * a[1]).T for a in (dense, sparse))
+        both = compute_series([dense, sparse], t, h)
+        first = compute_series([dense], t[:5], h)
+        second = compute_series([sparse], t[5:], h)
         for name in ObservableSeries.COLUMNS:
             want = np.concatenate((getattr(first, name), getattr(second, name)))
             assert np.array_equal(getattr(both, name), want), name
+
+
+def _fock_blocks():
+    # Hand-made Fock-basis blocks: random, then exact zeros and sub-floor
+    # weights (1e-320), then a partial block.
+    n = 40
+    h = build_hamiltonian(CouplingConfig(n, k=0.7, delta_mu=0.2, e_j=1.1))
+    rng = np.random.default_rng(19)
+    blocks = [rng.standard_normal((n + 1, w)) + 1j * rng.standard_normal((n + 1, w))
+              for w in (64, 64, 17)]
+    blocks[1][::2, ::3] = 0.0
+    blocks[1][1::4, 1::3] = 1e-160
+    blocks[1][:, 2::3] *= 1e-150  # every weight of these times sub-floor but one
+    blocks[1][7, 2::3] = 1.0
+    return h, blocks, Basis(n + 1, np.arange(n + 1)), blocks
+
+
+def _propagated_blocks(n, k, e_j, dmu, initial, sector, windowed):
+    h = build_hamiltonian(CouplingConfig(n, k=k, delta_mu=dmu, e_j=e_j))
+    t = np.linspace(0.0, 2.0, 2 * block_rows(n + 1, 2**62) + 17)  # ends in a partial block
+    propagator = evolve_series(eigendecompose(h), parse_state(initial, n), t)
+    assert propagator.basis.sector == sector
+    assert (propagator.basis.kept_rows < n + 1) == windowed
+    # Iterating again yields the same bits; each block is overwritten by the next.
+    return h, [c.copy() for c in propagator], propagator.basis, propagator
+
+
+LONGDOUBLE_CASES = {
+    "fock-list": _fock_blocks,
+    "fock-split": lambda: _propagated_blocks(200, 1.0, 100.0, 0.0, "fock:150,50", None, False),
+    "fock-biased": lambda: _propagated_blocks(200, 1.0, 100.0, 0.3, "fock:150,50", None, False),
+    "sector-even": lambda: _propagated_blocks(201, 1.0, 100.0, 0.0, "cat", "even", False),
+    "window": lambda: _propagated_blocks(100, 100.0, 1.0, 0.3, "fock:100,0", None, True),
+    "window-split": lambda: _propagated_blocks(100, 100.0, 1.0, 0.0, "fock:74,26", None, True),
+    "window-sector": lambda: _propagated_blocks(100, 100.0, 1.0, 0.0, "cat", "even", True),
+}
+
+
+@pytest.mark.parametrize("case", LONGDOUBLE_CASES)
+def test_block_reduction_matches_longdouble(case):
+    # The same blocks reduced in float64 by compute_series and in long double
+    # from their Fock weights. Each column may err by eps * dim times its
+    # scale: N for the imbalance, N^2 for the variance, log2(N+1) bits, the
+    # Hamiltonian's row-sum bound for the energy.
+    h, blocks, basis, source = LONGDOUBLE_CASES[case]()
+    t = np.arange(sum(c.shape[1] for c in blocks), dtype=float)
+    got = compute_series(source, t, h)
+    want = longdouble_series(blocks, basis, h)
+    n, eps = h.n_total, np.finfo(float).eps
+    scale = {
+        "imbalance": n, "imbalance_scaled": 1.0, "variance": n * n,
+        "entanglement_bits": math.log2(n + 1), "norm_error": 1.0,
+        "energy": np.abs(h.diagonal).max() + 2.0 * np.abs(h.offdiagonal).max(),
+    }
+    for name, ref in want.items():
+        bound = eps * h.dim * max(1.0, scale[name])
+        assert np.abs(getattr(got, name) - ref).max() <= bound, name
 
 
 class TestTrajectorySymmetries:

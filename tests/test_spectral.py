@@ -437,8 +437,8 @@ class TestEvolve:
 
 
 def grid_states(blocks):
-    """Iterated (cr, ci) blocks as complex coefficients, one column per time."""
-    return np.concatenate([cr + 1j * ci for cr, ci in blocks], axis=1)
+    """Iterated blocks, copied as the next overwrites each, one column per time."""
+    return np.concatenate([c.copy() for c in blocks], axis=1)
 
 
 class TestEvolveSeries:
