@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CouplingConfig
+from .model import CouplingConfig, as_integer
 from .observables import expectation_imbalance
 from .spectral import StateVector
 
@@ -36,6 +36,7 @@ __all__ = [
     "collapse_revival_time",
     "delta_mu_dominance",
     "envelope",
+    "min_series_length",
     "time_averaged_imbalance",
 ]
 
@@ -70,12 +71,13 @@ class RegimeReport:
 
 
 def classify(config: CouplingConfig) -> RegimeReport:
-    """Classify a configuration by its coupling ratio k/ej.
+    """Classify a configuration by |k/ej|, the ratio reported: flipping ej
+    flips the sign of every other Fock coefficient, and no observable.
 
     With the tunneling switched off the ratio is +inf (CouplingConfig.ratio)
     and the system is trivially in the Fock regime and self-trapped.
     """
-    n, r = config.n_total, config.ratio
+    n, r = config.n_total, abs(config.ratio)
     if r == math.inf:
         return RegimeReport(r, Regime.FOCK, Phase.SELF_TRAPPED)
 
@@ -104,8 +106,9 @@ def classify(config: CouplingConfig) -> RegimeReport:
 
 
 def check_detector(window: int, theta_c=DEFAULT_THETA_C, theta_r=DEFAULT_THETA_R) -> None:
-    """Refuse detector settings outside their ranges with a ValueError."""
-    if window < 3 or window % 2 == 0:
+    """Refuse detector settings outside their ranges with a ValueError, and a
+    window that is not an integer with a TypeError."""
+    if as_integer("window", window) < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
     if not 0.0 < theta_c < 1.0:
         raise ValueError(f"theta_c must be in (0, 1), got {theta_c}")
@@ -113,14 +116,9 @@ def check_detector(window: int, theta_c=DEFAULT_THETA_C, theta_r=DEFAULT_THETA_R
         raise ValueError(f"theta_r must be in (0, 1], got {theta_r}")
 
 
-def _check_uniform_grid(t: np.ndarray) -> float:
-    dt = np.diff(t)
-    if dt.size == 0:
-        raise ValueError("series too short")
-    step = float(dt[0])
-    if step <= 0.0 or np.any(np.abs(dt - step) > 1e-6 * abs(step)):
-        raise ValueError("series must be uniformly sampled with a positive step")
-    return step
+def min_series_length(window: int) -> int:
+    """The fewest samples envelope takes at this window: three windows."""
+    return 3 * window
 
 
 def _running(reduce: np.ufunc, x: np.ndarray, window: int) -> np.ndarray:
@@ -147,7 +145,8 @@ def envelope(t, values, window: int = DEFAULT_WINDOW):
     only keep full windows, so the output covers t[window-1] through
     t[len(t)-window] and has len(t) - 2*(window-1) points.
 
-    window must be odd and >= 3, and the series at least 3 windows long.
+    window must be odd and >= 3, and the series at least
+    min_series_length(window) samples long.
     Returns (centers, amplitudes).
     """
     t = np.asarray(t, dtype=np.float64)
@@ -155,12 +154,14 @@ def envelope(t, values, window: int = DEFAULT_WINDOW):
     if t.ndim != 1 or x.shape != t.shape:
         raise ValueError("t and values must be 1-d arrays of equal length")
     check_detector(window)
-    if t.size < 3 * window:
+    need = min_series_length(window)
+    if t.size < need:
         raise ValueError(
-            f"series too short: {t.size} samples for window {window} "
-            f"(need at least {3 * window})"
+            f"series too short: {t.size} samples for window {window} (need at least {need})"
         )
-    _check_uniform_grid(t)
+    dt = np.diff(t)
+    if dt[0] <= 0.0 or np.any(np.abs(dt - dt[0]) > 1e-6 * dt[0]):
+        raise ValueError("series must be uniformly sampled with a positive step")
 
     half = window // 2
     # Sums of x - x[0]: a constant series detrends to exact zeros whichever

@@ -11,9 +11,10 @@ from dataclasses import fields
 from pathlib import Path
 
 from .analysis import DEFAULT_THETA_C, DEFAULT_THETA_R, DEFAULT_WINDOW
+from .files import FORMATS
 from .model import CouplingConfig
 from .pipeline import DEFAULT_STEPS, ScenarioSpec, run_scenario, sweep
-from .presets import DEFAULT_N, PRESETS, parse_ratio, realize_ratio
+from .presets import DEFAULT_N, PRESETS, default_initial, parse_ratio, realize_ratio
 from .spectral import ConvergenceError
 
 __all__ = ["build_parser", "main"]
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", type=Path, help="output file (sweeps: output directory)")
     p.add_argument(
-        "--format", dest="fmt", choices=("csv", "json"), help="series format (default csv)"
+        "--format", dest="fmt", choices=FORMATS, help="series format (default csv)"
     )
     p.add_argument("--jobs", type=int, default=1, help="concurrent sweep cells")
     return p
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
         if args.initial is not None:
             run.pop("initials", None)
         run.update((key, value) for key, value in vars(args).items() if value is not None)
-        initial = run.get("initial", f"fock:{n},0")
+        initial = run.get("initial", default_initial(n))
 
         sweep_mode = "ratios" in run or "initials" in run
         if sweep_mode:
@@ -128,7 +129,7 @@ def main(argv=None) -> int:
             if "ratios" not in run and args.ratio is None:
                 parser.error("a sweep needs --ratios (or a sweep preset)")
             # Every cell sets its own couplings, initial state and file.
-            k, e_j, spec_initial, out = 0.0, 1.0, f"fock:{n},0", None
+            k, e_j, spec_initial, out = 0.0, 1.0, default_initial(n), None
         else:
             if args.jobs < 1:  # refused as sweep() refuses it, though a single run ignores it
                 raise ValueError(f"jobs must be >= 1, got {args.jobs}")

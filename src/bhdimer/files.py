@@ -25,7 +25,12 @@ import numpy as np
 
 from .observables import ObservableSeries
 
-__all__ = ["CSV_HEADER", "READ_CHUNK", "ROW_CHUNK", "read_series", "write_json", "write_output"]
+__all__ = [
+    "CSV_HEADER", "FORMATS", "READ_CHUNK", "ROW_CHUNK", "read_series", "write_json", "write_output",
+]
+
+# The series formats write_output takes; read_series tells them apart by content.
+FORMATS = ("csv", "json")
 
 CSV_HEADER = ",".join(ObservableSeries.COLUMNS)
 
@@ -113,7 +118,6 @@ class _Scientific:
     """
 
     def __init__(self, work=np.longdouble):
-        self.work = work
         self.powers = _powers(work)
         self.band = 2e12 * float(np.finfo(work).eps)
         self.lead = _table((f"{i // 100}.{i % 100:02d}" for i in range(1000)), "<u4")
@@ -201,7 +205,6 @@ class _Shortest:
     """
 
     def __init__(self, work=np.longdouble):
-        self.work = work
         self.powers = _powers(work)
         self.band = 2e17 * float(np.finfo(work).eps)
         self.groups = _group_words()

@@ -40,6 +40,13 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return a
 
 
+def as_integer(name: str, value) -> int:
+    """value as an int; a TypeError unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CouplingConfig:
     """Physical parameters of the dimer.
@@ -56,12 +63,10 @@ class CouplingConfig:
     e_j: float = 0.0
 
     def __post_init__(self):
-        n = self.n_total
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise TypeError(f"n_total must be an integer, got {n!r}")
+        n = as_integer("n_total", self.n_total)
         if n < 0:
             raise ValueError(f"n_total must be >= 0, got {n}")
-        object.__setattr__(self, "n_total", int(n))
+        object.__setattr__(self, "n_total", n)
         for name in ("k", "delta_mu", "e_j"):
             value = float(getattr(self, name))
             if not math.isfinite(value):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import CouplingConfig, TridiagonalHamiltonian, build_hamiltonian
+from .model import CouplingConfig, TridiagonalHamiltonian, build_hamiltonian, imbalance_diagonal
 from .spectral import Basis, GridPropagator, StateVector
 
 __all__ = [
@@ -77,14 +77,12 @@ def _block_columns(
     """Every observable column but t for a complex block (rows, n) viewed as
     floats c (rows, 2n), one (re, im) pair of columns per time.
 
-    The one implementation of the formulas, in the basis Basis.reduction
-    describes: weights holds the rows (1, d, d^2, diagonal) of the moments,
-    then any rows whose products add to the entropy in bits, and offdiagonal
-    couples neighbouring rows. scratch is a flat float array of at least
-    2 rows n, overwritten here: the weights P = re^2 + im^2 and a second
-    (rows, n) array, then the coherences (rows - 1, 2n). Every moment of
-    every time comes from one product with P; only those sums are divided
-    by the norm T, never the block.
+    The one implementation of the formulas: weights holds the moment rows
+    compute_series builds, and offdiagonal couples neighbouring rows. scratch
+    is a flat float array of at least 2 rows n, overwritten here: the weights
+    P = re^2 + im^2 and a second (rows, n) array, then the coherences
+    (rows - 1, 2n). Every moment of every time comes from one product with
+    P; only those sums are divided by the norm T, never the block.
     """
     rows, n = c.shape[0], c.shape[1] // 2
     p, terms = scratch[: 2 * rows * n].reshape(2, rows, n)
@@ -136,8 +134,15 @@ def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSerie
     basis = blocks.basis if isinstance(blocks, GridPropagator) else Basis(h.dim, np.arange(h.dim))
     if basis.dim != h.dim:
         raise ValueError("state dimension does not match Hamiltonian")
-    offdiagonal, weights = basis.reduction(h)
-    rows = weights.shape[1]
+    diagonal, offdiagonal = basis.hamiltonian(h)
+    # The moment rows (1, d, d^2, diagonal), d = N - 2n, the first giving the
+    # norm. In a sector d is odd, so its row is 0, and a paired row splits its
+    # weight q over two Fock states, -2 (q/2) log2(q/2) = -q log2 q + q: a
+    # last row adds those q to the entropy.
+    rows = basis.rows.size
+    d = imbalance_diagonal(h.n_total)[basis.rows]
+    moments = [np.ones(rows), np.zeros(rows) if basis.sector else d, d**2, diagonal]
+    weights = np.stack(moments + [basis.paired] if basis.sector else moments)
     scratch = None
     start = 0
     for block in blocks:

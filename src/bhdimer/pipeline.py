@@ -12,7 +12,6 @@ import math
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -27,10 +26,11 @@ from .analysis import (
     classify,
     collapse_revival_time,
     delta_mu_dominance,
+    min_series_length,
     time_averaged_imbalance,
 )
-from .files import write_json, write_output
-from .model import CouplingConfig, build_hamiltonian
+from .files import FORMATS, write_json, write_output
+from .model import CouplingConfig, as_integer, build_hamiltonian
 from .observables import ObservableSeries, compute_series
 from .presets import parse_ratio, realize_ratio
 from .spectral import (
@@ -59,12 +59,14 @@ class ScenarioSpec:
     fmt: str = "csv"
 
     def __post_init__(self):
+        for name in ("steps", "window"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
+        if self.fmt not in FORMATS:
+            raise ValueError(f"format must be {' or '.join(FORMATS)}, got {self.fmt!r}")
         check_detector(self.window, self.theta_c, self.theta_r)
         parse_state(self.initial, self.config.n_total)  # fail early
         if self.out is not None:
@@ -105,25 +107,14 @@ def _summarize(
     t = series.t
 
     envelope = None
-    cr = {
-        "detected": False,
-        "t_cr": None,
-        "t_cr_rescaled": None,
-        "collapse_time": None,
-        "reason": "series_too_short",
-        "window": spec.window,
-        "theta_c": spec.theta_c,
-        "theta_r": spec.theta_r,
-    }
-    if len(series) >= 3 * spec.window:
+    detector = dict(window=spec.window, theta_c=spec.theta_c, theta_r=spec.theta_r)
+    cr = dict(
+        detected=False, t_cr=None, t_cr_rescaled=None, collapse_time=None,
+        reason="series_too_short", **detector,
+    )
+    if len(series) >= min_series_length(spec.window):
         report = collapse_revival_time(
-            t,
-            series.imbalance,
-            window=spec.window,
-            theta_c=spec.theta_c,
-            theta_r=spec.theta_r,
-            amplitude_floor=0.01 * cfg.n_total,
-            n_total=cfg.n_total,
+            t, series.imbalance, **detector, amplitude_floor=0.01 * cfg.n_total, n_total=cfg.n_total
         )
         envelope = report.envelope
         # The same keys and two more from the report; detected stays a bool.
@@ -202,18 +193,6 @@ def _cell_file(ratio_token: str, initial: str, fmt: str) -> str:
     return f"r{str(ratio_token).translate(_SLUG)}__{initial.translate(_SLUG)}.{fmt}"
 
 
-def _coupling(base: ScenarioSpec, ratio_token: str) -> CouplingConfig:
-    n = base.config.n_total
-    k, e_j = realize_ratio(parse_ratio(ratio_token, n))
-    return CouplingConfig(n, k=k, delta_mu=base.config.delta_mu, e_j=e_j)
-
-
-def _sweep_cell(base: ScenarioSpec, ratio_token: str, initial: str, out_dir: Path | None) -> ScenarioSpec:
-    name = _cell_file(ratio_token, initial, base.fmt)
-    out = None if out_dir is None else Path(out_dir) / name
-    return replace(base, config=_coupling(base, ratio_token), initial=initial, out=out)
-
-
 def sweep(
     base: ScenarioSpec,
     ratio_tokens,
@@ -250,12 +229,18 @@ def sweep(
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    # A ratio token that does not parse fails in each of its cells instead.
+    # Each ratio token's coupling, or the ValueError that fails each of its
+    # cells instead.
+    n, delta_mu = base.config.n_total, base.config.delta_mu
     couplings = {}
     for ratio_token in ratio_tokens:
-        with suppress(ValueError):
-            couplings[ratio_token] = _coupling(base, ratio_token)
-    left = Counter(couplings[rt] for rt, _ in cells if rt in couplings)
+        try:
+            k, e_j = realize_ratio(parse_ratio(ratio_token, n))
+            couplings[ratio_token] = CouplingConfig(n, k=k, delta_mu=delta_mu, e_j=e_j)
+        except ValueError as exc:
+            couplings[ratio_token] = exc
+    # Cells left per coupling; an error is counted too, and never decomposed.
+    left = Counter(couplings[rt] for rt, _ in cells)
     locks = {config: threading.Lock() for config in left}
     made = {}
 
@@ -268,24 +253,26 @@ def sweep(
     def run_cell(cell):
         ratio_token, initial = cell
         entry = {"ratio": str(ratio_token), "initial": initial}
-        config = couplings.get(ratio_token)
+        config = couplings[ratio_token]
         try:
-            spec = _sweep_cell(base, ratio_token, initial, out_dir)
-            entry["ratio_value"] = spec.config.ratio
-            if spec.out is not None:
-                entry["file"] = spec.out.name
-            _, cell_summary = run_scenario(spec, decomposition=decomposition(spec.config))
+            if isinstance(config, ValueError):
+                raise config
+            out = None if out_dir is None else out_dir / _cell_file(ratio_token, initial, base.fmt)
+            spec = replace(base, config=config, initial=initial, out=out)
+            entry["ratio_value"] = config.ratio
+            if out is not None:
+                entry["file"] = out.name
+            _, cell_summary = run_scenario(spec, decomposition=decomposition(config))
             entry["status"] = "ok"
             entry["summary"] = cell_summary
         except (ValueError, ConvergenceError) as exc:  # keep the other cells running
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         finally:
-            if config is not None:
-                with locks[config]:
-                    left[config] -= 1
-                    if not left[config]:
-                        made.pop(config, None)
+            with locks[config]:
+                left[config] -= 1
+                if not left[config]:
+                    made.pop(config, None)
         return entry
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -18,9 +18,15 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["DEFAULT_N", "PRESETS", "Preset", "parse_ratio", "realize_ratio"]
+__all__ = ["DEFAULT_N", "PRESETS", "Preset", "default_initial", "parse_ratio", "realize_ratio"]
 
 DEFAULT_N = 100
+
+
+def default_initial(n: int) -> str:
+    """The initial state of a run or preset that names none: |N,0>."""
+    return f"fock:{n},0"
+
 
 _RATIO_RE = re.compile(
     r"^\s*(?:(?P<num>[0-9.eE+-]+)\s*(?P<op>[/*])\s*)?N\s*(?P<squared>\^2|\*\*2)?\s*$"
@@ -75,7 +81,7 @@ class Preset:
 
 
 def _paper_timescale(n: int) -> dict:
-    return dict(k=1.0, e_j=float(n) ** 2, initial=f"fock:{n},0", t_max=30.0)
+    return dict(k=1.0, e_j=float(n) ** 2, initial=default_initial(n), t_max=30.0)
 
 
 def _fig_rabi(n: int) -> dict:
@@ -97,7 +103,7 @@ def _sweep(ratios: list[str], t_max: float, initials=None) -> Callable[[int], di
     """A sweep preset; initials(n) lists its initial states, |N,0> if None."""
 
     def build(n: int) -> dict:
-        states = initials(n) if initials else [f"fock:{n},0"]
+        states = initials(n) if initials else [default_initial(n)]
         return dict(ratios=list(ratios), initials=states, t_max=t_max)
 
     return build

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
 from . import lapack
-from .model import TridiagonalHamiltonian, imbalance_diagonal
+from .model import TridiagonalHamiltonian
 
 __all__ = [
     "BLOCK_ELEMENTS", "Basis", "ConvergenceError", "DROPPED_WEIGHT_MAX", "GridPropagator",
@@ -247,26 +247,14 @@ class Basis:
         """Fock rows the blocks stand for; dim when no row was dropped."""
         return int(self.rows.size + self.paired.sum())
 
-    def reduction(self, h) -> tuple:
-        """(offdiagonal, weights) of observables._block_columns in this basis.
-
-        offdiagonal couples consecutive rows: h's coupling where they are
-        neighbours in h (or its sector block), 0 where a split window's
-        halves meet. weights are the rows (1, d, d^2, diagonal) of the
-        moments, the first giving the norm, d = N - 2n. In a sector d is
-        odd, so its row is 0, and a paired row splits its weight q over two
-        Fock states, -2 (q/2) log2(q/2) = -q log2 q + q: a last row adds
-        those q to the entropy.
-        """
-        r, d = self.rows, imbalance_diagonal(h.n_total)
-        diagonal, offdiagonal = h.diagonal, h.offdiagonal
+    def hamiltonian(self, h) -> tuple:
+        """(diagonal, coupling) of h in this basis: the diagonal at each row,
+        and h's coupling of consecutive rows where they are neighbours in h
+        (or in its sector block), 0 where a split window's halves meet."""
+        r, diagonal, offdiagonal = self.rows, h.diagonal, h.offdiagonal
         if self.sector:
             diagonal, offdiagonal = _sector_block(diagonal, offdiagonal, self.sector == "even")
-        coupling = np.where(r[1:] == r[:-1] + 1, offdiagonal[r[:-1]], 0.0)
-        ones = np.ones(r.size)
-        if self.sector is None:
-            return coupling, np.stack((ones, d[r], d[r] ** 2, diagonal[r]))
-        return coupling, np.stack((ones, 0.0 * ones, d[r] ** 2, diagonal[r], self.paired))
+        return diagonal[r], np.where(r[1:] == r[:-1] + 1, offdiagonal[r[:-1]], 0.0)
 
     def unfold(self, column: np.ndarray) -> StateVector:
         """The Fock-basis state of one block column; dropped rows are 0."""

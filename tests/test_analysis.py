@@ -13,6 +13,7 @@ from bhdimer.analysis import (
     collapse_revival_time,
     delta_mu_dominance,
     envelope,
+    min_series_length,
     time_averaged_imbalance,
 )
 from bhdimer.model import CouplingConfig
@@ -53,6 +54,16 @@ class TestClassify:
             assert report.ratio == math.inf
             assert report.regime is Regime.FOCK
             assert report.phase is Phase.SELF_TRAPPED
+
+    @pytest.mark.parametrize("k,e_j", [(1.0, -0.001), (-1.0, 0.001), (-1.0, -0.001)])
+    def test_sign_of_couplings_is_ignored(self, k, e_j):
+        # Flipping e_j runs the same dynamics bit for bit, so the report,
+        # whose ratio is |k/e_j|, cannot depend on its sign either.
+        report = classify(CouplingConfig(100, k=k, e_j=e_j))
+        assert report == classify(CouplingConfig(100, k=1.0, e_j=0.001))
+        assert report.ratio == 1000.0
+        assert report.regime is Regime.JOSEPHSON_FOCK_CROSSOVER
+        assert report.phase is Phase.SELF_TRAPPED
 
     def test_phase_boundaries_strict(self):
         threshold = 4.0 / 100.0
@@ -191,6 +202,20 @@ class TestEnvelope:
         t = np.concatenate([np.linspace(0, 1, 100), np.linspace(1.5, 3.0, 100)])
         with pytest.raises(ValueError, match="uniform"):
             envelope(t, np.sin(t), window=11)
+
+    @pytest.mark.parametrize("t", [np.linspace(1.0, 0.0, 100), np.zeros(100)])
+    def test_nonpositive_step_rejected(self, t):
+        message = "^series must be uniformly sampled with a positive step$"
+        with pytest.raises(ValueError, match=message):
+            envelope(t, np.sin(t), window=11)
+
+    def test_min_series_length_is_accepted(self):
+        window = 11
+        n = min_series_length(window)
+        t = np.linspace(0.0, 1.0, n)
+        assert envelope(t, np.sin(t), window)[0].size == n - 2 * (window - 1)
+        with pytest.raises(ValueError, match=rf"need at least {n}\)$"):
+            envelope(t[:-1], np.sin(t[:-1]), window)
 
 
 def synthetic_collapse_revival(revival_at=20.0, revival_height=0.9):

@@ -110,6 +110,29 @@ class TestScenarioSpec:
             with pytest.raises(ValueError, match=message):
                 collapse_revival_time(t, np.sin(t), window=window)
 
+    @pytest.mark.parametrize(
+        "name,value", [("steps", 400.5), ("steps", 400.0), ("steps", True), ("steps", "400"),
+                       ("window", 21.0), ("window", 20.5), ("window", True)],
+    )
+    def test_non_integer_steps_or_window_rejected(self, name, value):
+        # Refused when made, not deep in a run (np.linspace, np.pad) or a sweep.
+        message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(TypeError, match=message):
+            small_spec(**{name: value})
+        if name == "window":
+            t = np.linspace(0.0, 1.0, 100)
+            with pytest.raises(TypeError, match=message):
+                envelope(t, np.sin(t), window=value)
+            with pytest.raises(TypeError, match=message):
+                collapse_revival_time(t, np.sin(t), window=value)
+
+    def test_numpy_integer_steps_and_window_become_int(self, tmp_path):
+        spec = small_spec(tmp_path, fmt="json", steps=np.int64(400), window=np.int16(21))
+        assert type(spec.steps) is int and type(spec.window) is int
+        run_scenario(spec)
+        written = json.loads(spec.out.read_text())["spec"]
+        assert (written["steps"], written["window"]) == (400, 21)
+
     def test_initial_must_match_n(self):
         with pytest.raises(ValueError):
             small_spec(initial="fock:9,0")
@@ -1181,7 +1204,13 @@ class TestByteFormat:
         expected = {"summary.json": json.dumps(summary, indent=2) + "\n"}
         for ratio in ratios:
             for initial in initials:
-                spec = pipeline._sweep_cell(base, ratio, initial, tmp_path / "single")
+                k, e_j = realize_ratio(parse_ratio(ratio, 8))
+                spec = dataclasses.replace(
+                    base,
+                    config=CouplingConfig(8, k=k, delta_mu=base.config.delta_mu, e_j=e_j),
+                    initial=initial,
+                    out=tmp_path / "single" / pipeline._cell_file(ratio, initial, fmt),
+                )
                 series, cell_summary = run_scenario(spec)
                 expected.update(_oracle(spec, series, cell_summary))
                 _assert_reads_back(tmp_path / "sweep" / spec.out.name, series, _READ_CHUNKS)

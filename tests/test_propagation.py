@@ -75,10 +75,11 @@ def reference_series(s: ScenarioSpec):
 def test_tunneling_sign_flip_is_bitwise(n, initial, k):
     steps = full_rows(n + 1) + 703  # two blocks, the second partial
     a, diag = run_scenario(spec(n, initial, k=k, e_j=7.0, steps=steps))
-    b, _ = run_scenario(spec(n, initial, k=k, e_j=-7.0, steps=steps))
+    b, diag_b = run_scenario(spec(n, initial, k=k, e_j=-7.0, steps=steps))
     assert (diag["diagnostics"]["kept_rows"] < n + 1) == (k > 1.0)
     for name, col in columns(a).items():
         assert np.array_equal(col, getattr(b, name)), name
+    assert diag_b == diag
 
 
 def test_mirror_symmetry_at_zero_bias():
@@ -157,7 +158,8 @@ def test_split_window_keeps_mirror_images():
     assert basis.sector is None and 26 in top and top.max() < 49
     assert np.array_equal(basis.rows[top.size :], 100 - top[::-1])
     # The two runs do not touch, so the coupling between them is dropped.
-    offdiagonal, _ = basis.reduction(h)
+    diagonal, offdiagonal = basis.hamiltonian(h)
+    assert np.array_equal(diagonal, h.diagonal[basis.rows])
     assert offdiagonal[top.size - 1] == 0.0
     assert np.count_nonzero(offdiagonal) == basis.rows.size - 2
 
