@@ -8,6 +8,8 @@ entropy along exact trajectories, classifies coupling regimes, and detects
 collapse/revival of the imbalance oscillation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     CollapseRevivalReport,
     Phase,
@@ -47,38 +49,8 @@ from .states import cat, fock, maximally_entangled, parse_state
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CollapseRevivalReport",
-    "ConvergenceError",
-    "CouplingConfig",
-    "ObservableSeries",
-    "PRESETS",
-    "Phase",
-    "Regime",
-    "RegimeReport",
-    "ScenarioSpec",
-    "SpectralDecomposition",
-    "StateVector",
-    "TridiagonalHamiltonian",
-    "build_hamiltonian",
-    "cat",
-    "classify",
-    "collapse_revival_time",
-    "compute_series",
-    "delta_mu_dominance",
-    "eigendecompose",
-    "entanglement_entropy",
-    "envelope",
-    "evolve",
-    "evolve_series",
-    "expectation_imbalance",
-    "fock",
-    "imbalance_diagonal",
-    "maximally_entangled",
-    "parse_state",
-    "read_series",
-    "run_scenario",
-    "sweep",
-    "time_averaged_imbalance",
-    "variance_imbalance",
-]
+# Every name imported above; importing a submodule also binds its name here.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -9,6 +9,7 @@ runs the cross product of a ratio list and an initial-state list.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +64,9 @@ class ScenarioSpec:
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if isinstance(self.t_max, bool) or not isinstance(self.t_max, numbers.Real):
+            raise TypeError(f"t_max must be a real number, got {self.t_max!r}")
+        object.__setattr__(self, "t_max", float(self.t_max))
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.fmt not in FORMATS:

@@ -18,9 +18,10 @@ The eigenpairs come from LAPACK's dstevd in numpy's OpenBLAS
 that library lacks it; both give the same bits. A diagonal +-1 similarity
 first maps the off-diagonal to -|e|, so "flip e_j and c_n -> (-1)^n c_n"
 holds exactly. A mirror-symmetric matrix (the dimer at zero bias) is
-diagonalized as two half-size blocks, one per parity sector, so every
-eigenvector is exactly even or odd (SpectralDecomposition.even) and
-interchanged modes mirror each other down to summation round-off.
+diagonalized as two half-size blocks, one per parity sector, whose
+eigenvectors stay in that sector's rows: each is exactly even or odd, and
+interchanged modes mirror each other down to summation round-off. Only
+Basis maps block rows to Fock rows (unfold) and back (fold).
 """
 
 from __future__ import annotations
@@ -83,39 +84,57 @@ class StateVector:
 class SpectralDecomposition:
     """Full spectrum of a real symmetric tridiagonal matrix.
 
-    eigenvalues   ascending, length dim
-    eigenvectors  (dim, dim) orthonormal, column n is |psi_n>
-    even          bool per column, True if v[::-1, n] == v[:, n] and False if
-                  v[::-1, n] == -v[:, n]; None when parity is not known
+    eigenvalues  ascending, length dim
+    blocks       (basis, columns, vectors) triples: vectors, (basis rows,
+                 columns.size), holds eigenvectors `columns` in the rows of
+                 basis. One Fock block, or at zero bias one per parity
+                 sector, even first; each column lies in exactly one block.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    even: np.ndarray | None = None
+    blocks: tuple
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
-        v = np.asarray(self.eigenvectors, dtype=np.float64)
-        even = None if self.even is None else np.array(self.even, dtype=bool)
-        if lam.ndim != 1 or v.shape != (lam.size, lam.size):
-            raise ValueError("eigenvalues must be 1-d and eigenvectors square")
-        if even is not None and even.shape != lam.shape:
-            raise ValueError("even must hold one label per eigenvector")
-        for name, a in (("eigenvalues", lam), ("eigenvectors", v), ("even", even)):
-            if a is not None:
-                a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        blocks = tuple(
+            (basis, np.asarray(columns, dtype=np.intp), np.asarray(vectors, dtype=np.float64))
+            for basis, columns, vectors in self.blocks
+        )
+        if lam.ndim != 1:
+            raise ValueError("eigenvalues must be 1-d")
+        every = np.concatenate([columns for _, columns, _ in blocks] or [[]])
+        if not np.array_equal(np.sort(every), np.arange(lam.size)):
+            raise ValueError("each eigenvector column must lie in exactly one block")
+        for basis, columns, vectors in blocks:
+            if basis.dim != lam.size or vectors.shape != (basis.rows.size, columns.size):
+                raise ValueError("a block's vectors must be (basis rows, columns)")
+            columns.setflags(write=False)
+            vectors.setflags(write=False)
+        lam.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """(dim, dim) orthonormal, column n is |psi_n>: the blocks unfolded to
+        Fock rows, a new read-only array on every access."""
+        v = np.empty((self.dim, self.dim), order="F")
+        for basis, columns, vectors in self.blocks:
+            v[:, columns] = basis.unfold(vectors)
+        v.setflags(write=False)
+        return v
 
 
 def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
     try:
         solved = lapack.dstevd(d, e)
         if solved is None:  # no dstevd in numpy's OpenBLAS
-            solved = eigh(TridiagonalHamiltonian(d, e).to_dense(), UPLO="L")
+            lam, v = eigh(TridiagonalHamiltonian(d, e).to_dense(), UPLO="L")
+            solved = lam, np.asfortranarray(v)  # column-major, as dstevd gives it
         return solved
     except LinAlgError as exc:
         raise ConvergenceError(
@@ -141,65 +160,45 @@ def _sector_block(d: np.ndarray, e: np.ndarray, even: bool) -> tuple:
     return d_s, e_s
 
 
-def _parity_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
-    """Eigenpairs of a mirror-symmetric tridiagonal matrix, ascending, and a
-    mask of the even columns. Each _sector_block eigenvector maps back by
-    copying (or negating) its entries into the mirrored half."""
-    n, m = d.size, d.size // 2
-    n_even = n - m
-    lam_even, y = _tridiagonal_eigh(*_sector_block(d, e, True))
-    lam_odd, z = _tridiagonal_eigh(*_sector_block(d, e, False))
-
-    lam = np.concatenate((lam_even, lam_odd))
-    order = np.argsort(lam, kind="stable")
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    even, odd = column[:n_even], column[n_even:]
-
-    # Scatter straight into the merged column order: no n x n temporaries.
-    v = np.empty((n, n), order="F")
-    v[:m, even] = y[:m] * _SQRT_HALF
-    v[:m, odd] = z * _SQRT_HALF
-    v[n - m :, even] = v[m - 1 :: -1, even]
-    v[n - m :, odd] = -v[m - 1 :: -1, odd]
-    if n % 2:
-        v[m, even] = y[m]
-        v[m, odd] = 0.0
-    return lam[order], v, order < n_even
-
-
 def eigendecompose(h) -> SpectralDecomposition:
     """Full eigendecomposition of a TridiagonalHamiltonian.
 
     Eigenvalues come back ascending (ties: even block first). Each
-    eigenvector's entry of largest magnitude (lowest index on ties) is
+    eigenvector's Fock entry of largest magnitude (lowest index on ties) is
     positive, so reruns give the same bits. Raises ConvergenceError if LAPACK
     fails to converge (not seen for finite input).
     """
     d = np.asarray(h.diagonal, dtype=np.float64)
     e0 = np.asarray(h.offdiagonal, dtype=np.float64)
+    n = d.size
 
     # Diagonal +-1 similarity making every off-diagonal entry -|e|.
     signs = np.cumprod(np.concatenate(([1.0], np.where(e0 > 0.0, -1.0, 1.0))))
     e = -np.abs(e0)
 
-    even = None
-    if e.size and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
-        lam, v, even = _parity_eigh(d, e)
-        # signs[i] * signs[-1-i] scales every column's parity: -1 swaps, a mix voids.
-        mirror = signs * signs[::-1]
-        even = even ^ (mirror[0] < 0.0) if np.all(mirror == mirror[0]) else None
+    # signs[i] * signs[-1-i] scales every column's parity: -1 swaps the
+    # sectors' labels; a mix leaves no parity, so the matrix is solved whole.
+    mirror = signs * signs[::-1]
+    palindromic = np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
+    if e.size and palindromic and np.all(mirror == mirror[0]):
+        labels = ("odd", "even") if mirror[0] < 0.0 else ("even", "odd")
+        solved = [_tridiagonal_eigh(*_sector_block(d, e, even)) for even in (True, False)]
+        bases = [Basis(n, np.arange(v.shape[0]), label) for (_, v), label in zip(solved, labels)]
     else:
-        lam, v = _tridiagonal_eigh(d, e)
-        v = np.asfortranarray(v)  # column-major, as the parity path builds it
-    v *= signs[:, None]
+        solved, bases = [_tridiagonal_eigh(d, e)], [Basis(n, np.arange(n))]
 
-    n = lam.size
-    dominant = np.argmax(np.abs(v), axis=0)
-    flip = v[dominant, np.arange(n)] < 0.0
-    v[:, flip] *= -1.0
-
-    return SpectralDecomposition(lam, v, even)
+    lam = np.concatenate([w for w, _ in solved])
+    order = np.argsort(lam, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    blocks, start = [], 0
+    for basis, (w, v) in zip(bases, solved):
+        v *= signs[basis.rows, None]
+        v *= np.where(v[basis.dominant(v), np.arange(w.size)] < 0.0, -1.0, 1.0)
+        blocks.append((basis, column[start : start + w.size], v))
+        start += w.size
+    blocks.sort(key=lambda block: block[0].sector == "odd")
+    return SpectralDecomposition(lam[order], tuple(blocks))
 
 
 def evolve(decomp: SpectralDecomposition, initial: StateVector, t: float) -> StateVector:
@@ -211,7 +210,7 @@ def evolve(decomp: SpectralDecomposition, initial: StateVector, t: float) -> Sta
     """
     propagator = evolve_series(decomp, initial, [0.0, t])
     (c,) = propagator
-    return propagator.basis.unfold(c[:, 1])
+    return StateVector(propagator.basis.unfold(c[:, 1]))
 
 
 def evolve_series(decomp: SpectralDecomposition, initial: StateVector, t_grid) -> GridPropagator:
@@ -256,12 +255,29 @@ class Basis:
             diagonal, offdiagonal = _sector_block(diagonal, offdiagonal, self.sector == "even")
         return diagonal[r], np.where(r[1:] == r[:-1] + 1, offdiagonal[r[:-1]], 0.0)
 
-    def unfold(self, column: np.ndarray) -> StateVector:
-        """The Fock-basis state of one block column; dropped rows are 0."""
-        c, top = np.zeros(self.dim, dtype=complex), self.rows[self.paired]
-        c[self.rows] = column * np.where(self.paired, _SQRT_HALF, 1.0)
+    def dominant(self, v: np.ndarray) -> np.ndarray:
+        """The row of each column's Fock entry of largest magnitude in v
+        (rows, k), the lowest Fock index on ties."""
+        magnitude = np.abs(v)  # once, then scaled in place to the Fock entries
+        magnitude *= np.where(self.paired, _SQRT_HALF, 1.0)[:, None]
+        return np.argmax(magnitude, axis=0)
+
+    def fold(self, c: np.ndarray) -> np.ndarray:
+        """Fock-basis array c (dim, ...) in this basis's rows (rows, ...):
+        unfold's inverse on the states the basis holds."""
+        c = np.asarray(c, dtype=np.result_type(c, 1.0))
+        x, p, sign = c[self.rows], self.paired, -1.0 if self.sector == "odd" else 1.0
+        x[p] = (x[p] + sign * c[self.dim - 1 - self.rows[p]]) * _SQRT_HALF
+        return x
+
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """Fock-basis array (dim, ...) of rows x (rows, ...) in this basis;
+        dropped rows are 0."""
+        x, top = np.asarray(x), self.rows[self.paired]
+        c = np.zeros((self.dim,) + x.shape[1:], dtype=np.result_type(x, 1.0))
+        c[self.rows] = (x.T * np.where(self.paired, _SQRT_HALF, 1.0)).T
         c[self.dim - 1 - top] = c[top] * (-1.0 if self.sector == "odd" else 1.0)
-        return StateVector(c)
+        return c
 
 
 def _window(weight: np.ndarray) -> tuple:
@@ -311,41 +327,46 @@ class GridPropagator:
                 f"state dimension {initial.dim} does not match decomposition "
                 f"dimension {decomp.dim}"
             )
-        v, c = decomp.eigenvectors, initial.coefficients
-        # Two real products: numpy would otherwise copy v to complex.
-        a = v.T @ c.real + 1j * (v.T @ c.imag)
+        c, dim = initial.coefficients, decomp.dim
+        a = np.empty(dim, dtype=complex)
+        for basis, columns, v in decomp.blocks:
+            x = basis.fold(c)
+            # Two real products: numpy would otherwise copy v to complex.
+            a[columns] = v.T @ x.real + 1j * (v.T @ x.imag)
         weight = a.real**2 + a.imag**2
         order = np.argsort(weight, kind="stable")
         dropped = np.cumsum(weight[order])
         n_drop = int(np.searchsorted(dropped, DROPPED_WEIGHT_MAX, side="right"))
         # Keep at least one component; a zero state fails in the observables.
         n_drop = min(n_drop, a.size - 1)
-        keep = np.sort(order[n_drop:])
-        self.kept_components = int(keep.size)
+        kept = np.zeros(dim, dtype=bool)
+        kept[order[n_drop:]] = True
+        self.kept_components = dim - n_drop
         self.dropped_weight = float(dropped[n_drop - 1]) if n_drop else 0.0
 
-        # The product multiplies the top `top` rows of v[:, columns]; a split
-        # one adds v_odd, the odd components' top m (= pairs) rows.
-        dim = decomp.dim
-        m, top, columns, sector, v_odd, pairs = dim // 2, dim, keep, None, None, 0
-        self.kept_per_parity = None
-        if decomp.even is not None:
-            even = decomp.even[keep]
-            keep = np.concatenate((keep[even], keep[~even]))
-            n_even = int(even.sum())
-            self.kept_per_parity = [n_even, keep.size - n_even]
-            top = dim - m if n_even else m
-            if n_even in (0, keep.size):
-                sector = "even" if n_even else "odd"
-            else:
-                columns, pairs = keep[:n_even], m
-                v_odd = np.ascontiguousarray(v[:m, keep[n_even:]])
-        v_top = np.ascontiguousarray(v[:top, columns])
-        if sector:
-            v_top[:m] *= math.sqrt(2.0)
-        bound = np.abs(v_top) @ np.abs(a[columns])
+        # Each block's kept columns, ascending, and their vectors.
+        parts = []
+        for basis, columns, v in decomp.blocks:
+            local = np.flatnonzero(kept[columns])
+            parts.append((basis, columns[local], v[:, local]))
+        self.kept_per_parity = [p[1].size for p in parts] if parts[0][0].sector else None
+        parts = [p for p in parts if p[1].size]
+        keep = np.concatenate([p[1] for p in parts])
+        # The product multiplies v_top; with both sectors kept it is the even
+        # vectors' top Fock rows, and v_odd the odd ones' top m (= pairs).
+        m, v_odd, pairs = dim // 2, None, 0
+        if len(parts) == 1:
+            ((basis, _, v_top),) = parts
+            v_top, sector = np.ascontiguousarray(v_top), basis.sector
+        else:
+            (even, _, v_even), (odd, _, v_odd) = parts
+            # Copies, so the unfolded mirror rows are not held while blocks run.
+            v_top, sector, pairs = even.unfold(v_even)[: even.rows.size].copy(), None, m
+            v_odd = odd.unfold(v_odd)[:m].copy()
+        n_top = v_top.shape[1]
+        bound = np.abs(v_top) @ np.abs(a[keep[:n_top]])
         if pairs:
-            bound[:m] += np.abs(v_odd) @ np.abs(a[keep[columns.size :]])
+            bound[:m] += np.abs(v_odd) @ np.abs(a[keep[n_top:]])
         weight = bound**2
         weight[:pairs] *= 2.0  # a split pair is two Fock rows
         lo, hi, self.dropped_row_weight = _window(weight)

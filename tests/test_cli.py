@@ -133,6 +133,19 @@ class TestScenarioSpec:
         written = json.loads(spec.out.read_text())["spec"]
         assert (written["steps"], written["window"]) == (400, 21)
 
+    @pytest.mark.parametrize("value", [True, "30", None, 3 + 0j, np.bool_(True)])
+    def test_non_real_t_max_rejected(self, value):
+        message = rf"^t_max must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(TypeError, match=message):
+            small_spec(t_max=value)
+
+    @pytest.mark.parametrize("value", [30, np.int64(30), np.float32(30.0)])
+    def test_real_t_max_is_written_as_a_float(self, tmp_path, value):
+        spec = small_spec(tmp_path, fmt="json", t_max=value)
+        assert type(spec.t_max) is float and spec.t_max == 30.0
+        run_scenario(spec)
+        assert '"t_max": 30.0' in spec.out.read_text()
+
     def test_initial_must_match_n(self):
         with pytest.raises(ValueError):
             small_spec(initial="fock:9,0")

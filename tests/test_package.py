@@ -27,6 +27,18 @@ def test_every_exported_name_resolves(name):
     assert [item for item in exported if not hasattr(module, item)] == []
 
 
+def test_package_exports_the_public_api():
+    assert set(bhdimer.__all__) == {
+        "CollapseRevivalReport", "ConvergenceError", "CouplingConfig", "ObservableSeries",
+        "PRESETS", "Phase", "Regime", "RegimeReport", "ScenarioSpec", "SpectralDecomposition",
+        "StateVector", "TridiagonalHamiltonian", "build_hamiltonian", "cat", "classify",
+        "collapse_revival_time", "compute_series", "delta_mu_dominance", "eigendecompose",
+        "entanglement_entropy", "envelope", "evolve", "evolve_series", "expectation_imbalance",
+        "fock", "imbalance_diagonal", "maximally_entangled", "parse_state", "read_series",
+        "run_scenario", "sweep", "time_averaged_imbalance", "variance_imbalance",
+    }
+
+
 def test_readme_python_api_example_runs(capsys):
     section = README.read_text().split("## Python API", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from bhdimer.observables import (
     variance_imbalance,
 )
 from bhdimer.spectral import (
+    Basis,
     ConvergenceError,
     SpectralDecomposition,
     StateVector,
@@ -43,9 +45,9 @@ def orthonormality_deviation(v):
 
 def max_residual(h, decomp, chunk=256):
     # Column chunks keep the temporaries small at large N.
-    worst = 0.0
+    worst, eigenvectors = 0.0, decomp.eigenvectors
     for j in range(0, decomp.dim, chunk):
-        v = decomp.eigenvectors[:, j : j + chunk]
+        v = eigenvectors[:, j : j + chunk]
         hv = h.diagonal[:, None] * v
         if h.offdiagonal.size:
             hv[:-1] += h.offdiagonal[:, None] * v[1:]
@@ -53,6 +55,17 @@ def max_residual(h, decomp, chunk=256):
         hv -= decomp.eigenvalues[None, j : j + chunk] * v
         worst = max(worst, np.linalg.norm(hv, axis=0).max())
     return worst
+
+
+def parity_labels(decomp):
+    """True for each even column and False for each odd one, read from the
+    blocks' sectors; None for a decomposition held as one Fock block."""
+    if decomp.blocks[0][0].sector is None:
+        return None
+    even = np.empty(decomp.dim, dtype=bool)
+    for basis, columns, _ in decomp.blocks:
+        even[columns] = basis.sector == "even"
+    return even
 
 
 def _eigh_fails(*args, **kwargs):
@@ -111,7 +124,9 @@ class TestEigendecompose:
         _, d = decompose(8, k=1.0, dmu=dmu, e_j=1.0)
         assert not d.eigenvalues.flags.writeable
         assert not d.eigenvectors.flags.writeable
-        assert d.even is None or not d.even.flags.writeable
+        for basis, columns, vectors in d.blocks:
+            assert basis.sector in ((None,) if dmu else ("even", "odd"))
+            assert not columns.flags.writeable and not vectors.flags.writeable
 
     def test_eigenvalues_sorted(self):
         _, d = decompose(80, k=0.7, dmu=-0.4, e_j=1.9)
@@ -189,7 +204,11 @@ def test_dstevd_matches_the_eigh_fallback_bitwise(h, monkeypatch):
     dense = eigendecompose(h)
     assert np.array_equal(fast.eigenvalues, dense.eigenvalues)
     assert np.array_equal(fast.eigenvectors, dense.eigenvectors)
-    assert (fast.even is None and dense.even is None) or np.array_equal(fast.even, dense.even)
+    labels = parity_labels(fast), parity_labels(dense)
+    assert (labels[0] is None and labels[1] is None) or np.array_equal(*labels)
+    for (b1, c1, v1), (b2, c2, v2) in zip(fast.blocks, dense.blocks, strict=True):
+        assert b1.sector == b2.sector and np.array_equal(b1.rows, b2.rows)
+        assert np.array_equal(c1, c2) and np.array_equal(v1, v2)
 
 
 needs_thread_pin = pytest.mark.skipif(
@@ -249,13 +268,13 @@ def test_overlapping_dstevd_calls_restore_the_thread_count():
 
 
 class TestParityLabels:
-    """SpectralDecomposition.even describes the columns as returned."""
+    """The blocks' Basis.sector labels describe the columns as returned."""
 
     @pytest.mark.parametrize("n", [40, 41])
     @pytest.mark.parametrize("e_j", [3.0, -3.0])  # odd N at e_j < 0 swaps the blocks' labels
     def test_labels_match_the_returned_columns(self, n, e_j):
         _, d = decompose(n, k=1.0, e_j=e_j)
-        v, even = d.eigenvectors, d.even
+        v, even = d.eigenvectors, parity_labels(d)
         assert even is not None and even.shape == (n + 1,)
         assert 0 < even.sum() < n + 1
         assert np.array_equal(v[::-1][:, even], v[:, even])
@@ -264,14 +283,14 @@ class TestParityLabels:
     def test_odd_n_at_negative_tunneling_swaps_the_labels(self):
         _, plus = decompose(41, k=1.0, e_j=3.0)
         _, minus = decompose(41, k=1.0, e_j=-3.0)
-        assert np.array_equal(plus.even, ~minus.even)
+        assert np.array_equal(parity_labels(plus), ~parity_labels(minus))
 
     def test_no_labels_with_bias(self):
-        assert decompose(40, k=1.0, dmu=0.3, e_j=3.0)[1].even is None
+        assert parity_labels(decompose(40, k=1.0, dmu=0.3, e_j=3.0)[1]) is None
 
     def test_no_labels_for_mixed_sign_mirror_couplings(self):
         d = eigendecompose(mixed_sign_mirror())
-        assert d.even is None
+        assert parity_labels(d) is None
         # The columns really lack parity: the labels could not be right.
         v = d.eigenvectors
         assert not all(
@@ -280,8 +299,56 @@ class TestParityLabels:
         )
 
     def test_labels_are_validated(self):
-        with pytest.raises(ValueError, match="one label per eigenvector"):
-            SpectralDecomposition(np.zeros(2), np.eye(2), [True])
+        fock_rows = Basis(2, np.arange(2))
+        even, odd = Basis(2, np.arange(1), "even"), Basis(2, np.arange(1), "odd")
+        one = np.ones((1, 1))
+        SpectralDecomposition(np.zeros(2), [(even, [1], one), (odd, [0], one)])
+        for blocks in (
+            [(fock_rows, [0], np.eye(2)[:, :1])],  # column 1 in no block
+            [(even, [0], one), (odd, [0], one)],  # column 0 in two
+            [(even, [0], one), (odd, [2], one)],  # no column 2
+        ):
+            with pytest.raises(ValueError, match="exactly one block"):
+                SpectralDecomposition(np.zeros(2), blocks)
+        for blocks in ([(fock_rows, [0, 1], np.eye(3))], [(even, [0, 1], np.eye(2))]):
+            with pytest.raises(ValueError, match=r"\(basis rows, columns\)"):
+                SpectralDecomposition(np.zeros(2), blocks)
+
+
+class TestBasis:
+    @pytest.mark.parametrize("dim", [6, 7])
+    @pytest.mark.parametrize("sector", [None, "even", "odd"])
+    @pytest.mark.parametrize("window", [False, True])
+    def test_fold_inverts_unfold(self, dim, sector, window):
+        size = {None: dim, "even": dim - dim // 2, "odd": dim // 2}[sector]
+        basis = Basis(dim, np.arange(1 if window else 0, size), sector)
+        rng = np.random.default_rng(dim)
+        shape = (basis.rows.size, 3)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c = basis.unfold(x)
+        assert c.shape == (dim, 3)
+        sign = {None: 0.0, "even": 1.0, "odd": -1.0}[sector]
+        top = basis.rows[basis.paired]
+        assert np.array_equal(c[dim - 1 - top], sign * c[top])
+        assert np.allclose(np.linalg.norm(c, axis=0), np.linalg.norm(x, axis=0), rtol=1e-15, atol=0)
+        for back, want in ((basis.fold(c), x), (basis.fold(c[:, 0]), x[:, 0])):
+            # A paired row passes through sqrt(1/2) twice: an ulp of round-off.
+            np.testing.assert_allclose(back, want, rtol=2 * np.finfo(float).eps, atol=0)
+            assert np.array_equal(back[~basis.paired], want[~basis.paired])
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_zero_bias_decomposition_peak_memory(n):
+    # tracemalloc sees numpy's buffers, not LAPACK's workspace. The two sector
+    # blocks hold n^2 / 2 doubles; a dense mirrored V would add n^2 more.
+    h = build_hamiltonian(CouplingConfig(n, k=4.0 / n, e_j=1.0))
+    tracemalloc.start()
+    try:
+        eigendecompose(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * (n + 1) ** 2
 
 
 class TestLargeN:
