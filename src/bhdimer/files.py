@@ -26,7 +26,8 @@ import numpy as np
 from .observables import ObservableSeries
 
 __all__ = [
-    "CSV_HEADER", "FORMATS", "READ_CHUNK", "ROW_CHUNK", "read_series", "write_json", "write_output",
+    "CSV_HEADER", "FORMATS", "READ_CHUNK", "ROW_CHUNK", "NonFiniteOutputError", "read_series",
+    "write_json", "write_output",
 ]
 
 # The series formats write_output takes; read_series tells them apart by content.
@@ -41,6 +42,11 @@ ROW_CHUNK = 1024
 
 # Bytes of file text the reader takes at a time: bounds the text alive at once.
 READ_CHUNK = 1 << 16
+
+
+class NonFiniteOutputError(ValueError):
+    """A series or envelope value to write is not finite."""
+
 
 # Rendered text stands a 0 byte for each absent character; _squeeze drops them.
 _EXPONENTS = range(-324, 309)  # decimal exponents of the finite doubles
@@ -364,7 +370,7 @@ def write_output(
         cr = dict(summary["collapse_revival"], envelope=_stand_in("envelope", envelope, lists))
         summary = dict(summary, collapse_revival=cr)
     if not all(np.isfinite(a).all() for a in (*columns.values(), *lists.values())):
-        raise ValueError(f"{out}: the series or the envelope holds a non-finite value")
+        raise NonFiniteOutputError(f"{out}: the series or the envelope holds a non-finite value")
     payload = {"spec": spec, "summary": summary}
     if fmt == "json":
         payload["series"] = _stand_in("series", columns, lists)

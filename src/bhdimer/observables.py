@@ -27,14 +27,18 @@ from .model import CouplingConfig, TridiagonalHamiltonian, build_hamiltonian, im
 from .spectral import Basis, GridPropagator, StateVector
 
 __all__ = [
-    "ObservableSeries", "compute_series", "entanglement_entropy", "expectation_imbalance",
-    "variance_imbalance",
+    "ObservableSeries", "ZeroNormError", "compute_series", "entanglement_entropy",
+    "expectation_imbalance", "variance_imbalance",
 ]
 
 # The entropy takes log2 of max(P, this): a smaller weight, whose log2 is -inf
 # or junk, adds P log2(_ENTROPY_FLOOR), -0.0 for an exact zero and far below
 # the round-off of the sum otherwise.
 _ENTROPY_FLOOR = 1e-300
+
+
+class ZeroNormError(ValueError):
+    """A state to reduce has zero norm at some time: it has no observables."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +96,7 @@ def _block_columns(
     moments = weights @ p
     total = moments[0]
     if np.any(total == 0.0):
-        raise ValueError("state has zero norm")
+        raise ZeroNormError("state has zero norm")
     moments[1:] /= total
     imbalance = moments[1] + 0.0
     variance = np.maximum(moments[2] - imbalance**2, 0.0)

@@ -12,7 +12,6 @@ import math
 import numbers
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -30,13 +29,13 @@ from .analysis import (
     min_series_length,
     time_averaged_imbalance,
 )
-from .files import FORMATS, write_json, write_output
+from .files import FORMATS, NonFiniteOutputError, write_json, write_output
 from .model import CouplingConfig, as_integer, build_hamiltonian
-from .observables import ObservableSeries, compute_series
+from .observables import ObservableSeries, ZeroNormError, compute_series
 from .presets import parse_ratio, realize_ratio
 from .spectral import (
-    ConvergenceError, GridPropagator, SpectralDecomposition, StateVector, eigendecompose,
-    evolve_series,
+    ConvergenceError, GridPropagator, PhaseOverflowError, SpectralDecomposition, StateVector,
+    eigendecompose, evolve_series,
 )
 from .states import parse_state
 
@@ -69,6 +68,11 @@ class ScenarioSpec:
         object.__setattr__(self, "t_max", float(self.t_max))
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValueError(f"t_max must be positive, got {self.t_max}")
+        # A subnormal step is too coarse for the detector's uniform-grid check.
+        if self.t_max / (self.steps - 1) < np.finfo(float).tiny:
+            raise ValueError(
+                f"t_max {self.t_max} over {self.steps} steps: the grid step is subnormal"
+            )
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be {' or '.join(FORMATS)}, got {self.fmt!r}")
         check_detector(self.window, self.theta_c, self.theta_r)
@@ -172,8 +176,11 @@ def run_scenario(
     Hamiltonian; a sweep shares one per coupling. An empty system (N = 0) has
     no dynamics: its series is the single row t = 0, every observable zero.
     The collapse/revival envelope goes only to the file: the summary is the
-    same with or without spec.out. Raises ValueError when the phases
-    max|lambda| * t_max overflow.
+    same with or without spec.out. Raises ConvergenceError when the
+    eigensolver fails, and a ValueError subclass when the phases
+    max|lambda| * t_max overflow (PhaseOverflowError), the state has zero
+    norm (ZeroNormError) or a value to write is not finite
+    (NonFiniteOutputError).
     """
     cfg = spec.config
     h = build_hamiltonian(cfg)
@@ -197,6 +204,14 @@ def _cell_file(ratio_token: str, initial: str, fmt: str) -> str:
     return f"r{str(ratio_token).translate(_SLUG)}__{initial.translate(_SLUG)}.{fmt}"
 
 
+# What a run may raise for a valid spec; a sweep records it as the cell's error.
+_RUN_FAILURES = (ConvergenceError, PhaseOverflowError, ZeroNormError, NonFiniteOutputError)
+
+
+def _cell_error(exc: Exception) -> dict:
+    return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
 def sweep(
     base: ScenarioSpec,
     ratio_tokens,
@@ -206,11 +221,14 @@ def sweep(
 ) -> dict:
     """Cross product of ratios and initial states; cells fail independently.
 
-    A cell whose input is invalid (ValueError) or whose eigensolver fails
-    (ConvergenceError) is recorded with status "error"; any other exception
-    is a program fault and propagates. `jobs` (>= 1) cells run at once on
-    threads. The cells of one coupling share one decomposition, made by the
-    first of them to run and released after the last.
+    A cell is recorded with status "error" when its coupling or initial
+    state is invalid (ValueError) or its run fails in one of the ways
+    run_scenario names; any other exception is a program fault. The cells
+    run on the calling thread and jobs - 1 more threads (jobs an integer
+    >= 1), so at most `jobs` at once. A fault stops new cells from starting;
+    once the running ones end, the fault of the earliest cell in sweep order
+    propagates. The cells of one coupling share one decomposition, made by
+    the first of them to run and released after the last.
 
     Returns the combined summary, keyed by (ratio token, initial). When
     out_dir is given it is made before any cell runs, each cell writes its
@@ -222,6 +240,7 @@ def sweep(
     initials = list(initials)
     if not ratio_tokens or not initials:
         raise ValueError("sweep needs at least one ratio and one initial state")
+    jobs = as_integer("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     cells = [(rt, init) for rt in ratio_tokens for init in initials]
@@ -234,13 +253,15 @@ def sweep(
         out_dir.mkdir(parents=True, exist_ok=True)
 
     # Each ratio token's coupling, or the ValueError that fails each of its
-    # cells instead.
+    # cells instead: the token, its couplings or their Hamiltonian is invalid.
     n, delta_mu = base.config.n_total, base.config.delta_mu
     couplings = {}
     for ratio_token in ratio_tokens:
         try:
             k, e_j = realize_ratio(parse_ratio(ratio_token, n))
-            couplings[ratio_token] = CouplingConfig(n, k=k, delta_mu=delta_mu, e_j=e_j)
+            config = CouplingConfig(n, k=k, delta_mu=delta_mu, e_j=e_j)
+            build_hamiltonian(config)  # refuses elements that overflow
+            couplings[ratio_token] = config
         except ValueError as exc:
             couplings[ratio_token] = exc
     # Cells left per coupling; an error is counted too, and never decomposed.
@@ -258,29 +279,54 @@ def sweep(
         ratio_token, initial = cell
         entry = {"ratio": str(ratio_token), "initial": initial}
         config = couplings[ratio_token]
+        out = None if out_dir is None else out_dir / _cell_file(ratio_token, initial, base.fmt)
         try:
-            if isinstance(config, ValueError):
-                raise config
-            out = None if out_dir is None else out_dir / _cell_file(ratio_token, initial, base.fmt)
-            spec = replace(base, config=config, initial=initial, out=out)
+            try:
+                if isinstance(config, ValueError):
+                    raise config
+                spec = replace(base, config=config, initial=initial, out=out)
+            except ValueError as exc:  # an invalid cell
+                return entry | _cell_error(exc)
             entry["ratio_value"] = config.ratio
             if out is not None:
                 entry["file"] = out.name
-            _, cell_summary = run_scenario(spec, decomposition=decomposition(config))
-            entry["status"] = "ok"
-            entry["summary"] = cell_summary
-        except (ValueError, ConvergenceError) as exc:  # keep the other cells running
-            entry["status"] = "error"
-            entry["error"] = f"{type(exc).__name__}: {exc}"
+            try:
+                _, cell_summary = run_scenario(spec, decomposition=decomposition(config))
+            except _RUN_FAILURES as exc:  # keep the other cells running
+                return entry | _cell_error(exc)
+            return entry | {"status": "ok", "summary": cell_summary}
         finally:
             with locks[config]:
                 left[config] -= 1
                 if not left[config]:
                     made.pop(config, None)
-        return entry
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        entries = list(pool.map(run_cell, cells))
+    entries, faults = [None] * len(cells), {}
+    claim, order = threading.Lock(), iter(range(len(cells)))
+
+    def work():
+        # The next cell in sweep order, until none is left or one has faulted.
+        while True:
+            with claim:
+                i = None if faults else next(order, None)
+            if i is None:
+                return
+            try:
+                entries[i] = run_cell(cells[i])
+            except BaseException as exc:  # raised on the calling thread below
+                with claim:
+                    faults[i] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(min(jobs, len(cells)) - 1)]
+    for worker in workers:
+        worker.start()
+    work()
+    # The calling thread's work ends when no cell is left to hand out: the
+    # joins wait only for cells already running.
+    for worker in workers:
+        worker.join()
+    if faults:
+        raise faults[min(faults)]
 
     summary = {"base": _scenario_dict(base), "cells": entries}
     if out_dir is not None:

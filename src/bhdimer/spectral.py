@@ -37,8 +37,8 @@ from .model import TridiagonalHamiltonian
 
 __all__ = [
     "BLOCK_ELEMENTS", "Basis", "ConvergenceError", "DROPPED_WEIGHT_MAX", "GridPropagator",
-    "SpectralDecomposition", "StateVector", "block_rows", "eigendecompose", "evolve",
-    "evolve_series",
+    "PhaseOverflowError", "SpectralDecomposition", "StateVector", "block_rows", "eigendecompose",
+    "evolve", "evolve_series",
 ]
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -53,6 +53,10 @@ BLOCK_ELEMENTS = 2**16
 
 class ConvergenceError(RuntimeError):
     """LAPACK's tridiagonal eigensolver did not converge on a Hamiltonian block."""
+
+
+class PhaseOverflowError(ValueError):
+    """The largest phase max|lambda| * t_max of a run is not finite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +317,8 @@ class GridPropagator:
 
     All are deterministic. Both dropped weights are <= DROPPED_WEIGHT_MAX, so
     each coefficient is within 2e-14 of the exact sum plus round-off. Raises
-    ValueError for another grid or when max|lambda| * t_max is not finite.
+    ValueError for another grid, PhaseOverflowError when max|lambda| * t_max
+    is not finite.
     """
 
     def __init__(self, decomp: SpectralDecomposition, initial: StateVector, t_grid):
@@ -382,7 +387,7 @@ class GridPropagator:
         self._dt = t_max / (t.size - 1) if t.size > 1 else 0.0
         lam_max = float(np.abs(self._lam).max())
         if not math.isfinite(lam_max * t_max):
-            raise ValueError(
+            raise PhaseOverflowError(
                 "phases overflow: max|lambda| * t_max is not finite "
                 f"(max|lambda| = {lam_max:.3g}, t_max = {t_max:.3g})"
             )

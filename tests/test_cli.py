@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bhdimer import cli, files, lapack, pipeline
+from bhdimer import cli, files, lapack, observables, pipeline
 from bhdimer.analysis import collapse_revival_time, envelope
 from bhdimer.cli import main
 from bhdimer.files import CSV_HEADER, read_series
@@ -93,6 +94,13 @@ class TestScenarioSpec:
     def test_nonpositive_t_max_rejected(self):
         with pytest.raises(ValueError):
             small_spec(t_max=0.0)
+
+    @pytest.mark.parametrize("t_max", [1e-318, 5e-324])
+    def test_subnormal_grid_step_rejected(self, t_max):
+        # Refused when made: the detector would refuse the grid in every cell.
+        with pytest.raises(ValueError, match="grid step is subnormal"):
+            small_spec(t_max=t_max)
+        assert small_spec(t_max=399 * np.finfo(float).tiny).t_max > 0.0
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -507,6 +515,80 @@ class TestSweep:
         monkeypatch.setattr(pipeline, "run_scenario", fault)
         with pytest.raises(TypeError, match="program fault"):
             sweep(small_spec(), ["0.25", "1"], ["cat"], jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [True, 2.5, "2"])
+    def test_non_integer_jobs_rejected_before_any_cell(self, tmp_path, monkeypatch, jobs):
+        calls = []
+        monkeypatch.setattr(pipeline, "run_scenario", lambda spec, **kwargs: calls.append(spec))
+        with pytest.raises(TypeError, match="jobs must be an integer"):
+            sweep(small_spec(), ["0.25", "1"], ["cat"], out_dir=tmp_path / "out", jobs=jobs)
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    def test_numpy_integer_jobs_accepted(self):
+        ratios, initials = ["0.25", "1"], ["cat", "me"]
+        summary = sweep(small_spec(), ratios, initials, jobs=np.int64(2))
+        assert summary == sweep(small_spec(), ratios, initials, jobs=1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_kernel_fault_propagates(self, monkeypatch, jobs):
+        # A ValueError that no check raises is a program fault, not a cell error.
+        def fault(*args):
+            raise ValueError("operands could not be broadcast together with shapes (3,) (4,)")
+
+        monkeypatch.setattr(observables, "_block_columns", fault)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            sweep(small_spec(), ["0.25", "1"], ["cat"], jobs=jobs)
+
+    @pytest.mark.parametrize("ratio", ["1e308", "1e-308"])
+    def test_overflowing_hamiltonian_fails_only_its_cells(self, ratio):
+        # Finite couplings whose Hamiltonian overflows are an invalid coupling.
+        summary = sweep(small_spec(), [ratio, "0.25"], ["fock:8,0", "cat"])
+        assert [c["status"] for c in summary["cells"]] == ["error", "error", "ok", "ok"]
+        assert all("must be finite" in c["error"] for c in summary["cells"][:2])
+
+    def test_one_job_runs_every_cell_on_the_calling_thread(self, monkeypatch):
+        seen, real = [], pipeline.run_scenario
+
+        def run(spec, **kwargs):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_scenario", run)
+        before = threading.active_count()
+        sweep(small_spec(), ["0.25", "1"], ["cat", "me"], jobs=1)
+        assert seen == [(threading.current_thread(), before)] * 4
+
+    def test_fault_stops_new_cells_and_joins_the_threads(self, monkeypatch):
+        started = []
+
+        def fault(spec, **kwargs):
+            started.append(spec.config.ratio)
+            raise TypeError(f"program fault at ratio {spec.config.ratio}")
+
+        monkeypatch.setattr(pipeline, "run_scenario", fault)
+        before = threading.active_count()
+        with pytest.raises(TypeError, match="at ratio 0.25"):
+            sweep(small_spec(), ["0.25", "0.5", "1", "2", "4"], ["cat"], jobs=2)
+        # Each thread stops after its first fault.
+        assert 1 <= len(started) <= 2
+        assert threading.active_count() == before
+
+    def test_earliest_cell_fault_is_raised(self, monkeypatch):
+        # The second cell faults first; the first cell's fault is raised.
+        second_failed = threading.Event()
+
+        def fault(spec, **kwargs):
+            if spec.config.ratio == 0.25:
+                second_failed.wait(timeout=30)
+                time.sleep(0.05)
+                raise TypeError("first cell")
+            second_failed.set()
+            raise KeyError("second cell")
+
+        monkeypatch.setattr(pipeline, "run_scenario", fault)
+        with pytest.raises(TypeError, match="first cell"):
+            sweep(small_spec(), ["0.25", "1"], ["cat"], jobs=2)
+        assert second_failed.is_set()
 
 
 def _spy_decompositions(monkeypatch, fails=None):

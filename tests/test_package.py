@@ -3,8 +3,11 @@ Python API example runs and prints what its comments say."""
 
 import importlib
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,21 @@ def test_package_exports_the_public_api():
         "fock", "imbalance_diagonal", "maximally_entangled", "parse_state", "read_series",
         "run_scenario", "sweep", "time_averaged_imbalance", "variance_imbalance",
     }
+
+
+def test_import_leaves_out_the_executor_modules():
+    # A sweep runs its cells on plain threads; no process pays for these imports.
+    paths = [str(Path(bhdimer.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import sys, bhdimer, bhdimer.cli; "
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_readme_python_api_example_runs(capsys):
