@@ -1,6 +1,7 @@
-"""Command-line front end: the flags given override a preset's defaults,
-ScenarioSpec supplies the rest, and a ratio or initial-state list makes a
-sweep. Invalid input and unwritable output paths exit with status 2."""
+"""Command-line front end: flags override a preset's defaults, ScenarioSpec
+supplies the rest, and a ratio or initial-state list makes a sweep. Exit
+status 0: success; 1: a solver failure or a failed sweep cell; 2: refused
+input, another of pipeline.RUN_FAILURES or an I/O error. Faults propagate."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 from .analysis import DEFAULT_THETA_C, DEFAULT_THETA_R, DEFAULT_WINDOW
 from .files import FORMATS
 from .model import CouplingConfig
-from .pipeline import DEFAULT_STEPS, ScenarioSpec, run_scenario, sweep
+from .pipeline import DEFAULT_STEPS, RUN_FAILURES, ScenarioSpec, check_sweep, run_scenario, sweep
 from .presets import DEFAULT_N, PRESETS, default_initial, parse_ratio, realize_ratio
 from .spectral import ConvergenceError
 
@@ -147,17 +148,24 @@ def main(argv=None) -> int:
             out=out,
             **{key: run[key] for key in _SPEC_FIELDS if key in run},
         )
+        if sweep_mode:
+            ratios, initials = run.get("ratios", [args.ratio]), run.get("initials", [initial])
+            check_sweep(spec, ratios, initials, out_dir=args.out, jobs=args.jobs)
+    except ValueError as exc:  # refused input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    try:
         if not sweep_mode:
             _, summary = run_scenario(spec)
             print(json.dumps(summary, indent=2))
             return 0
-        ratios, initials = run.get("ratios", [args.ratio]), run.get("initials", [initial])
         summary = sweep(spec, ratios, initials, out_dir=args.out, jobs=args.jobs)
         _print_sweep_table(summary)
         return 1 if any(cell["status"] != "ok" for cell in summary["cells"]) else 0
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
+    except (*RUN_FAILURES, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

@@ -461,31 +461,29 @@ def _read_column(column: str, f, buf: bytearray, decode, size: int) -> np.ndarra
 
     A piece runs from the "[" to the "]", or to the last "," buffered before
     any string, list or object (which alone could hold a ","; one is refused
-    where it starts). That "," stands in for "]" while the piece is decoded;
-    the next piece then starts with "[0," written over the bytes up to it,
-    its 0 dropped.
+    where it starts). The first piece's text is decoded as "[" + text + "]",
+    a later one's as "[0," + text + "]", its 0 dropped, so a blank one fails.
     """
-    values, n, lead = np.empty(size), 0, 0
+    if not buf.startswith(b"["):
+        raise ValueError(f"{column} is not a list of numbers")
+    values, n, head, skip = np.empty(size), 0, "[", 0
+    del buf[:1]
     while True:
-        stop = min((i for c in b'"[]{' if (i := buf.find(c, 1)) > 0), default=len(buf))
+        stop = min((i for c in b'"[]{' if (i := buf.find(c)) >= 0), default=len(buf))
         last = stop < len(buf) and buf[stop] == ord("]")
-        cut = -1 if last else buf.rfind(b",", 1 + 2 * lead, stop)
-        if not buf.startswith(b"[") or stop < len(buf) and not last and cut < 0:
+        cut = stop if last else buf.rfind(b",", 0, stop)
+        if cut < 0 and stop < len(buf):
             raise ValueError(f"{column} is not a list of numbers")
-        if last:
-            end = stop + 1
-        elif cut > 0:
-            end = cut + 1
-            if lead or buf[1:cut].strip():  # else "[ ,", which fails to decode
-                buf[cut] = ord("]")
-        elif _fill(f, buf, len(buf) + 1):
+        if cut < 0 and _fill(f, buf, len(buf) + 1):
             continue
-        else:
-            end = len(buf)  # the file ends inside the list, which then fails to decode
+        # A blank first piece keeps its "," to fail as the whole list would; a
+        # list the file ends inside is left open, which fails to decode too.
+        end = cut + (not last and skip == 0 and not buf[:cut].strip())
+        text = head + str(buf[:end] + b"]" if cut >= 0 else buf, "utf-8")
         try:
-            piece = decode(str(memoryview(buf)[:end], "utf-8"))[lead:]
+            piece = decode(text)[skip:]
         except json.JSONDecodeError as exc:
-            at = f.tell() - len(buf) + exc.pos
+            at = f.tell() - len(buf) + exc.pos - len(head)
             raise ValueError(f"{column} is not valid JSON: {exc.msg} at byte {at}") from exc
         if not piece or not set(map(type, piece)) <= {float}:
             raise ValueError(f"{column} is not a list of numbers")
@@ -494,10 +492,8 @@ def _read_column(column: str, f, buf: bytearray, decode, size: int) -> np.ndarra
         if n + piece.size > values.size:
             values.resize(max(2 * values.size, n + piece.size), refcheck=False)
         values[n : n + piece.size], n = piece, n + piece.size
+        del buf[: cut + 1]
         if last:
-            del buf[:end]
             values.resize(n, refcheck=False)
             return values
-        buf[cut - 2 : end] = b"[0,"
-        del buf[: cut - 2]
-        lead = 1
+        head, skip = "[0,", 1

@@ -140,7 +140,9 @@ def build_hamiltonian(config: CouplingConfig) -> TridiagonalHamiltonian:
     """Hamiltonian of the dimer in the fixed-N Fock basis |N-n, n>."""
     n = config.n_total
     d_op = imbalance_diagonal(n)
-    diag = (config.k / 8.0) * d_op**2 - (config.delta_mu / 2.0) * d_op
     m = np.arange(n, dtype=np.float64)
-    off = -(config.e_j / 2.0) * np.sqrt((m + 1.0) * (n - m))
+    # Elements that overflow are refused by TridiagonalHamiltonian, unwarned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = (config.k / 8.0) * d_op**2 - (config.delta_mu / 2.0) * d_op
+        off = -(config.e_j / 2.0) * np.sqrt((m + 1.0) * (n - m))
     return TridiagonalHamiltonian(diag, off)

@@ -39,7 +39,7 @@ from .spectral import (
 )
 from .states import parse_state
 
-__all__ = ["DEFAULT_STEPS", "ScenarioSpec", "run_scenario", "sweep"]
+__all__ = ["DEFAULT_STEPS", "RUN_FAILURES", "ScenarioSpec", "check_sweep", "run_scenario", "sweep"]
 
 DEFAULT_STEPS = 10_000
 
@@ -76,7 +76,8 @@ class ScenarioSpec:
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be {' or '.join(FORMATS)}, got {self.fmt!r}")
         check_detector(self.window, self.theta_c, self.theta_r)
-        parse_state(self.initial, self.config.n_total)  # fail early
+        build_hamiltonian(self.config)  # fail early; an overflow wins over a bad state
+        parse_state(self.initial, self.config.n_total)
         if self.out is not None:
             object.__setattr__(self, "out", Path(self.out))
 
@@ -175,12 +176,11 @@ def run_scenario(
     `decomposition`, if given, must be eigendecompose of spec.config's
     Hamiltonian; a sweep shares one per coupling. An empty system (N = 0) has
     no dynamics: its series is the single row t = 0, every observable zero.
-    The collapse/revival envelope goes only to the file: the summary is the
-    same with or without spec.out. Raises ConvergenceError when the
-    eigensolver fails, and a ValueError subclass when the phases
-    max|lambda| * t_max overflow (PhaseOverflowError), the state has zero
-    norm (ZeroNormError) or a value to write is not finite
-    (NonFiniteOutputError).
+    The envelope goes only to the file: the summary is the same with or
+    without spec.out. The spec was validated when built, so a run fails only
+    with one of RUN_FAILURES (ConvergenceError from the eigensolver,
+    PhaseOverflowError, ZeroNormError, NonFiniteOutputError) or an OSError
+    from writing; anything else is a program fault.
     """
     cfg = spec.config
     h = build_hamiltonian(cfg)
@@ -204,44 +204,24 @@ def _cell_file(ratio_token: str, initial: str, fmt: str) -> str:
     return f"r{str(ratio_token).translate(_SLUG)}__{initial.translate(_SLUG)}.{fmt}"
 
 
-# What a run may raise for a valid spec; a sweep records it as the cell's error.
-_RUN_FAILURES = (ConvergenceError, PhaseOverflowError, ZeroNormError, NonFiniteOutputError)
+# What a run may raise for a valid spec: a sweep cell's error, a CLI failure.
+RUN_FAILURES = (ConvergenceError, PhaseOverflowError, ZeroNormError, NonFiniteOutputError)
 
 
 def _cell_error(exc: Exception) -> dict:
     return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
-def sweep(
-    base: ScenarioSpec,
-    ratio_tokens,
-    initials,
-    out_dir=None,
-    jobs: int = 1,
-) -> dict:
-    """Cross product of ratios and initial states; cells fail independently.
-
-    A cell is recorded with status "error" when its coupling or initial
-    state is invalid (ValueError) or its run fails in one of the ways
-    run_scenario names; any other exception is a program fault. The cells
-    run on the calling thread and jobs - 1 more threads (jobs an integer
-    >= 1), so at most `jobs` at once. A fault stops new cells from starting;
-    once the running ones end, the fault of the earliest cell in sweep order
-    propagates. The cells of one coupling share one decomposition, made by
-    the first of them to run and released after the last.
-
-    Returns the combined summary, keyed by (ratio token, initial). When
-    out_dir is given it is made before any cell runs, each cell writes its
-    own series file there and the combined summary lands in
-    out_dir/summary.json; cells that would write the same file (a repeated
-    ratio, say) are a ValueError raised before the directory is made.
-    """
-    ratio_tokens = list(ratio_tokens)
-    initials = list(initials)
+def check_sweep(base: ScenarioSpec, ratio_tokens, initials, out_dir=None, jobs: int = 1) -> list:
+    """The (ratio token, initial) cells of a sweep, in sweep order; raises
+    what sweep refuses before any cell runs. That is a ValueError for an
+    empty list, for jobs below 1 or, with out_dir, for two cells that would
+    write one file (a repeated ratio, say), and a TypeError for a jobs that
+    is not an integer. An invalid coupling or state fails only its cells."""
+    ratio_tokens, initials = list(ratio_tokens), list(initials)
     if not ratio_tokens or not initials:
         raise ValueError("sweep needs at least one ratio and one initial state")
-    jobs = as_integer("jobs", jobs)
-    if jobs < 1:
+    if as_integer("jobs", jobs) < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     cells = [(rt, init) for rt in ratio_tokens for init in initials]
     if out_dir is not None:
@@ -249,23 +229,44 @@ def sweep(
         if len(set(names)) < len(names):
             clash = next(name for name in names if names.count(name) > 1)
             raise ValueError(f"two sweep cells would both write {clash}")
+    return cells
+
+
+def sweep(base: ScenarioSpec, ratio_tokens, initials, out_dir=None, jobs: int = 1) -> dict:
+    """Cross product of ratios and initial states; cells fail independently.
+
+    check_sweep's refusals come first. Each cell's spec is then built on the
+    calling thread; one whose coupling or initial state is a ValueError is
+    recorded with status "error" and never runs, as is one whose run raises
+    one of RUN_FAILURES. Any other exception is a program fault. The cells
+    run on the calling thread and jobs - 1 more threads. A fault stops new
+    cells from starting; once the running ones end, the fault of the
+    earliest cell in sweep order propagates. The cells of one coupling share
+    one decomposition, made by the first of them to run, freed after the last.
+
+    Returns the combined summary, keyed by (ratio token, initial). When
+    out_dir is given it is made before any cell runs, each cell writes its
+    own series file there and the combined summary lands in
+    out_dir/summary.json.
+    """
+    cells = check_sweep(base, ratio_tokens, initials, out_dir, jobs)
+    if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Each ratio token's coupling, or the ValueError that fails each of its
-    # cells instead: the token, its couplings or their Hamiltonian is invalid.
-    n, delta_mu = base.config.n_total, base.config.delta_mu
-    couplings = {}
-    for ratio_token in ratio_tokens:
+    def cell_spec(ratio_token, initial):
+        # The cell's spec, or the ValueError that makes it an error cell.
+        out = None if out_dir is None else out_dir / _cell_file(ratio_token, initial, base.fmt)
         try:
-            k, e_j = realize_ratio(parse_ratio(ratio_token, n))
-            config = CouplingConfig(n, k=k, delta_mu=delta_mu, e_j=e_j)
-            build_hamiltonian(config)  # refuses elements that overflow
-            couplings[ratio_token] = config
+            k, e_j = realize_ratio(parse_ratio(ratio_token, base.config.n_total))
+            config = replace(base.config, k=k, e_j=e_j)
+            return replace(base, config=config, initial=initial, out=out)
         except ValueError as exc:
-            couplings[ratio_token] = exc
-    # Cells left per coupling; an error is counted too, and never decomposed.
-    left = Counter(couplings[rt] for rt, _ in cells)
+            return exc
+
+    specs = [cell_spec(*cell) for cell in cells]
+    # Runnable cells left per coupling.
+    left = Counter(spec.config for spec in specs if isinstance(spec, ScenarioSpec))
     locks = {config: threading.Lock() for config in left}
     made = {}
 
@@ -275,31 +276,24 @@ def sweep(
                 made[config] = eigendecompose(build_hamiltonian(config))
             return made[config]
 
-    def run_cell(cell):
-        ratio_token, initial = cell
+    def run_cell(i):
+        (ratio_token, initial), spec = cells[i], specs[i]
         entry = {"ratio": str(ratio_token), "initial": initial}
-        config = couplings[ratio_token]
-        out = None if out_dir is None else out_dir / _cell_file(ratio_token, initial, base.fmt)
+        if not isinstance(spec, ScenarioSpec):
+            return entry | _cell_error(spec)
+        entry["ratio_value"] = spec.config.ratio
+        if spec.out is not None:
+            entry["file"] = spec.out.name
         try:
-            try:
-                if isinstance(config, ValueError):
-                    raise config
-                spec = replace(base, config=config, initial=initial, out=out)
-            except ValueError as exc:  # an invalid cell
-                return entry | _cell_error(exc)
-            entry["ratio_value"] = config.ratio
-            if out is not None:
-                entry["file"] = out.name
-            try:
-                _, cell_summary = run_scenario(spec, decomposition=decomposition(config))
-            except _RUN_FAILURES as exc:  # keep the other cells running
-                return entry | _cell_error(exc)
-            return entry | {"status": "ok", "summary": cell_summary}
+            _, cell_summary = run_scenario(spec, decomposition=decomposition(spec.config))
+        except RUN_FAILURES as exc:  # keep the other cells running
+            return entry | _cell_error(exc)
         finally:
-            with locks[config]:
-                left[config] -= 1
-                if not left[config]:
-                    made.pop(config, None)
+            with locks[spec.config]:
+                left[spec.config] -= 1
+                if not left[spec.config]:
+                    made.pop(spec.config, None)
+        return entry | {"status": "ok", "summary": cell_summary}
 
     entries, faults = [None] * len(cells), {}
     claim, order = threading.Lock(), iter(range(len(cells)))
@@ -312,7 +306,7 @@ def sweep(
             if i is None:
                 return
             try:
-                entries[i] = run_cell(cells[i])
+                entries[i] = run_cell(i)
             except BaseException as exc:  # raised on the calling thread below
                 with claim:
                     faults[i] = exc

@@ -357,26 +357,26 @@ class GridPropagator:
         self.kept_per_parity = [p[1].size for p in parts] if parts[0][0].sector else None
         parts = [p for p in parts if p[1].size]
         keep = np.concatenate([p[1] for p in parts])
-        # The product multiplies v_top; with both sectors kept it is the even
-        # vectors' top Fock rows, and v_odd the odd ones' top m (= pairs).
-        m, v_odd, pairs = dim // 2, None, 0
+        # The product multiplies v_top and v_odd, (pairs, kept odd). With both
+        # sectors kept they are the even and the odd vectors' top Fock rows,
+        # pairs = dim // 2; else v_top is the one block's and no row is paired.
         if len(parts) == 1:
             ((basis, _, v_top),) = parts
-            v_top, sector = np.ascontiguousarray(v_top), basis.sector
+            v_top, v_odd, sector = np.ascontiguousarray(v_top), np.empty((0, 0)), basis.sector
         else:
             (even, _, v_even), (odd, _, v_odd) = parts
-            # Copies, so the unfolded mirror rows are not held while blocks run.
-            v_top, sector, pairs = even.unfold(v_even)[: even.rows.size].copy(), None, m
-            v_odd = odd.unfold(v_odd)[:m].copy()
-        n_top = v_top.shape[1]
+            # C order: the gemm's bits depend on its operands' layout.
+            scale = np.where(even.paired, _SQRT_HALF, 1.0)[:, None]
+            v_top = np.multiply(v_even, scale, order="C")
+            v_odd, sector = np.multiply(v_odd, _SQRT_HALF, order="C"), None
+        n_top, pairs = v_top.shape[1], v_odd.shape[0]
         bound = np.abs(v_top) @ np.abs(a[keep[:n_top]])
-        if pairs:
-            bound[:m] += np.abs(v_odd) @ np.abs(a[keep[n_top:]])
+        bound[:pairs] += np.abs(v_odd) @ np.abs(a[keep[n_top:]])
         weight = bound**2
         weight[:pairs] *= 2.0  # a split pair is two Fock rows
         lo, hi, self.dropped_row_weight = _window(weight)
-        self._v, self._v_odd = v_top[lo:hi], v_odd if v_odd is None else v_odd[lo : min(hi, m)]
-        mirror = np.arange(dim - min(hi, m), dim - lo) if pairs else np.arange(0)
+        self._v, self._v_odd = v_top[lo:hi], v_odd[lo : min(hi, pairs)]
+        mirror = np.arange(dim - min(hi, pairs), dim - lo)
         self.basis = Basis(dim, np.concatenate((np.arange(lo, hi), mirror)), sector)
         self._lam = decomp.eigenvalues[keep]
         self._a = a[keep]
@@ -398,9 +398,7 @@ class GridPropagator:
         floats; odd is (pairs, 2n) scratch. Split, x holds the even
         components first: E = V_even x_even fills the top rows, O = V_odd
         x_odd goes to odd, then the first pairs rows take E + O and their
-        mirror rows, after the top ones, E - O."""
-        if self._v_odd is None:
-            return np.matmul(self._v, x, out=out)
+        mirror rows, after the top ones, E - O. Unsplit, pairs = 0."""
         (top, n_even), pairs = self._v.shape, self._v_odd.shape[0]
         np.matmul(self._v, x[:n_even], out=out[:top])
         np.matmul(self._v_odd, x[n_even:], out=odd)
@@ -412,7 +410,7 @@ class GridPropagator:
     def __iter__(self):
         lam, dim, kept = self._lam, self._dim, self._lam.size
         dt, steps, height = self._dt, self._steps, self.basis.rows.size
-        pairs = 0 if self._v_odd is None else self._v_odd.shape[0]
+        pairs = self._v_odd.shape[0]
         # Block widths of dim whatever the basis: the same phases in each.
         rows = block_rows(dim, steps)
         table = np.exp(np.multiply.outer(lam, np.arange(rows) * dt) * -1j)

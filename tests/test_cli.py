@@ -19,7 +19,7 @@ from bhdimer import cli, files, lapack, observables, pipeline
 from bhdimer.analysis import collapse_revival_time, envelope
 from bhdimer.cli import main
 from bhdimer.files import CSV_HEADER, read_series
-from bhdimer.pipeline import ScenarioSpec, run_scenario, sweep
+from bhdimer.pipeline import ScenarioSpec, check_sweep, run_scenario, sweep
 from bhdimer.presets import PRESETS, parse_ratio, realize_ratio
 from bhdimer.model import CouplingConfig, build_hamiltonian
 from bhdimer.spectral import ConvergenceError, eigendecompose
@@ -105,6 +105,14 @@ class TestScenarioSpec:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             small_spec(fmt="xml")
+
+    @pytest.mark.parametrize("initial", ["fock:8,0", "fock:3,0"])
+    def test_overflowing_coupling_rejected_before_the_state(self, initial):
+        # Finite couplings whose Hamiltonian overflows; the coupling's error
+        # wins over a wrong state's.
+        config = CouplingConfig(8, k=1e308, e_j=1.0)
+        with pytest.raises(ValueError, match="^matrix elements must be finite$"):
+            small_spec(config=config, initial=initial)
 
     def test_even_window_rejected(self):
         # The spec refuses a window as the detector does, with its message.
@@ -274,6 +282,14 @@ class TestRunScenario:
                 + "\n",
                 "bad.json: series column t is not valid JSON: Expecting value",
                 id="trailing-comma",
+            ),
+            pytest.param(
+                lambda payload: json.dumps(payload, indent=2).replace(
+                    '\n    "t": [\n', '\n    "t": [ ,\n'
+                )
+                + "\n",
+                "bad.json: series column t is not valid JSON: Expecting value",
+                id="leading-comma",
             ),
             pytest.param(
                 _with_series(lambda s: {k: v for k, v in s.items() if k != "energy"}),
@@ -491,21 +507,36 @@ class TestSweep:
             ).read_bytes()
 
     def test_cells_sharing_a_file_rejected_before_the_directory(self, tmp_path):
-        with pytest.raises(ValueError, match=r"both write r0\.25__cat\.json"):
-            sweep(small_spec(fmt="json"), ["0.25", "0.25"], ["cat"], out_dir=tmp_path / "out")
+        for refuse in (sweep, check_sweep):
+            with pytest.raises(ValueError, match=r"both write r0\.25__cat\.json"):
+                refuse(small_spec(fmt="json"), ["0.25", "0.25"], ["cat"], out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
         # Without files the repeated cells do not collide.
+        cells = [("0.25", "cat"), ("0.25", "cat")]
+        assert check_sweep(small_spec(), ["0.25", "0.25"], ["cat"]) == cells
         summary = sweep(small_spec(), ["0.25", "0.25"], ["cat"])
         assert [c["status"] for c in summary["cells"]] == ["ok", "ok"]
 
     def test_empty_lists_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(small_spec(), [], ["cat"])
+        for refuse in (sweep, check_sweep):
+            for ratios, initials in [([], ["cat"]), (["0.25"], [])]:
+                with pytest.raises(ValueError, match="at least one ratio and one initial state"):
+                    refuse(small_spec(), ratios, initials)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_sweep_rejects_jobs_below_one(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
-            sweep(small_spec(), ["0.25"], ["cat"], jobs=jobs)
+        for refuse in (sweep, check_sweep):
+            with pytest.raises(ValueError, match="jobs"):
+                refuse(small_spec(), ["0.25"], ["cat"], jobs=jobs)
+
+    def test_generators_accepted(self, tmp_path):
+        ratios, initials = ["0.25", "1"], ["cat", "fock:8,0"]
+        expected = sweep(small_spec(), ratios, initials, out_dir=tmp_path / "lists", jobs=2)
+        summary = sweep(
+            small_spec(), iter(ratios), (i for i in initials), out_dir=tmp_path / "gen", jobs=2
+        )
+        assert summary["cells"] == expected["cells"]
+        assert _written(tmp_path / "gen") == _written(tmp_path / "lists")
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_program_fault_propagates(self, monkeypatch, jobs):
@@ -520,8 +551,9 @@ class TestSweep:
     def test_non_integer_jobs_rejected_before_any_cell(self, tmp_path, monkeypatch, jobs):
         calls = []
         monkeypatch.setattr(pipeline, "run_scenario", lambda spec, **kwargs: calls.append(spec))
-        with pytest.raises(TypeError, match="jobs must be an integer"):
-            sweep(small_spec(), ["0.25", "1"], ["cat"], out_dir=tmp_path / "out", jobs=jobs)
+        for refuse in (sweep, check_sweep):
+            with pytest.raises(TypeError, match="jobs must be an integer"):
+                refuse(small_spec(), ["0.25", "1"], ["cat"], out_dir=tmp_path / "out", jobs=jobs)
         assert calls == [] and not (tmp_path / "out").exists()
 
     def test_numpy_integer_jobs_accepted(self):
@@ -539,6 +571,7 @@ class TestSweep:
         with pytest.raises(ValueError, match="could not be broadcast"):
             sweep(small_spec(), ["0.25", "1"], ["cat"], jobs=jobs)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ratio", ["1e308", "1e-308"])
     def test_overflowing_hamiltonian_fails_only_its_cells(self, ratio):
         # Finite couplings whose Hamiltonian overflows are an invalid coupling.
@@ -718,6 +751,40 @@ class TestMain:
         rc = main(["--n", "10", "--ratio", "1", "--initial", "fock:3,3"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_overflowing_couplings_are_a_usage_error(self, tmp_path, capsys):
+        argv = ["--n", "1000", "--k", "1e308", "--ej", "1", "--steps", "200"]
+        rc = main([*argv, "--out", str(tmp_path / "run.csv")])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: matrix elements must be finite\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_solver_failure_exits_one(self, monkeypatch, capsys):
+        def fail(h):
+            raise ConvergenceError("dstevd did not converge (info = 1)")
+
+        monkeypatch.setattr(pipeline, "eigendecompose", fail)
+        rc = main(["--n", "8", "--ratio", "0.25", "--steps", "100"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == "solver failure: dstevd did not converge (info = 1)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--ratio", "0.25"], ["--ratios", "0.25,1", "--jobs", "1"],
+         ["--ratios", "0.25,1", "--jobs", "2"]],
+        ids=["single", "sweep-jobs1", "sweep-jobs2"],
+    )
+    def test_kernel_fault_propagates(self, monkeypatch, capsys, argv):
+        # A ValueError that no check raises is a program fault, not refused input.
+        def fault(*args):
+            raise ValueError("operands could not be broadcast together with shapes (3,) (4,)")
+
+        monkeypatch.setattr(observables, "_block_columns", fault)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            main(["--n", "8", *argv, "--steps", "100"])
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "extra",
