@@ -236,8 +236,8 @@ class _Shortest:
         self.fallbacks = 0
         self._lock = threading.Lock()
 
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        """The (values, _WORDS) words of the values of `rows`."""
+    def __call__(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (values, _WORDS) words of the values of `rows`, in `out` if given."""
         v = rows.ravel()
         zero = v == 0  # scaled as 1.0, then given the digits of 0
         a, k, s, m, frac, slow = _scaled(v, self.powers, 17)
@@ -275,7 +275,7 @@ class _Shortest:
         d[slow], e[slow] = 0, -_EXPONENTS.start
         lead = d // 10**16
         rest = d - lead * 10**16
-        words = np.empty((v.size, _WORDS), "<u8")
+        words = np.empty((v.size, _WORDS), "<u8") if out is None else out
         words[:, 0] = self.heads[20 * e + 10 * np.signbit(v) + lead]
         words[:, -1] = self.exps[e]
         point = self.points[e]
@@ -301,10 +301,17 @@ _json_renderer = functools.cache(_Shortest)
 
 
 def _render_list(separator: np.ndarray, values: np.ndarray) -> bytes:
-    """`values` as list items, each led by the words of `separator`."""
-    text = np.empty((values.size, separator.size + _WORDS), separator.dtype)
+    """`values` as list items, each led by the words of `separator`. Each run
+    of equal values is rendered once, equal by their bits, so that 0.0 and
+    -0.0 differ, and its words are copied to the rest of the run."""
+    bits = values.view(np.int64)
+    starts = np.concatenate(([True], bits[1:] != bits[:-1]))
+    firsts = np.flatnonzero(starts)
+    text = np.empty((firsts.size, separator.size + _WORDS), separator.dtype)
     text[:, : separator.size] = separator
-    text[:, separator.size :] = _json_renderer()(values)
+    _json_renderer()(values[firsts], out=text[:, separator.size :])
+    if firsts.size < values.size:
+        text = text[np.cumsum(starts) - 1]
     return _squeeze(text.view(np.uint8))
 
 

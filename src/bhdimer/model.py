@@ -22,6 +22,7 @@ which is all this module builds; only to_dense ever densifies it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,13 @@ def as_integer(name: str, value) -> int:
     return int(value)
 
 
+def as_real(name: str, value) -> float:
+    """value as a float; a TypeError unless it is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class CouplingConfig:
     """Physical parameters of the dimer.
@@ -68,7 +76,7 @@ class CouplingConfig:
             raise ValueError(f"n_total must be >= 0, got {n}")
         object.__setattr__(self, "n_total", n)
         for name in ("k", "delta_mu", "e_j"):
-            value = float(getattr(self, name))
+            value = as_real(name, getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)

@@ -75,50 +75,66 @@ ObservableSeries.COLUMNS = tuple(field.name for field in fields(ObservableSeries
 
 
 def _block_columns(
-    c: np.ndarray, offdiagonal: np.ndarray, weights: np.ndarray, n_total: int,
+    c: np.ndarray, offdiagonal: np.ndarray, weights: np.ndarray, sums: np.ndarray,
     scratch: np.ndarray,
-) -> tuple:
-    """Every observable column but t for a complex block (rows, n) viewed as
-    floats c (rows, 2n), one (re, im) pair of columns per time.
+) -> None:
+    """The per-time sums (6, n) of a complex block (rows, n) viewed as floats
+    c (rows, 2n), one (re, im) pair of columns per time, written into sums.
 
-    The one implementation of the formulas: weights holds the moment rows
-    compute_series builds, and offdiagonal couples neighbouring rows. scratch
-    is a flat float array of at least 2 rows n, overwritten here: the weights
-    P = re^2 + im^2 and a second (rows, n) array, then the coherences
-    (rows - 1, 2n). Every moment of every time comes from one product with
-    P; only those sums are divided by the norm T, never the block.
+    sums[:4] is weights @ P, every moment of every time from one product
+    with the weights P = re^2 + im^2; sums[4] is sum P log2 P and sums[5]
+    sum e_i Re(c_i* c_{i+1}), e the offdiagonal. scratch is a flat float
+    array of at least 2 rows n, overwritten here: P and a second (rows, n)
+    array, then the coherences (rows - 1, 2n).
     """
     rows, n = c.shape[0], c.shape[1] // 2
     p, terms = scratch[: 2 * rows * n].reshape(2, rows, n)
     np.multiply(c[:, 0::2], c[:, 0::2], out=p)
     np.multiply(c[:, 1::2], c[:, 1::2], out=terms)
     p += terms
-    moments = weights @ p
-    total = moments[0]
-    if np.any(total == 0.0):
-        raise ZeroNormError("state has zero norm")
-    moments[1:] /= total
-    imbalance = moments[1] + 0.0
-    variance = np.maximum(moments[2] - imbalance**2, 0.0)
-    energy = moments[3]
+    np.matmul(weights, p, out=sums[:4])
     np.log2(np.maximum(p, _ENTROPY_FLOOR, out=terms), out=terms)
-    entropy = np.log2(total) - np.einsum("ij,ij->j", p, terms) / total
-    entropy += moments[4:].sum(axis=0)
+    np.einsum("ij,ij->j", p, terms, out=sums[4])
     if offdiagonal.size:
         # Re(c_i* c_{i+1}) = re re' + im im': the products on the floats,
         # then their sums over rows folded pairwise.
         cross = scratch[: 2 * (rows - 1) * n].reshape(rows - 1, 2 * n)
         np.multiply(c[:-1], c[1:], out=cross)
-        sums = offdiagonal @ cross
-        energy += 2.0 * (sums[0::2] + sums[1::2]) / total
-    return (
-        imbalance,
-        imbalance / n_total if n_total else np.zeros_like(imbalance),
-        variance,
-        entropy,
-        np.abs(np.sqrt(total) - 1.0),
-        energy,
-    )
+        pairs = offdiagonal @ cross
+        np.add(pairs[0::2], pairs[1::2], out=sums[5])
+
+
+def _finish(sums: np.ndarray, n_total: int, sector: bool, coupled: bool) -> tuple:
+    """Turn a trajectory's row sums (_block_columns) into every observable
+    column but t, in place, and return them in ObservableSeries order.
+
+    Each sum is divided by the norm T = sums[0]; sums[5] is scratch once the
+    energy has its coherence part (when the basis couples any rows).
+    """
+    total, imbalance, variance, energy, entropy, spare = sums
+    if not total.all():
+        raise ZeroNormError("state has zero norm")
+    sums[1:5] /= total
+    if coupled:
+        spare *= 2.0
+        spare /= total
+        energy += spare
+    np.subtract(np.log2(total, out=spare), entropy, out=entropy)
+    # In a sector the d row summed the paired weights: their share adds to
+    # the entropy, and the imbalance is 0 / T.
+    entropy += imbalance if sector else 0.0
+    if sector:
+        np.divide(0.0, total, out=imbalance)
+    imbalance += 0.0  # never -0.0
+    variance -= np.square(imbalance, out=spare)
+    np.maximum(variance, 0.0, out=variance)
+    if n_total:
+        np.divide(imbalance, n_total, out=spare)
+    else:
+        spare[:] = 0.0
+    np.subtract(np.sqrt(total, out=total), 1.0, out=total)
+    np.abs(total, out=total)
+    return imbalance, spare, variance, entropy, total, energy
 
 
 def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSeries:
@@ -129,24 +145,24 @@ def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSerie
     columns together match t_grid. The rows are the Basis a GridPropagator
     carries, or else the whole Fock basis. Memory holds the output columns,
     one block and scratch of its size; a C-contiguous complex128 block is
-    reduced where it lies, any other is copied first.
+    reduced where it lies, any other is copied first. The blocks' sums fill
+    the output columns, which _finish turns into the observables.
     """
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError("t_grid must be one-dimensional")
-    columns = np.empty((len(ObservableSeries.COLUMNS) - 1, t.size))
+    sums = np.empty((len(ObservableSeries.COLUMNS) - 1, t.size))
     basis = blocks.basis if isinstance(blocks, GridPropagator) else Basis(h.dim, np.arange(h.dim))
     if basis.dim != h.dim:
         raise ValueError("state dimension does not match Hamiltonian")
     diagonal, offdiagonal = basis.hamiltonian(h)
     # The moment rows (1, d, d^2, diagonal), d = N - 2n, the first giving the
-    # norm. In a sector d is odd, so its row is 0, and a paired row splits its
-    # weight q over two Fock states, -2 (q/2) log2(q/2) = -q log2 q + q: a
-    # last row adds those q to the entropy.
+    # norm. In a sector d is odd, so its row would be 0; a paired row splits
+    # its weight q over two Fock states, -2 (q/2) log2(q/2) = -q log2 q + q,
+    # so the d row sums those q for the entropy instead.
     rows = basis.rows.size
     d = imbalance_diagonal(h.n_total)[basis.rows]
-    moments = [np.ones(rows), np.zeros(rows) if basis.sector else d, d**2, diagonal]
-    weights = np.stack(moments + [basis.paired] if basis.sector else moments)
+    weights = np.stack([np.ones(rows), basis.paired if basis.sector else d, d**2, diagonal])
     scratch = None
     start = 0
     for block in blocks:
@@ -158,10 +174,11 @@ def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSerie
             raise ValueError("t_grid and states must have equal length")
         if scratch is None or 2 * n * rows > scratch.size:
             scratch = np.empty(2 * n * rows)
-        columns[:, start : start + n] = _block_columns(c, offdiagonal, weights, h.n_total, scratch)
+        _block_columns(c, offdiagonal, weights, sums[:, start : start + n], scratch)
         start += n
     if start != t.size:
         raise ValueError("t_grid and states must have equal length")
+    columns = _finish(sums, h.n_total, basis.sector is not None, offdiagonal.size > 0)
     return ObservableSeries(t, *columns)
 
 

@@ -9,7 +9,6 @@ runs the cross product of a ratio list and an initial-state list.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
@@ -30,7 +29,7 @@ from .analysis import (
     time_averaged_imbalance,
 )
 from .files import FORMATS, NonFiniteOutputError, write_json, write_output
-from .model import CouplingConfig, as_integer, build_hamiltonian
+from .model import CouplingConfig, as_integer, as_real, build_hamiltonian
 from .observables import ObservableSeries, ZeroNormError, compute_series
 from .presets import parse_ratio, realize_ratio
 from .spectral import (
@@ -63,9 +62,8 @@ class ScenarioSpec:
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if isinstance(self.t_max, bool) or not isinstance(self.t_max, numbers.Real):
-            raise TypeError(f"t_max must be a real number, got {self.t_max!r}")
-        object.__setattr__(self, "t_max", float(self.t_max))
+        for name in ("t_max", "theta_c", "theta_r"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         # A subnormal step is too coarse for the detector's uniform-grid check.

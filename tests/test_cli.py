@@ -151,9 +151,11 @@ class TestScenarioSpec:
 
     @pytest.mark.parametrize("value", [True, "30", None, 3 + 0j, np.bool_(True)])
     def test_non_real_t_max_rejected(self, value):
-        message = rf"^t_max must be a real number, got {re.escape(repr(value))}$"
-        with pytest.raises(TypeError, match=message):
-            small_spec(t_max=value)
+        # The detector thresholds take the same test.
+        for name in ("t_max", "theta_c", "theta_r"):
+            message = rf"^{name} must be a real number, got {re.escape(repr(value))}$"
+            with pytest.raises(TypeError, match=message):
+                small_spec(**{name: value})
 
     @pytest.mark.parametrize("value", [30, np.int64(30), np.float32(30.0)])
     def test_real_t_max_is_written_as_a_float(self, tmp_path, value):
@@ -191,6 +193,16 @@ class TestScenarioSpec:
 
     def test_theta_r_one_accepted(self):
         assert small_spec(theta_r=1.0).theta_r == 1.0
+
+    @pytest.mark.parametrize("theta_r", [1, np.int64(1), np.float32(1.0)])
+    def test_real_thresholds_are_written_as_floats(self, tmp_path, theta_r):
+        spec = small_spec(tmp_path, fmt="json", theta_c=np.float32(0.25), theta_r=theta_r)
+        assert (spec.theta_c, spec.theta_r) == (0.25, 1.0)
+        assert {type(spec.theta_c), type(spec.theta_r)} == {float}
+        run_scenario(spec)
+        written = json.loads(spec.out.read_text())
+        for member in (written["spec"], written["summary"]["collapse_revival"]):
+            assert [repr(member[name]) for name in ("theta_c", "theta_r")] == ["0.25", "1.0"]
 
 
 def _with_series(change):

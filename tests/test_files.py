@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from bhdimer import files
 from bhdimer.cli import main
+from bhdimer.observables import ObservableSeries
 
 # np.float64 as the working type stands for a platform whose long double is
 # a plain double: more values go to Python, the bytes must not change.
@@ -211,3 +212,47 @@ def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys):
     values = sum(len(column) for column in [*written["series"].values(), *envelope.values()])
     assert len(envelope["t"]) > 0
     assert renderer.fallbacks - before <= 0.03 * values
+
+
+def test_runs_of_equal_values_across_chunks(tmp_path, monkeypatch):
+    # Runs of equal bits cross the 7 * ROW_CHUNK chunk boundaries of a
+    # streamed list: 0.0 and -0.0 stay apart, the smallest subnormal repeats,
+    # and a value the renderer hands to Python opens and closes the list.
+    chunk = 7 * files.ROW_CHUNK
+    slow = 0.10490011715303971
+    renderer = files._json_renderer()
+    before = renderer.fallbacks
+    renderer(np.array([[slow]]))
+    assert renderer.fallbacks > before
+    column = np.arange(2 * chunk + 6) * 0.25
+    column[:3] = slow
+    column[chunk - 2 : chunk + 2] = [0.0, -0.0, -0.0, 0.0]
+    column[2 * chunk - 3 : 2 * chunk + 3] = 5e-324
+    column[2 * chunk + 3 :] = slow
+    columns = {name: np.roll(column, 3 * i) for i, name in enumerate(ObservableSeries.COLUMNS)}
+    columns["imbalance"] = -column
+    envelope = np.column_stack([column, column[::-1]])  # strided columns
+    rendered = []
+
+    def counted(rows, out=None):
+        rendered.append(rows.size)
+        return renderer(rows, out)
+
+    monkeypatch.setattr(files, "_json_renderer", lambda: counted)
+    out = tmp_path / "runs.json"
+    summary = {"collapse_revival": {"detected": False}}
+    files.write_output(out, "json", {}, ObservableSeries(**columns), summary, envelope)
+    lists = {"t": column, "amplitude": column[::-1]}
+    payload = {
+        "spec": {},
+        "summary": {"collapse_revival": {"detected": False, "envelope": lists}},
+        "series": columns,
+    }
+    assert out.read_text() == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
+    # Each chunk renders the first value of each of its runs, and no other.
+    runs = 0
+    for values in [*columns.values(), *lists.values()]:
+        for start in range(0, values.size, chunk):
+            bits = values[start : start + chunk].view(np.int64)
+            runs += 1 + np.count_nonzero(bits[1:] != bits[:-1])
+    assert sum(rendered) == runs < 9 * column.size

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ class TestCouplingConfig:
     def test_non_finite_couplings_rejected(self, name, bad):
         with pytest.raises(ValueError):
             CouplingConfig(3, **{name: bad})
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "2.5", b"3", None, 1 + 0j])
+    @pytest.mark.parametrize("name", ["k", "delta_mu", "e_j"])
+    def test_non_real_couplings_rejected(self, name, bad):
+        message = rf"^{name} must be a real number, got {re.escape(repr(bad))}$"
+        with pytest.raises(TypeError, match=message):
+            CouplingConfig(10, **{name: bad})
+
+    def test_numpy_real_couplings_become_floats(self):
+        cfg = CouplingConfig(10, k=np.int64(2), delta_mu=np.float32(0.5), e_j=3)
+        assert (cfg.k, cfg.delta_mu, cfg.e_j) == (2.0, 0.5, 3.0)
+        assert {type(cfg.k), type(cfg.delta_mu), type(cfg.e_j)} == {float}
 
     def test_ratio(self):
         assert CouplingConfig(10, k=2.0, e_j=4.0).ratio == 0.5

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from bhdimer.model import CouplingConfig, build_hamiltonian
 from bhdimer.observables import (
     ObservableSeries,
+    ZeroNormError,
     compute_series,
     entanglement_entropy,
     expectation_imbalance,
@@ -209,6 +211,34 @@ class TestComputeSeries:
         blocks = evolve_series(d, fock(2, 0), [0.0, 1.0])
         with pytest.raises(ValueError):
             compute_series(blocks, [0.0], h)
+
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_zero_norm_refused(self, where):
+        # A zero column in either block; the norm is checked once all are in.
+        h = build_hamiltonian(CouplingConfig(3, k=1.0, e_j=1.0))
+        blocks = [np.ones((4, 3), complex), np.ones((4, 2), complex)]
+        blocks[where][:, 1] = 0.0
+        with pytest.raises(ZeroNormError, match="^state has zero norm$"):
+            compute_series(blocks, np.arange(5.0), h)
+
+    def test_memory_holds_the_columns_and_one_block(self):
+        # Beside one block's buffers, which a grid of two blocks already
+        # holds, a longer grid adds only its six output rows: no temporary
+        # as long as the grid.
+        n = 20
+        h = build_hamiltonian(CouplingConfig(n, k=1.0, e_j=1.0))
+        d = eigendecompose(h)
+        short, long = 2 * block_rows(n + 1, 2**62), 50_000
+        peaks = []
+        for steps in (short, short, long):  # the first run warms caches
+            t = np.linspace(0.0, 30.0, steps)
+            tracemalloc.start()
+            try:
+                compute_series(evolve_series(d, fock(n, 0), t), t, h)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] <= 6 * 8 * (long - short) + 16 * 1024
 
 
 class TestReduceBlocks:
