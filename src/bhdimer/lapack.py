@@ -8,6 +8,8 @@ scipy-openblas with an ILP64 LAPACKE, looked up on first use. dstevd's
 merges call threaded gemms, whose sums change with the thread count, so it
 runs on one OpenBLAS thread (openblas_set_num_threads_local, where the
 library has it) and gives the same bits whatever OPENBLAS_NUM_THREADS says.
+That setter acts on the whole process, so a threaded sweep holds the same
+pin (one_blas_thread) while its cells run: all their BLAS runs on one thread.
 """
 
 import ctypes
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import LinAlgError
 
-__all__ = ["dstevd", "dstevd_symbol"]
+__all__ = ["dstevd", "dstevd_symbol", "one_blas_thread"]
 
 
 @functools.cache
@@ -48,18 +50,17 @@ def dstevd_symbol():
 
 
 # The setter changes the whole process's thread count and returns the old one,
-# so overlapping calls (a threaded sweep) share one pin: the first sets one
-# thread, the last restores the count the first found.
+# so overlapping holders (dstevd calls, a threaded sweep) share one pin: the
+# first sets one thread, the last restores the count the first found. Without
+# the setter a stand-in that returns its argument makes the pin change nothing.
 _pin_lock = threading.Lock()
 _pin = {"holders": 0, "saved": 0}
 
 
 @contextmanager
-def _one_blas_thread():
-    setter = _library()[1]
-    if setter is None:
-        yield
-        return
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, process-wide; holders nest and overlap."""
+    setter = _library()[1] or (lambda count: count)
     with _pin_lock:
         if not _pin["holders"]:
             _pin["saved"] = setter(1)
@@ -90,7 +91,7 @@ def dstevd(d: np.ndarray, e: np.ndarray) -> tuple | None:
         raise RuntimeError(f"dstevd got diagonal {w.shape} and off-diagonal {scratch.shape}")
     z = np.empty((n, n), order="F")
     # 102 is LAPACK_COL_MAJOR, so z's leading dimension is n (LAPACK wants >= 1).
-    with _one_blas_thread():
+    with one_blas_thread():
         info = fn(102, b"V", n, w.ctypes.data, scratch.ctypes.data, z.ctypes.data, max(1, n))
     if info > 0:
         raise LinAlgError(f"dstevd did not converge (info = {info})")

@@ -128,10 +128,7 @@ def _finish(sums: np.ndarray, n_total: int, sector: bool, coupled: bool) -> tupl
     imbalance += 0.0  # never -0.0
     variance -= np.square(imbalance, out=spare)
     np.maximum(variance, 0.0, out=variance)
-    if n_total:
-        np.divide(imbalance, n_total, out=spare)
-    else:
-        spare[:] = 0.0
+    np.divide(imbalance, max(n_total, 1), out=spare)  # N = 0: imbalance is +0.0
     np.subtract(np.sqrt(total, out=total), 1.0, out=total)
     np.abs(total, out=total)
     return imbalance, spare, variance, entropy, total, energy

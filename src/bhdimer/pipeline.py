@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -237,15 +238,18 @@ def sweep(base: ScenarioSpec, ratio_tokens, initials, out_dir=None, jobs: int = 
     calling thread; one whose coupling or initial state is a ValueError is
     recorded with status "error" and never runs, as is one whose run raises
     one of RUN_FAILURES. Any other exception is a program fault. The cells
-    run on the calling thread and jobs - 1 more threads. A fault stops new
-    cells from starting; once the running ones end, the fault of the
+    run on the calling thread and jobs - 1 more threads, with BLAS on one
+    thread while there are two or more (lapack.one_blas_thread), so the
+    files depend on neither jobs nor OPENBLAS_NUM_THREADS. A fault stops
+    new cells from starting; once the running ones end, the fault of the
     earliest cell in sweep order propagates. The cells of one coupling share
     one decomposition, made by the first of them to run, freed after the last.
 
-    Returns the combined summary, keyed by (ratio token, initial). When
-    out_dir is given it is made before any cell runs, each cell writes its
-    own series file there and the combined summary lands in
-    out_dir/summary.json.
+    Returns the combined summary: "base", the spec every cell shares (all
+    but k, e_j and initial), and "cells", one entry per (ratio token,
+    initial) in sweep order. When out_dir is given it is made before any
+    cell runs, each cell writes its own series file there and the combined
+    summary lands in out_dir/summary.json.
     """
     cells = check_sweep(base, ratio_tokens, initials, out_dir, jobs)
     if out_dir is not None:
@@ -310,17 +314,22 @@ def sweep(base: ScenarioSpec, ratio_tokens, initials, out_dir=None, jobs: int = 
                     faults[i] = exc
 
     workers = [threading.Thread(target=work) for _ in range(min(jobs, len(cells)) - 1)]
-    for worker in workers:
-        worker.start()
-    work()
-    # The calling thread's work ends when no cell is left to hand out: the
-    # joins wait only for cells already running.
-    for worker in workers:
-        worker.join()
+    # One parallelism layer at a time: BLAS runs on one thread while cell
+    # threads run, so no gemm's sums depend on what another cell is doing.
+    with lapack.one_blas_thread() if workers else nullcontext():
+        for worker in workers:
+            worker.start()
+        work()
+        # The calling thread's work ends when no cell is left to hand out:
+        # the joins wait only for cells already running.
+        for worker in workers:
+            worker.join()
     if faults:
         raise faults[min(faults)]
 
-    summary = {"base": _scenario_dict(base), "cells": entries}
+    shared = _scenario_dict(base)
+    del shared["k"], shared["e_j"], shared["initial"]
+    summary = {"base": shared, "cells": entries}
     if out_dir is not None:
         write_json(out_dir / "summary.json", summary)
     return summary

@@ -612,11 +612,45 @@ class TestSweep:
 
         monkeypatch.setattr(pipeline, "run_scenario", fault)
         before = threading.active_count()
-        with pytest.raises(TypeError, match="at ratio 0.25"):
-            sweep(small_spec(), ["0.25", "0.5", "1", "2", "4"], ["cat"], jobs=2)
+        # The sweep pins BLAS to one thread; the fault must not leave it pinned.
+        setter = lapack._library()[1]  # returns the count it replaces
+        threads = None if setter is None else setter(2)
+        try:
+            with pytest.raises(TypeError, match="at ratio 0.25"):
+                sweep(small_spec(), ["0.25", "0.5", "1", "2", "4"], ["cat"], jobs=2)
+        finally:
+            restored = None if setter is None else setter(threads)
         # Each thread stops after its first fault.
         assert 1 <= len(started) <= 2
         assert threading.active_count() == before
+        assert setter is None or restored == 2
+
+    @pytest.mark.skipif(
+        lapack._library()[1] is None,
+        reason="numpy's OpenBLAS exports no openblas_set_num_threads_local",
+    )
+    def test_threaded_sweep_files_do_not_depend_on_blas_threads(self, tmp_path):
+        # The setter sets the whole process's count, so unless the sweep
+        # holds one BLAS thread, a cell's gemms run at one or two threads
+        # depending on whether another cell is inside dstevd.
+        setter = lapack._library()[1]
+        base = ScenarioSpec(
+            CouplingConfig(200, k=0.0, e_j=1.0), "fock:200,0", steps=2000, fmt="json"
+        )
+        cells = (["1/N^2", "4/N", "N"], ["fock:200,0", "cat", "me"])
+        before = setter(2)
+        try:
+            for name in ("threaded", "rerun"):
+                sweep(base, *cells, out_dir=tmp_path / name, jobs=2)
+            with lapack.one_blas_thread():
+                sweep(base, *cells, out_dir=tmp_path / "pinned", jobs=1)
+        finally:
+            restored = setter(before)
+        assert restored == 2
+        pinned = _written(tmp_path / "pinned")
+        assert len(pinned) == 10
+        assert _written(tmp_path / "threaded") == pinned
+        assert _written(tmp_path / "rerun") == pinned
 
     def test_earliest_cell_fault_is_raised(self, monkeypatch):
         # The second cell faults first; the first cell's fault is raised.
@@ -945,6 +979,12 @@ def _spec_dict(n, k, e_j, initial, delta_mu=0.0, t_max=30.0, steps=10_000,
     }
 
 
+def _base_dict(n, **run):
+    """A sweep summary's "base": the spec dict without what each cell sets."""
+    spec = _spec_dict(n, None, None, None, **run)
+    return {key: value for key, value in spec.items() if key not in ("k", "e_j", "initial")}
+
+
 class TestFlagsToSpec:
     """Which spec a preset and the given flags make: a flag overrides the
     preset's value, and an unset one falls back to the preset, then to the
@@ -986,37 +1026,37 @@ class TestFlagsToSpec:
         "argv,base,cells",
         [
             (["--preset", "fig-threshold-scan", "--n", "4", "--steps", "300", "--window", "21"],
-             _spec_dict(4, 0.0, 1.0, "fock:4,0", t_max=100.0, steps=300, window=21),
+             _base_dict(4, t_max=100.0, steps=300, window=21),
              [(r, "fock:4,0", f"r{s}__fock-4-0.csv") for r, s in [
                  ("1/N", "1overN"), ("2/N", "2overN"), ("3/N", "3overN"), ("4/N", "4overN"),
                  ("5/N", "5overN"), ("10/N", "10overN"), ("50/N", "50overN"), ("1", "1")]]),
             (["--preset", "fig-threshold-scan", "--n", "4", "--ratio", "1", "--steps", "300"],
-             _spec_dict(4, 0.0, 1.0, "fock:4,0", t_max=100.0, steps=300),
+             _base_dict(4, t_max=100.0, steps=300),
              [("1", "fock:4,0", "r1__fock-4-0.csv")]),
             (["--preset", "fig-initials-rabi", "--n", "4", "--initial", "cat", "--steps",
               "300", "--format", "json"],
-             _spec_dict(4, 0.0, 1.0, "fock:4,0", steps=300, fmt="json"),
+             _base_dict(4, steps=300, fmt="json"),
              [("1/N^2", "cat", "r1overN2__cat.json"), ("1/N", "cat", "r1overN__cat.json")]),
             (["--n", "4", "--ratios", "0.25, 1", "--initials", "cat; fock:4,0", "--format",
               "json", "--dmu", "0.1", "--steps", "300"],
-             _spec_dict(4, 0.0, 1.0, "fock:4,0", delta_mu=0.1, steps=300, fmt="json"),
+             _base_dict(4, delta_mu=0.1, steps=300, fmt="json"),
              [("0.25", "cat", "r0.25__cat.json"), ("0.25", "fock:4,0", "r0.25__fock-4-0.json"),
               ("1", "cat", "r1__cat.json"), ("1", "fock:4,0", "r1__fock-4-0.json")]),
             (["--preset", "fig-rabi", "--n", "4", "--ratios", "N"],
-             _spec_dict(4, 0.0, 1.0, "fock:4,0", steps=12_000),
+             _base_dict(4, steps=12_000),
              [("N", "fock:4,0", "rN__fock-4-0.csv")]),
             (["--n", "4", "--ratio", "1", "--initials", "me;cat", "--steps", "300"],
-             _spec_dict(4, 0.0, 1.0, "fock:4,0", steps=300),
+             _base_dict(4, steps=300),
              [("1", "me", "r1__me.csv"), ("1", "cat", "r1__cat.csv")]),
             (["--preset", "fig-fluct-cat", "--n", "4", "--t-max", "3", "--steps", "100",
               "--window", "11"],
-             _spec_dict(4, 0.0, 1.0, "fock:4,0", t_max=3.0, steps=100, window=11),
+             _base_dict(4, t_max=3.0, steps=100, window=11),
              [(r, "cat", f"r{s}__cat.csv") for r, s in [
                  ("1/N^2", "1overN2"), ("1/N", "1overN"), ("4/N", "4overN"),
                  ("10/N", "10overN"), ("1", "1")]]),
             # At N=4 the five-state menu rounds to three distinct states.
             (["--preset", "fig-initials-josephson", "--n", "4", "--steps", "300"],
-             _spec_dict(4, 0.0, 1.0, "fock:4,0", steps=300),
+             _base_dict(4, steps=300),
              [(r, f"fock:{m},{4 - m}", f"r{r}__fock-{m}-{4 - m}.csv")
               for r in ("1", "N") for m in (4, 3, 2)]),
         ],
