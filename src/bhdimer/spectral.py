@@ -20,8 +20,9 @@ first maps the off-diagonal to -|e|, so "flip e_j and c_n -> (-1)^n c_n"
 holds exactly. A mirror-symmetric matrix (the dimer at zero bias) is
 diagonalized as two half-size blocks, one per parity sector, whose
 eigenvectors stay in that sector's rows: each is exactly even or odd, and
-interchanged modes mirror each other down to summation round-off. Only
-Basis maps block rows to Fock rows (unfold) and back (fold).
+interchanged modes mirror each other down to summation round-off. Each
+block keeps its eigenpairs in LAPACK's ascending order, and only Basis maps
+block rows to Fock rows (unfold) and back (fold).
 """
 
 from __future__ import annotations
@@ -86,51 +87,55 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Full spectrum of a real symmetric tridiagonal matrix.
+    """Eigenpairs of a real symmetric tridiagonal matrix, held as blocks.
 
-    eigenvalues  ascending, length dim
-    blocks       (basis, columns, vectors) triples: vectors, (basis rows,
-                 columns.size), holds eigenvectors `columns` in the rows of
-                 basis. One Fock block, or at zero bias one per parity
-                 sector, even first; each column lies in exactly one block.
+    blocks  (basis, eigenvalues, vectors) triples: vectors, (basis rows,
+            eigenvalues.size), holds one eigenvector per eigenvalue in the
+            rows of basis, ascending. One Fock block, or at zero bias one
+            per parity sector, even first. dim and the rest are views.
     """
 
-    eigenvalues: np.ndarray
     blocks: tuple
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=np.float64)
         blocks = tuple(
-            (basis, np.asarray(columns, dtype=np.intp), np.asarray(vectors, dtype=np.float64))
-            for basis, columns, vectors in self.blocks
+            (basis, np.asarray(lam, dtype=np.float64), np.asarray(vectors, dtype=np.float64))
+            for basis, lam, vectors in self.blocks
         )
-        if lam.ndim != 1:
-            raise ValueError("eigenvalues must be 1-d")
-        every = np.concatenate([columns for _, columns, _ in blocks] or [[]])
-        if not np.array_equal(np.sort(every), np.arange(lam.size)):
-            raise ValueError("each eigenvector column must lie in exactly one block")
-        for basis, columns, vectors in blocks:
-            if basis.dim != lam.size or vectors.shape != (basis.rows.size, columns.size):
-                raise ValueError("a block's vectors must be (basis rows, columns)")
-            columns.setflags(write=False)
+        if len({basis.dim for basis, _, _ in blocks}) != 1:
+            raise ValueError("the blocks must be one or more, all of one basis dim")
+        for basis, lam, vectors in blocks:
+            if lam.ndim != 1 or vectors.shape != (basis.rows.size, lam.size):
+                raise ValueError("need 1-d eigenvalues and vectors (basis rows, eigenvalues.size)")
+            lam.setflags(write=False)
             vectors.setflags(write=False)
-        lam.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "blocks", blocks)
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.size
+        return self.blocks[0][0].dim
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Every block's eigenvalues, ascending, as a new read-only array."""
+        return self._merge((lam for _, lam, _ in self.blocks), ())
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        """(dim, dim) orthonormal, column n is |psi_n>: the blocks unfolded to
-        Fock rows, a new read-only array on every access."""
-        v = np.empty((self.dim, self.dim), order="F")
-        for basis, columns, vectors in self.blocks:
-            v[:, columns] = basis.unfold(vectors)
-        v.setflags(write=False)
-        return v
+        """Orthonormal (dim, eigenvalues.size), column n |psi_n> of eigenvalues[n]:
+        the blocks unfolded to Fock rows, as a new read-only array."""
+        return self._merge((basis.unfold(v) for basis, _, v in self.blocks), (self.dim,))
+
+    def _merge(self, parts, rows: tuple) -> np.ndarray:
+        """The blocks' parts (*rows, block eigenvalues) as one read-only array,
+        columns in stable ascending eigenvalue order: ties go to the even block."""
+        lam = [lam for _, lam, _ in self.blocks]
+        place = np.argsort(np.argsort(np.concatenate(lam), kind="stable"))  # inverse permutation
+        merged = np.empty(rows + place.shape, order="F")
+        for part, columns in zip(parts, np.split(place, np.cumsum([w.size for w in lam])[:-1])):
+            merged[..., columns] = part
+        merged.setflags(write=False)
+        return merged
 
 
 def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple:
@@ -167,10 +172,10 @@ def _sector_block(d: np.ndarray, e: np.ndarray, even: bool) -> tuple:
 def eigendecompose(h) -> SpectralDecomposition:
     """Full eigendecomposition of a TridiagonalHamiltonian.
 
-    Eigenvalues come back ascending (ties: even block first). Each
-    eigenvector's Fock entry of largest magnitude (lowest index on ties) is
-    positive, so reruns give the same bits. Raises ConvergenceError if LAPACK
-    fails to converge (not seen for finite input).
+    Blocks even first, each with its eigenvalues ascending as LAPACK returns
+    them. Each eigenvector's Fock entry of largest magnitude (lowest index
+    on ties) is positive, so reruns give the same bits. Raises
+    ConvergenceError if LAPACK fails to converge (not seen for finite input).
     """
     d = np.asarray(h.diagonal, dtype=np.float64)
     e0 = np.asarray(h.offdiagonal, dtype=np.float64)
@@ -191,18 +196,12 @@ def eigendecompose(h) -> SpectralDecomposition:
     else:
         solved, bases = [_tridiagonal_eigh(d, e)], [Basis(n, np.arange(n))]
 
-    lam = np.concatenate([w for w, _ in solved])
-    order = np.argsort(lam, kind="stable")
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    blocks, start = [], 0
-    for basis, (w, v) in zip(bases, solved):
+    blocks = [(basis, w, v) for basis, (w, v) in zip(bases, solved)]
+    for basis, w, v in blocks:
         v *= signs[basis.rows, None]
         v *= np.where(v[basis.dominant(v), np.arange(w.size)] < 0.0, -1.0, 1.0)
-        blocks.append((basis, column[start : start + w.size], v))
-        start += w.size
     blocks.sort(key=lambda block: block[0].sector == "odd")
-    return SpectralDecomposition(lam[order], tuple(blocks))
+    return SpectralDecomposition(tuple(blocks))
 
 
 def evolve(decomp: SpectralDecomposition, initial: StateVector, t: float) -> StateVector:
@@ -333,53 +332,50 @@ class GridPropagator:
                 f"dimension {decomp.dim}"
             )
         c, dim = initial.coefficients, decomp.dim
-        a = np.empty(dim, dtype=complex)
-        for basis, columns, v in decomp.blocks:
+        a = []
+        for basis, _, v in decomp.blocks:
             x = basis.fold(c)
             # Two real products: numpy would otherwise copy v to complex.
-            a[columns] = v.T @ x.real + 1j * (v.T @ x.imag)
-        weight = a.real**2 + a.imag**2
+            a.append(v.T @ x.real + 1j * (v.T @ x.imag))
+        weight = np.concatenate([x.real**2 + x.imag**2 for x in a])
         order = np.argsort(weight, kind="stable")
         dropped = np.cumsum(weight[order])
         n_drop = int(np.searchsorted(dropped, DROPPED_WEIGHT_MAX, side="right"))
         # Keep at least one component; a zero state fails in the observables.
-        n_drop = min(n_drop, a.size - 1)
-        kept = np.zeros(dim, dtype=bool)
-        kept[order[n_drop:]] = True
-        self.kept_components = dim - n_drop
+        n_drop = min(n_drop, weight.size - 1)
+        kept = np.ones(weight.size, dtype=bool)
+        kept[order[:n_drop]] = False
+        self.kept_components = weight.size - n_drop
         self.dropped_weight = float(dropped[n_drop - 1]) if n_drop else 0.0
 
-        # Each block's kept columns, ascending, and their vectors.
-        parts = []
-        for basis, columns, v in decomp.blocks:
-            local = np.flatnonzero(kept[columns])
-            parts.append((basis, columns[local], v[:, local]))
+        # Each block's kept eigenpairs, ascending, and their overlaps.
+        kept = np.split(kept, np.cumsum([x.size for x in a])[:-1])
+        parts = [(b, lam[k], v[:, k], x[k]) for (b, lam, v), x, k in zip(decomp.blocks, a, kept)]
         self.kept_per_parity = [p[1].size for p in parts] if parts[0][0].sector else None
         parts = [p for p in parts if p[1].size]
-        keep = np.concatenate([p[1] for p in parts])
+        self._lam = np.concatenate([p[1] for p in parts])
+        self._a = np.concatenate([p[3] for p in parts])
         # The product multiplies v_top and v_odd, (pairs, kept odd). With both
         # sectors kept they are the even and the odd vectors' top Fock rows,
         # pairs = dim // 2; else v_top is the one block's and no row is paired.
         if len(parts) == 1:
-            ((basis, _, v_top),) = parts
+            ((basis, _, v_top, _),) = parts
             v_top, v_odd, sector = np.ascontiguousarray(v_top), np.empty((0, 0)), basis.sector
         else:
-            (even, _, v_even), (odd, _, v_odd) = parts
+            (even, _, v_even, _), (odd, _, v_odd, _) = parts
             # C order: the gemm's bits depend on its operands' layout.
             scale = np.where(even.paired, _SQRT_HALF, 1.0)[:, None]
             v_top = np.multiply(v_even, scale, order="C")
             v_odd, sector = np.multiply(v_odd, _SQRT_HALF, order="C"), None
         n_top, pairs = v_top.shape[1], v_odd.shape[0]
-        bound = np.abs(v_top) @ np.abs(a[keep[:n_top]])
-        bound[:pairs] += np.abs(v_odd) @ np.abs(a[keep[n_top:]])
+        bound = np.abs(v_top) @ np.abs(self._a[:n_top])
+        bound[:pairs] += np.abs(v_odd) @ np.abs(self._a[n_top:])
         weight = bound**2
         weight[:pairs] *= 2.0  # a split pair is two Fock rows
         lo, hi, self.dropped_row_weight = _window(weight)
         self._v, self._v_odd = v_top[lo:hi], v_odd[lo : min(hi, pairs)]
         mirror = np.arange(dim - min(hi, pairs), dim - lo)
         self.basis = Basis(dim, np.concatenate((np.arange(lo, hi), mirror)), sector)
-        self._lam = decomp.eigenvalues[keep]
-        self._a = a[keep]
 
         self._dim, self._steps = dim, t.size
         t_max = float(t[-1]) if t.size else 0.0

@@ -58,14 +58,11 @@ def max_residual(h, decomp, chunk=256):
 
 
 def parity_labels(decomp):
-    """True for each even column and False for each odd one, read from the
-    blocks' sectors; None for a decomposition held as one Fock block."""
+    """(sector, eigenvalues, vectors unfolded to Fock rows) of each block;
+    None for a decomposition held as one Fock block."""
     if decomp.blocks[0][0].sector is None:
         return None
-    even = np.empty(decomp.dim, dtype=bool)
-    for basis, columns, _ in decomp.blocks:
-        even[columns] = basis.sector == "even"
-    return even
+    return [(basis.sector, lam, basis.unfold(v)) for basis, lam, v in decomp.blocks]
 
 
 def _eigh_fails(*args, **kwargs):
@@ -124,9 +121,9 @@ class TestEigendecompose:
         _, d = decompose(8, k=1.0, dmu=dmu, e_j=1.0)
         assert not d.eigenvalues.flags.writeable
         assert not d.eigenvectors.flags.writeable
-        for basis, columns, vectors in d.blocks:
+        for basis, lam, vectors in d.blocks:
             assert basis.sector in ((None,) if dmu else ("even", "odd"))
-            assert not columns.flags.writeable and not vectors.flags.writeable
+            assert not lam.flags.writeable and not vectors.flags.writeable
 
     def test_eigenvalues_sorted(self):
         _, d = decompose(80, k=0.7, dmu=-0.4, e_j=1.9)
@@ -204,11 +201,9 @@ def test_dstevd_matches_the_eigh_fallback_bitwise(h, monkeypatch):
     dense = eigendecompose(h)
     assert np.array_equal(fast.eigenvalues, dense.eigenvalues)
     assert np.array_equal(fast.eigenvectors, dense.eigenvectors)
-    labels = parity_labels(fast), parity_labels(dense)
-    assert (labels[0] is None and labels[1] is None) or np.array_equal(*labels)
-    for (b1, c1, v1), (b2, c2, v2) in zip(fast.blocks, dense.blocks, strict=True):
+    for (b1, lam1, v1), (b2, lam2, v2) in zip(fast.blocks, dense.blocks, strict=True):
         assert b1.sector == b2.sector and np.array_equal(b1.rows, b2.rows)
-        assert np.array_equal(c1, c2) and np.array_equal(v1, v2)
+        assert np.array_equal(lam1, lam2) and np.array_equal(v1, v2)
 
 
 needs_thread_pin = pytest.mark.skipif(
@@ -268,22 +263,47 @@ def test_overlapping_dstevd_calls_restore_the_thread_count():
 
 
 class TestParityLabels:
-    """The blocks' Basis.sector labels describe the columns as returned."""
+    """The blocks' Basis.sector labels describe the vectors as returned."""
 
     @pytest.mark.parametrize("n", [40, 41])
     @pytest.mark.parametrize("e_j", [3.0, -3.0])  # odd N at e_j < 0 swaps the blocks' labels
     def test_labels_match_the_returned_columns(self, n, e_j):
-        _, d = decompose(n, k=1.0, e_j=e_j)
-        v, even = d.eigenvectors, parity_labels(d)
-        assert even is not None and even.shape == (n + 1,)
-        assert 0 < even.sum() < n + 1
-        assert np.array_equal(v[::-1][:, even], v[:, even])
-        assert np.array_equal(v[::-1][:, ~even], -v[:, ~even])
+        h, d = decompose(n, k=1.0, e_j=e_j)
+        blocks = parity_labels(d)
+        assert [sector for sector, _, _ in blocks] == ["even", "odd"]
+        assert sum(lam.size for _, lam, _ in blocks) == n + 1
+        scale = np.abs(d.eigenvalues).max()
+        for sector, lam, v in blocks:
+            assert lam.size > 0 and v.shape == (n + 1, lam.size)
+            assert np.array_equal(v[::-1], v if sector == "even" else -v)
+            # A wrong label would unfold the vectors with the wrong sign.
+            np.testing.assert_allclose(h.to_dense() @ v, v * lam, rtol=0, atol=1e-12 * scale)
 
     def test_odd_n_at_negative_tunneling_swaps_the_labels(self):
         _, plus = decompose(41, k=1.0, e_j=3.0)
         _, minus = decompose(41, k=1.0, e_j=-3.0)
-        assert np.array_equal(parity_labels(plus), ~parity_labels(minus))
+        # Both solve the same sector blocks; minus labels them the other way.
+        for (s1, lam1, v1), (s2, lam2, v2) in zip(parity_labels(plus), parity_labels(minus)[::-1]):
+            assert {s1, s2} == {"even", "odd"}
+            assert np.array_equal(lam1, lam2) and np.array_equal(np.abs(v1), np.abs(v2))
+            assert np.array_equal(v1[::-1], v1 if s1 == "even" else -v1)
+            assert np.array_equal(v2[::-1], v2 if s2 == "even" else -v2)
+
+    @pytest.mark.parametrize("n, e_j", [(40, 0.0), (41, 0.0), (41, -0.1)])
+    def test_views_put_the_even_vector_first_on_ties(self, n, e_j):
+        # At e_j = 0 every level but the centre one is degenerate across the
+        # sectors. Odd N at e_j < 0 swaps the labels of the solved blocks, and
+        # its most localized doublets still tie exactly.
+        _, d = decompose(n, k=1.0, e_j=e_j)
+        lam, v = d.eigenvalues, d.eigenvectors
+        assert np.all(np.diff(lam) >= 0.0)
+        tied = np.flatnonzero(lam[1:] == lam[:-1])
+        if e_j == 0.0:
+            assert tied.size == (n + 1) // 2
+        assert tied.size > 0
+        for j in tied:
+            assert np.array_equal(v[::-1, j], v[:, j])
+            assert np.array_equal(v[::-1, j + 1], -v[:, j + 1])
 
     def test_no_labels_with_bias(self):
         assert parity_labels(decompose(40, k=1.0, dmu=0.3, e_j=3.0)[1]) is None
@@ -302,17 +322,21 @@ class TestParityLabels:
         fock_rows = Basis(2, np.arange(2))
         even, odd = Basis(2, np.arange(1), "even"), Basis(2, np.arange(1), "odd")
         one = np.ones((1, 1))
-        SpectralDecomposition(np.zeros(2), [(even, [1], one), (odd, [0], one)])
+        d = SpectralDecomposition([(even, [1.0], one), (odd, [0.0], one)])
+        assert d.dim == 2 and np.array_equal(d.eigenvalues, [0.0, 1.0])
+        s = math.sqrt(0.5)
+        np.testing.assert_allclose(d.eigenvectors, [[s, s], [-s, s]], rtol=0, atol=1e-16)
         for blocks in (
-            [(fock_rows, [0], np.eye(2)[:, :1])],  # column 1 in no block
-            [(even, [0], one), (odd, [0], one)],  # column 0 in two
-            [(even, [0], one), (odd, [2], one)],  # no column 2
+            [(fock_rows, [0.0, 1.0], np.eye(3))],  # three rows in a two-row basis
+            [(fock_rows, [0.0, 1.0], np.eye(2)[:, :1])],  # two eigenvalues, one vector
+            [(even, [0.0, 1.0], np.eye(2))],  # two rows in a one-row basis
+            [(fock_rows, [[0.0, 1.0]], np.eye(2))],  # 2-d eigenvalues
         ):
-            with pytest.raises(ValueError, match="exactly one block"):
-                SpectralDecomposition(np.zeros(2), blocks)
-        for blocks in ([(fock_rows, [0, 1], np.eye(3))], [(even, [0, 1], np.eye(2))]):
-            with pytest.raises(ValueError, match=r"\(basis rows, columns\)"):
-                SpectralDecomposition(np.zeros(2), blocks)
+            with pytest.raises(ValueError, match=r"\(basis rows, eigenvalues.size\)"):
+                SpectralDecomposition(blocks)
+        for blocks in ([(even, [0.0], one), (Basis(3, np.arange(1), "odd"), [0.0], one)], []):
+            with pytest.raises(ValueError, match="one basis dim"):
+                SpectralDecomposition(blocks)
 
 
 class TestBasis:
