@@ -21,8 +21,9 @@ holds exactly. A mirror-symmetric matrix (the dimer at zero bias) is
 diagonalized as two half-size blocks, one per parity sector, whose
 eigenvectors stay in that sector's rows: each is exactly even or odd, and
 interchanged modes mirror each other down to summation round-off. Each
-block keeps its eigenpairs in LAPACK's ascending order, and only Basis maps
-block rows to Fock rows (unfold) and back (fold).
+block keeps its eigenpairs as LAPACK returns them, ascending and with
+LAPACK's signs (a run uses V_n only in a_n V_n, which a sign flip leaves
+alone), and only Basis maps block rows to Fock rows (unfold) and back (fold).
 """
 
 from __future__ import annotations
@@ -90,9 +91,10 @@ class SpectralDecomposition:
     """Eigenpairs of a real symmetric tridiagonal matrix, held as blocks.
 
     blocks  (basis, eigenvalues, vectors) triples: vectors, (basis rows,
-            eigenvalues.size), holds one eigenvector per eigenvalue in the
-            rows of basis, ascending. One Fock block, or at zero bias one
-            per parity sector, even first. dim and the rest are views.
+            eigenvalues.size), holds one eigenvector per eigenvalue and per
+            row of basis, ascending. One Fock block over all dim rows, or
+            an even and then an odd block over their sector rows; any other
+            layout raises ValueError. dim and the rest are views.
     """
 
     blocks: tuple
@@ -104,9 +106,14 @@ class SpectralDecomposition:
         )
         if len({basis.dim for basis, _, _ in blocks}) != 1:
             raise ValueError("the blocks must be one or more, all of one basis dim")
-        for basis, lam, vectors in blocks:
-            if lam.ndim != 1 or vectors.shape != (basis.rows.size, lam.size):
-                raise ValueError("need 1-d eigenvalues and vectors (basis rows, eigenvalues.size)")
+        if any(lam.shape != (b.rows.size,) or v.shape != 2 * lam.shape for b, lam, v in blocks):
+            raise ValueError("need vectors (basis rows, eigenvalues.size), one per basis row")
+        n = blocks[0][0].dim
+        if [(b.sector, b.rows.tolist()) for b, _, _ in blocks] not in (
+            [(None, [*range(n)])], [("even", [*range(n - n // 2)]), ("odd", [*range(n // 2)])]
+        ):
+            raise ValueError("need one Fock block over all dim rows, or an even then an odd block")
+        for _, lam, vectors in blocks:
             lam.setflags(write=False)
             vectors.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
@@ -172,10 +179,10 @@ def _sector_block(d: np.ndarray, e: np.ndarray, even: bool) -> tuple:
 def eigendecompose(h) -> SpectralDecomposition:
     """Full eigendecomposition of a TridiagonalHamiltonian.
 
-    Blocks even first, each with its eigenvalues ascending as LAPACK returns
-    them. Each eigenvector's Fock entry of largest magnitude (lowest index
-    on ties) is positive, so reruns give the same bits. Raises
-    ConvergenceError if LAPACK fails to converge (not seen for finite input).
+    Blocks even first, each with its eigenpairs as LAPACK returns them:
+    eigenvalues ascending, vectors with LAPACK's signs once the +-1
+    similarity is undone. Raises ConvergenceError if LAPACK fails to
+    converge (not seen for finite input).
     """
     d = np.asarray(h.diagonal, dtype=np.float64)
     e0 = np.asarray(h.offdiagonal, dtype=np.float64)
@@ -190,18 +197,15 @@ def eigendecompose(h) -> SpectralDecomposition:
     mirror = signs * signs[::-1]
     palindromic = np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
     if e.size and palindromic and np.all(mirror == mirror[0]):
-        labels = ("odd", "even") if mirror[0] < 0.0 else ("even", "odd")
-        solved = [_tridiagonal_eigh(*_sector_block(d, e, even)) for even in (True, False)]
-        bases = [Basis(n, np.arange(v.shape[0]), label) for (_, v), label in zip(solved, labels)]
+        # Even first: at mirror -1 the canonical odd block holds the even vectors.
+        swap = mirror[0] < 0.0
+        solved = [_tridiagonal_eigh(*_sector_block(d, e, even != swap)) for even in (True, False)]
+        bases = [Basis(n, np.arange(v.shape[0]), s) for (_, v), s in zip(solved, ("even", "odd"))]
     else:
         solved, bases = [_tridiagonal_eigh(d, e)], [Basis(n, np.arange(n))]
-
-    blocks = [(basis, w, v) for basis, (w, v) in zip(bases, solved)]
-    for basis, w, v in blocks:
+    for basis, (_, v) in zip(bases, solved):
         v *= signs[basis.rows, None]
-        v *= np.where(v[basis.dominant(v), np.arange(w.size)] < 0.0, -1.0, 1.0)
-    blocks.sort(key=lambda block: block[0].sector == "odd")
-    return SpectralDecomposition(tuple(blocks))
+    return SpectralDecomposition(tuple((basis, w, v) for basis, (w, v) in zip(bases, solved)))
 
 
 def evolve(decomp: SpectralDecomposition, initial: StateVector, t: float) -> StateVector:
@@ -258,13 +262,6 @@ class Basis:
             diagonal, offdiagonal = _sector_block(diagonal, offdiagonal, self.sector == "even")
         return diagonal[r], np.where(r[1:] == r[:-1] + 1, offdiagonal[r[:-1]], 0.0)
 
-    def dominant(self, v: np.ndarray) -> np.ndarray:
-        """The row of each column's Fock entry of largest magnitude in v
-        (rows, k), the lowest Fock index on ties."""
-        magnitude = np.abs(v)  # once, then scaled in place to the Fock entries
-        magnitude *= np.where(self.paired, _SQRT_HALF, 1.0)[:, None]
-        return np.argmax(magnitude, axis=0)
-
     def fold(self, c: np.ndarray) -> np.ndarray:
         """Fock-basis array c (dim, ...) in this basis's rows (rows, ...):
         unfold's inverse on the states the basis holds."""
@@ -311,7 +308,7 @@ class GridPropagator:
     dropped_weight      sum of |a_n|^2 over the dropped ones, the lightest
     dropped_row_weight  sum of b_i^2 over the Fock rows outside the window,
                         b_i = sum_kept |a_n| |V_in| >= |c_i(t)| at every t
-    phase_error_bound   eps * max|lambda_kept| * t_max, the round-off of the
+    phase_error_bound   eps * max|lambda_kept| * |t_max|, the round-off of the
                         largest phase, which sets the error at large couplings
 
     All are deterministic. Both dropped weights are <= DROPPED_WEIGHT_MAX, so
@@ -387,7 +384,7 @@ class GridPropagator:
                 "phases overflow: max|lambda| * t_max is not finite "
                 f"(max|lambda| = {lam_max:.3g}, t_max = {t_max:.3g})"
             )
-        self.phase_error_bound = float(np.finfo(float).eps * lam_max * t_max)
+        self.phase_error_bound = float(np.finfo(float).eps * lam_max * abs(t_max))
 
     def _product(self, x: np.ndarray, out: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """out (rows, 2n) = V x (kept, 2n), each a complex array viewed as

@@ -1,11 +1,13 @@
-"""The package surface: every exported name resolves, and the README's
-Python API example runs and prints what its comments say."""
+"""The package surface: every exported name resolves, the README's Python
+API example runs and prints what its comments say, and its command lines
+run."""
 
 import importlib
 import math
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import bhdimer
+from bhdimer.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -64,3 +67,16 @@ def test_readme_python_api_example_runs(capsys):
     t_cr_over_pi, regime = capsys.readouterr().out.splitlines()
     assert math.isclose(float(t_cr_over_pi), 4.0, rel_tol=0.05)
     assert regime == "rabi delocalized"
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("bhdimer ")]
+    assert len(commands) == 4
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert "fig-rabi" in capsys.readouterr().out
+    assert (tmp_path / "run.csv").is_file() and (tmp_path / "run.json").is_file()
+    assert any((tmp_path / "sweepdir").iterdir())

@@ -29,7 +29,7 @@ from bhdimer.spectral import (
     evolve,
     evolve_series,
 )
-from bhdimer.states import fock
+from bhdimer.states import fock, parse_state
 
 from oracles import probabilities, propagate_dense, quadratic_form
 
@@ -83,15 +83,21 @@ needs_dstevd = pytest.mark.skipif(
 )
 
 
+def assert_columns_up_to_sign(v, expected, atol):
+    """Each column of v is the same column of expected or its negative:
+    eigenvectors keep the signs LAPACK gives them."""
+    expected = np.asarray(expected, dtype=np.float64)
+    signs = np.sign(np.sum(v * expected, axis=0))
+    np.testing.assert_allclose(v * signs, expected, atol=atol)
+
+
 class TestEigendecompose:
     def test_two_level_analytic(self):
         # k=0.8 at N=1 gives [[0.1, -0.5], [-0.5, 0.1]].
         _, d = decompose(1, k=0.8, e_j=1.0)
         np.testing.assert_allclose(d.eigenvalues, [-0.4, 0.6], atol=1e-12)
         s = math.sqrt(0.5)
-        np.testing.assert_allclose(
-            d.eigenvectors, [[s, s], [s, -s]], atol=1e-12
-        )
+        assert_columns_up_to_sign(d.eigenvectors, [[s, s], [s, -s]], atol=1e-12)
 
     def test_three_level_analytic(self):
         _, d = decompose(2, k=8.0, e_j=2.0)
@@ -101,7 +107,8 @@ class TestEigendecompose:
     def test_diagonal_matrix_sorted_with_permuted_identity(self):
         h, d = decompose(4, k=1.0, dmu=0.25, e_j=0.0)
         np.testing.assert_array_equal(d.eigenvalues, np.sort(h.diagonal))
-        assert set(map(tuple, d.eigenvectors.T.tolist())) == {
+        # Each column is +-e_i, every i once.
+        assert set(map(tuple, np.abs(d.eigenvectors).T.tolist())) == {
             tuple(row) for row in np.eye(5).tolist()
         }
 
@@ -329,6 +336,7 @@ class TestParityLabels:
         for blocks in (
             [(fock_rows, [0.0, 1.0], np.eye(3))],  # three rows in a two-row basis
             [(fock_rows, [0.0, 1.0], np.eye(2)[:, :1])],  # two eigenvalues, one vector
+            [(fock_rows, [0.0], np.eye(2)[:, :1])],  # one eigenpair for two rows
             [(even, [0.0, 1.0], np.eye(2))],  # two rows in a one-row basis
             [(fock_rows, [[0.0, 1.0]], np.eye(2))],  # 2-d eigenvalues
         ):
@@ -337,6 +345,24 @@ class TestParityLabels:
         for blocks in ([(even, [0.0], one), (Basis(3, np.arange(1), "odd"), [0.0], one)], []):
             with pytest.raises(ValueError, match="one basis dim"):
                 SpectralDecomposition(blocks)
+        # GridPropagator reads only these two layouts, so no other is accepted.
+        for blocks in (
+            [(even, [0.0], one), (even, [1.0], one)],  # two even blocks
+            [(odd, [0.0], one), (even, [1.0], one)],  # odd first
+            [(even, [0.0], one)],  # one sector
+            [(even, [0.0], one), (odd, [0.0], one), (odd, [1.0], one)],  # three blocks
+            [(fock_rows, [0.0, 1.0], np.eye(2)), (even, [0.0], one)],  # Fock and sector
+            [(Basis(2, np.array([1, 0])), [0.0, 1.0], np.eye(2))],  # Fock rows out of order
+            # dim 3 has two even rows and one odd row
+            [(Basis(3, np.arange(1), s), [0.0], one) for s in ("even", "odd")],
+            [(Basis(2, np.arange(1), "Even"), [0.0], one), (odd, [0.0], one)],  # no such sector
+        ):
+            with pytest.raises(ValueError, match="one Fock block over all dim rows"):
+                SpectralDecomposition(blocks)
+        vectors = np.eye(6)
+        with pytest.raises(ValueError, match="one Fock block over all dim rows"):
+            SpectralDecomposition([(Basis(11, np.arange(6)), np.zeros(6), vectors)])  # 6 of 11
+        assert vectors.flags.writeable  # a refused layout leaves the caller's arrays as they were
 
 
 class TestBasis:
@@ -582,8 +608,65 @@ class TestEvolveSeries:
         with pytest.raises(ValueError, match="phases overflow"):
             evolve_series(d, fock(4, 0), [0.0, 1e308])
 
+    def test_phase_error_bound_on_a_backward_grid(self):
+        _, d = decompose(10, k=1.0, e_j=1.0)
+        forward = evolve_series(d, fock(10, 0), np.linspace(0.0, 3.0, 7))
+        backward = evolve_series(d, fock(10, 0), np.linspace(0.0, -3.0, 7))
+        assert backward.phase_error_bound > 0.0
+        assert backward.phase_error_bound == forward.phase_error_bound
+
     def test_unitarity_over_dense_grid(self):
         _, d = decompose(50, k=1.0, e_j=12.0)
         t = np.linspace(0.0, 30.0, 2000)
         for c in grid_states(evolve_series(d, fock(50, 0), t))[:, ::97].T:
             assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
+
+
+def _bits(*values):
+    """The bytes of each value: arrays, floats, ints, lists or None."""
+    return [
+        None if v is None else np.asarray(v).tobytes() + str(np.asarray(v).dtype).encode()
+        for v in values
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, dmu, e_j, initial, layout",
+    [
+        (200, 0.1, 50.0, "fock:150,50", "fock"),
+        (200, 0.0, 50.0, "fock:150,50", "split"),
+        (200, 0.0, 50.0, "cat", "one sector"),
+        (201, 0.0, 0.005, "fock:201,0", "window"),
+        (41, 0.0, -0.3, "fock:30,11", "split"),  # the sector labels swap
+    ],
+    ids=["biased", "split-product", "cat", "windowed", "labels-swap"],
+)
+def test_column_signs_reach_no_output(n, dmu, e_j, initial, layout):
+    # a_n V_n is all a run uses of V_n, and negating V_n negates a_n exactly.
+    h, d = decompose(n, k=1.0, dmu=dmu, e_j=e_j)
+    rng = np.random.default_rng(2027)
+    blocks = []
+    for basis, lam, v in d.blocks:
+        flipped = np.multiply(v, rng.choice([-1.0, 1.0], size=lam.size))
+        # The overlaps' and products' bits depend on the memory layout.
+        assert flipped.strides == v.strides and not np.array_equal(flipped, v)
+        blocks.append((basis, lam, flipped))
+    negated = SpectralDecomposition(blocks)
+    psi, t = parse_state(initial, n), np.linspace(0.0, 20.0, 500)
+
+    def outputs(decomp):
+        p = evolve_series(decomp, psi, t)
+        stats = _bits(
+            p.kept_components, p.kept_per_parity, p.dropped_weight, p.dropped_row_weight,
+            p.phase_error_bound, p.basis.rows,
+        )
+        series = compute_series(p, t, h)
+        columns = _bits(*(getattr(series, name) for name in series.COLUMNS))
+        return p, stats, columns, _bits(evolve(decomp, psi, 7.3).coefficients)
+
+    (p, *want), (_, *got) = outputs(d), outputs(negated)
+    assert got == want
+    # Each case runs the layout it is named for.
+    sectors = None if p.kept_per_parity is None else sum(c > 0 for c in p.kept_per_parity)
+    assert sectors == {"fock": None, "one sector": 1}.get(layout, 2)
+    assert (p.basis.kept_rows < n + 1) == (layout == "window")
