@@ -401,7 +401,7 @@ def read_series(path) -> ObservableSeries:
 
     The file is read READ_CHUNK bytes at a time, a JSON column decoded a
     piece at a time, so beside the columns returned a read holds a few
-    READ_CHUNK of text and decoded values, whatever the length of the series.
+    READ_CHUNK of text and the decoded pieces of one column, no more.
     """
     with open(path, "rb") as f:
         head = bytearray(f.read(len(CSV_HEADER) + 1))
@@ -445,15 +445,14 @@ def _read_json_series(path, f, buf: bytearray) -> ObservableSeries:
     if _fill(f, buf, 1) and buf[0] == ord("["):
         raise ValueError(f"{path} is in the pre-columnar row layout: its series is a list of rows")
     decode = json.JSONDecoder(parse_int=float).decode
-    columns, size = {}, 0
+    columns = {}
     for i, name in enumerate(ObservableSeries.COLUMNS):
         key = (("," if i else "{") + f'\n    "{name}": ').encode()
         _fill(f, buf, len(key) + 1)  # and the head of the column
         if not buf.startswith(key):
             raise ValueError(f"{path}: the series does not hold column {name} where written")
         del buf[: len(key)]
-        columns[name] = _read_column(f"{path}: series column {name}", f, buf, decode, size)
-        size = columns[name].size  # what every later column should hold
+        columns[name] = _read_column(f"{path}: series column {name}", f, buf, decode)
     _fill(f, buf, len(_SERIES_END) + 1)
     if buf != _SERIES_END:
         raise ValueError(f"{path}: the series has more than its columns or is not the last member")
@@ -462,9 +461,9 @@ def _read_json_series(path, f, buf: bytearray) -> ObservableSeries:
     return ObservableSeries(**columns)
 
 
-def _read_column(column: str, f, buf: bytearray, decode, size: int) -> np.ndarray:
-    """Decode the list at the head of `buf`, reading on from `f`, into an
-    array grown from `size` values; leave in `buf` what follows the list.
+def _read_column(column: str, f, buf: bytearray, decode) -> np.ndarray:
+    """Decode the list at the head of `buf`, reading on from `f`, into one
+    array joined from its pieces; leave in `buf` what follows the list.
 
     A piece runs from the "[" to the "]", or to the last "," buffered before
     any string, list or object (which alone could hold a ","; one is refused
@@ -473,7 +472,7 @@ def _read_column(column: str, f, buf: bytearray, decode, size: int) -> np.ndarra
     """
     if not buf.startswith(b"["):
         raise ValueError(f"{column} is not a list of numbers")
-    values, n, head, skip = np.empty(size), 0, "[", 0
+    pieces, head, skip = [], "[", 0
     del buf[:1]
     while True:
         stop = min((i for c in b'"[]{' if (i := buf.find(c)) >= 0), default=len(buf))
@@ -496,11 +495,8 @@ def _read_column(column: str, f, buf: bytearray, decode, size: int) -> np.ndarra
             raise ValueError(f"{column} is not a list of numbers")
         if not np.isfinite(piece := np.array(piece)).all():
             raise ValueError(f"{column} holds a non-finite value")
-        if n + piece.size > values.size:
-            values.resize(max(2 * values.size, n + piece.size), refcheck=False)
-        values[n : n + piece.size], n = piece, n + piece.size
+        pieces.append(piece)
         del buf[: cut + 1]
         if last:
-            values.resize(n, refcheck=False)
-            return values
+            return np.concatenate(pieces)
         head, skip = "[0,", 1

@@ -35,9 +35,13 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
-    a.setflags(write=False)
+def read_only_array(values) -> np.ndarray:
+    """values as read-only float64: a writeable array is copied in its own
+    memory layout (order "K"), a read-only one is taken as it is."""
+    a = np.asarray(values, dtype=np.float64)
+    if a.flags.writeable:
+        a = a.copy(order="K")
+        a.setflags(write=False)
     return a
 
 
@@ -82,10 +86,6 @@ class CouplingConfig:
             object.__setattr__(self, name, value)
 
     @property
-    def dim(self) -> int:
-        return self.n_total + 1
-
-    @property
     def ratio(self) -> float:
         """Coupling ratio k/ej; +inf when the tunneling is switched off."""
         if self.e_j == 0.0:
@@ -115,8 +115,8 @@ class TridiagonalHamiltonian:
             )
         if not np.all(np.isfinite(d)) or not np.all(np.isfinite(e)):
             raise ValueError("matrix elements must be finite")
-        object.__setattr__(self, "diagonal", _frozen_array(d))
-        object.__setattr__(self, "offdiagonal", _frozen_array(e))
+        object.__setattr__(self, "diagonal", read_only_array(d))
+        object.__setattr__(self, "offdiagonal", read_only_array(e))
 
     @property
     def dim(self) -> int:

@@ -83,9 +83,9 @@ def _block_columns(
 
     sums[:4] is weights @ P, every moment of every time from one product
     with the weights P = re^2 + im^2; sums[4] is sum P log2 P and sums[5]
-    sum e_i Re(c_i* c_{i+1}), e the offdiagonal. scratch is a flat float
-    array of at least 2 rows n, overwritten here: P and a second (rows, n)
-    array, then the coherences (rows - 1, 2n).
+    sum e_i Re(c_i* c_{i+1}), e the offdiagonal (+0.0 from one row's (0, 2n)
+    coherences). scratch is a flat float array of at least 2 rows n,
+    overwritten here: P and a second (rows, n) array, then the coherences.
     """
     rows, n = c.shape[0], c.shape[1] // 2
     p, terms = scratch[: 2 * rows * n].reshape(2, rows, n)
@@ -95,30 +95,28 @@ def _block_columns(
     np.matmul(weights, p, out=sums[:4])
     np.log2(np.maximum(p, _ENTROPY_FLOOR, out=terms), out=terms)
     np.einsum("ij,ij->j", p, terms, out=sums[4])
-    if offdiagonal.size:
-        # Re(c_i* c_{i+1}) = re re' + im im': the products on the floats,
-        # then their sums over rows folded pairwise.
-        cross = scratch[: 2 * (rows - 1) * n].reshape(rows - 1, 2 * n)
-        np.multiply(c[:-1], c[1:], out=cross)
-        pairs = offdiagonal @ cross
-        np.add(pairs[0::2], pairs[1::2], out=sums[5])
+    # Re(c_i* c_{i+1}) = re re' + im im': the products on the floats, then
+    # their sums over rows folded pairwise.
+    cross = scratch[: 2 * (rows - 1) * n].reshape(rows - 1, 2 * n)
+    np.multiply(c[:-1], c[1:], out=cross)
+    pairs = offdiagonal @ cross
+    np.add(pairs[0::2], pairs[1::2], out=sums[5])
 
 
-def _finish(sums: np.ndarray, n_total: int, sector: bool, coupled: bool) -> tuple:
+def _finish(sums: np.ndarray, n_total: int, sector: bool) -> tuple:
     """Turn a trajectory's row sums (_block_columns) into every observable
     column but t, in place, and return them in ObservableSeries order.
 
     Each sum is divided by the norm T = sums[0]; sums[5] is scratch once the
-    energy has its coherence part (when the basis couples any rows).
+    energy has its coherence part, which is +0.0 on a basis of one row.
     """
     total, imbalance, variance, energy, entropy, spare = sums
     if not total.all():
         raise ZeroNormError("state has zero norm")
     sums[1:5] /= total
-    if coupled:
-        spare *= 2.0
-        spare /= total
-        energy += spare
+    spare *= 2.0
+    spare /= total
+    energy += spare
     np.subtract(np.log2(total, out=spare), entropy, out=entropy)
     # In a sector the d row summed the paired weights: their share adds to
     # the entropy, and the imbalance is 0 / T.
@@ -140,15 +138,18 @@ def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSerie
     blocks is usually spectral.evolve_series over t_grid: the coefficients
     of successive grid times, (rows, n) with one column per time, whose
     columns together match t_grid. The rows are the Basis a GridPropagator
-    carries, or else the whole Fock basis. Memory holds the output columns,
-    one block and scratch of its size; a C-contiguous complex128 block is
-    reduced where it lies, any other is copied first. The blocks' sums fill
-    the output columns, which _finish turns into the observables.
+    carries (built on t_grid, else refused), or else the whole Fock basis.
+    Memory holds the output columns, one block and scratch of its size; a
+    C-contiguous complex128 block is reduced where it lies, any other is
+    copied first. The blocks' sums fill the output columns, which _finish
+    turns into the observables.
     """
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError("t_grid must be one-dimensional")
     sums = np.empty((len(ObservableSeries.COLUMNS) - 1, t.size))
+    if isinstance(blocks, GridPropagator) and not np.array_equal(blocks.t, t):
+        raise ValueError("t_grid is not the grid the propagator was built on")
     basis = blocks.basis if isinstance(blocks, GridPropagator) else Basis(h.dim, np.arange(h.dim))
     if basis.dim != h.dim:
         raise ValueError("state dimension does not match Hamiltonian")
@@ -175,7 +176,7 @@ def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSerie
         start += n
     if start != t.size:
         raise ValueError("t_grid and states must have equal length")
-    columns = _finish(sums, h.n_total, basis.sector is not None, offdiagonal.size > 0)
+    columns = _finish(sums, h.n_total, basis.sector is not None)
     return ObservableSeries(t, *columns)
 
 

@@ -85,8 +85,6 @@ def _json_value(x):
     if isinstance(x, (np.floating, float)):
         x = float(x)
         return x if math.isfinite(x) else None
-    if isinstance(x, (np.integer, int)):
-        return int(x)
     return x
 
 
@@ -125,11 +123,10 @@ def _summarize(
             t, series.imbalance, **detector, amplitude_floor=0.01 * cfg.n_total, n_total=cfg.n_total
         )
         envelope = report.envelope
-        # The same keys and two more from the report; detected stays a bool.
+        # The same keys and two more from the report.
         keys = [*cr, "amplitude_floor", "initial_amplitude"]
         cr = _json_dict({key: getattr(report, key) for key in keys}) | {
-            "detected": report.detected,
-            "envelope_points": int(report.envelope.shape[0]),
+            "envelope_points": report.envelope.shape[0],
         }
 
     energy = series.energy

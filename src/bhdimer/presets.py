@@ -29,7 +29,8 @@ def default_initial(n: int) -> str:
 
 
 _RATIO_RE = re.compile(
-    r"^\s*(?:(?P<num>[0-9.eE+-]+)\s*(?P<op>[/*])\s*)?N\s*(?P<squared>\^2|\*\*2)?\s*$"
+    r"^\s*(?:(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(?P<op>[/*])\s*)?"
+    r"N\s*(?P<squared>\^2|\*\*2)?\s*$"
 )
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
 from . import lapack
-from .model import TridiagonalHamiltonian
+from .model import TridiagonalHamiltonian, read_only_array
 
 __all__ = [
     "BLOCK_ELEMENTS", "Basis", "ConvergenceError", "DROPPED_WEIGHT_MAX", "GridPropagator",
@@ -94,14 +94,16 @@ class SpectralDecomposition:
             eigenvalues.size), holds one eigenvector per eigenvalue and per
             row of basis, ascending. One Fock block over all dim rows, or
             an even and then an odd block over their sector rows; any other
-            layout raises ValueError. dim and the rest are views.
+            layout raises ValueError. Held read-only: writeable arrays are
+            copied in their own layout (model.read_only_array), on which
+            the overlaps' bits depend. dim and the rest are views.
     """
 
     blocks: tuple
 
     def __post_init__(self):
         blocks = tuple(
-            (basis, np.asarray(lam, dtype=np.float64), np.asarray(vectors, dtype=np.float64))
+            (basis, read_only_array(lam), read_only_array(vectors))
             for basis, lam, vectors in self.blocks
         )
         if len({basis.dim for basis, _, _ in blocks}) != 1:
@@ -113,9 +115,6 @@ class SpectralDecomposition:
             [(None, [*range(n)])], [("even", [*range(n - n // 2)]), ("odd", [*range(n // 2)])]
         ):
             raise ValueError("need one Fock block over all dim rows, or an even then an odd block")
-        for _, lam, vectors in blocks:
-            lam.setflags(write=False)
-            vectors.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -181,7 +180,8 @@ def eigendecompose(h) -> SpectralDecomposition:
 
     Blocks even first, each with its eigenpairs as LAPACK returns them:
     eigenvalues ascending, vectors with LAPACK's signs once the +-1
-    similarity is undone. Raises ConvergenceError if LAPACK fails to
+    similarity is undone, marked read-only here so that the decomposition
+    copies none of them. Raises ConvergenceError if LAPACK fails to
     converge (not seen for finite input).
     """
     d = np.asarray(h.diagonal, dtype=np.float64)
@@ -203,8 +203,10 @@ def eigendecompose(h) -> SpectralDecomposition:
         bases = [Basis(n, np.arange(v.shape[0]), s) for (_, v), s in zip(solved, ("even", "odd"))]
     else:
         solved, bases = [_tridiagonal_eigh(d, e)], [Basis(n, np.arange(n))]
-    for basis, (_, v) in zip(bases, solved):
+    for basis, (w, v) in zip(bases, solved):
         v *= signs[basis.rows, None]
+        w.setflags(write=False)
+        v.setflags(write=False)
     return SpectralDecomposition(tuple((basis, w, v) for basis, (w, v) in zip(bases, solved)))
 
 
@@ -301,6 +303,7 @@ class GridPropagator:
     (rows, n) with one column per grid time, as views of a buffer the next
     block overwrites.
 
+    t                   t_grid as float64, t_grid itself (no copy) if it is
     basis               the Basis of the block rows: a parity sector's if the
                         state keeps only that one, else Fock; cut by _window
     kept_components     eigencomponents the propagation keeps
@@ -323,6 +326,7 @@ class GridPropagator:
             math.isfinite(t[-1]) and np.array_equal(t, np.linspace(0.0, t[-1], t.size))
         ):
             raise ValueError("t_grid must be np.linspace(0.0, t_max, steps) for a finite t_max")
+        self.t = t
         if initial.dim != decomp.dim:
             raise ValueError(
                 f"state dimension {initial.dim} does not match decomposition "

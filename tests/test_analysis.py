@@ -209,6 +209,11 @@ class TestEnvelope:
         with pytest.raises(ValueError, match=message):
             envelope(t, np.sin(t), window=11)
 
+    def test_shape_mismatch_rejected(self):
+        t = np.linspace(0.0, 1.0, 200)
+        with pytest.raises(ValueError, match="^t and values must be 1-d arrays of equal length$"):
+            envelope(t, np.sin(t[:-1]), window=11)
+
     def test_min_series_length_is_accepted(self):
         window = 11
         n = min_series_length(window)
@@ -329,6 +334,10 @@ class TestTimeAveragedImbalance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             time_averaged_imbalance([], [])
+
+    def test_zero_span_rejected(self):
+        with pytest.raises(ValueError, match="^time grid must span a positive interval$"):
+            time_averaged_imbalance([1.0, 1.0], [0.5, 0.7])
 
 
 class TestDeltaMuDominance:

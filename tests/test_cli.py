@@ -56,6 +56,11 @@ class TestParseRatio:
             ("N^2", 10000.0),
             ("2*N", 200.0),
             ("3*N^2", 30000.0),
+            (".5/N", 0.005),
+            ("5./N", 0.05),
+            ("1e-3*N", 0.1),
+            ("1E+2*N", 10000.0),
+            (" 4 / N ", 0.04),
         ],
     )
     def test_tokens(self, token, expected):
@@ -68,6 +73,17 @@ class TestParseRatio:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             parse_ratio("1/N", 0)
+
+    @pytest.mark.parametrize("token", ["./N", "e/N", "1.2.3/N", "+/N", "1e/N", "--1*N"])
+    def test_number_part_must_be_a_float_literal(self, token):
+        # Refused by the grammar, not by float() with a message that names
+        # neither the token nor the grammar.
+        with pytest.raises(ValueError, match=rf"^cannot parse ratio token '{re.escape(token)}'$"):
+            parse_ratio(token, 100)
+
+    def test_negative_number_part_reaches_the_range_check(self):
+        with pytest.raises(ValueError, match="^ratio must be positive and finite, got -0.04$"):
+            realize_ratio(parse_ratio("-4/N", 100))
 
 
 class TestRealizeRatio:
@@ -288,6 +304,11 @@ class TestRunScenario:
                 id="empty-column",
             ),
             pytest.param(
+                _with_series(lambda s: dict(s, t=5)),
+                "bad.json: series column t is not a list of numbers",
+                id="number-column",
+            ),
+            pytest.param(
                 lambda payload: json.dumps(payload, indent=2).replace(
                     '\n    ],\n    "imbalance"', ',\n    ],\n    "imbalance"'
                 )
@@ -357,6 +378,17 @@ class TestRunScenario:
         bad = tmp_path / "bad.csv"
         bad.write_text(CSV_HEADER + "\n" + body)
         with pytest.raises(ValueError, match="bad.csv"):
+            read_series(bad)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["", "imbalance,t", CSV_HEADER.replace(",", ";")],
+        ids=["blank", "short", "semicolons"],
+    )
+    def test_csv_read_back_requires_the_header(self, tmp_path, header):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "\n" + ",".join(["1.0"] * 7) + "\n")
+        with pytest.raises(ValueError, match="^.*bad.csv does not carry the expected CSV header$"):
             read_series(bad)
 
     def test_format_member_order_is_pinned(self, tmp_path):

@@ -102,6 +102,11 @@ class TestTridiagonalHamiltonian:
         with pytest.raises(ValueError):
             TridiagonalHamiltonian([1.0, math.nan], [0.5])
 
+    @pytest.mark.parametrize("diagonal", [[], [[1.0]]], ids=["empty", "2-d"])
+    def test_diagonal_must_be_a_nonempty_1d_sequence(self, diagonal):
+        with pytest.raises(ValueError, match="^diagonal must be a nonempty 1-d sequence$"):
+            TridiagonalHamiltonian(diagonal, [])
+
     def test_to_dense_symmetric(self):
         h = build_hamiltonian(CouplingConfig(4, k=1.2, delta_mu=0.3, e_j=0.7))
         a = h.to_dense()

@@ -177,6 +177,20 @@ class TestRecord:
             single_row(fock(1, 1), 0.0, h)
 
 
+class TestObservableSeries:
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ([np.zeros((2, 3))] + [np.zeros(3)] * 6, "^t must be one-dimensional$"),
+            ([np.zeros(3)] * 6 + [np.zeros(2)], "^all series columns must have equal length$"),
+        ],
+        ids=["2-d", "unequal"],
+    )
+    def test_malformed_columns_rejected(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            ObservableSeries(*columns)
+
+
 class TestComputeSeries:
     def test_rows_match_scalar_records(self):
         n = 14
@@ -211,6 +225,38 @@ class TestComputeSeries:
         blocks = evolve_series(d, fock(2, 0), [0.0, 1.0])
         with pytest.raises(ValueError):
             compute_series(blocks, [0.0], h)
+
+    def test_grid_other_than_the_propagators_rejected(self):
+        # Same length, other times: the series would carry times its states
+        # are not at.
+        h = build_hamiltonian(CouplingConfig(10, k=1.0, e_j=1.0))
+        d = eigendecompose(h)
+        t = np.linspace(0.0, 3.0, 7)
+        propagator = evolve_series(d, fock(10, 0), t)
+        assert propagator.t is t
+        with pytest.raises(ValueError, match="^t_grid is not the grid the propagator was built on$"):
+            compute_series(propagator, np.linspace(0.0, 6.0, 7), h)
+        assert np.array_equal(compute_series(propagator, list(t), h).t, t)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("2-d grid", "^t_grid must be one-dimensional$"),
+            ("other N", "^state dimension does not match Hamiltonian$"),
+            ("fewer times", "^t_grid and states must have equal length$"),
+        ],
+    )
+    def test_inconsistent_input_rejected(self, case, message):
+        h = build_hamiltonian(CouplingConfig(3, k=1.0, e_j=1.0))
+        other = eigendecompose(build_hamiltonian(CouplingConfig(4, k=1.0, e_j=1.0)))
+        t = np.linspace(0.0, 1.0, 3)
+        blocks, grid = {
+            "2-d grid": ([np.ones((4, 3), complex)], t[None]),
+            "other N": (evolve_series(other, fock(4, 0), t), t),
+            "fewer times": ([np.ones((4, 2), complex)], t),
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            compute_series(blocks, grid, h)
 
     @pytest.mark.parametrize("where", [0, 1])
     def test_zero_norm_refused(self, where):
@@ -308,7 +354,9 @@ def test_block_reduction_matches_longdouble(case):
     # scale: N for the imbalance, N^2 for the variance, log2(N+1) bits, the
     # Hamiltonian's row-sum bound for the energy.
     h, blocks, basis, source = LONGDOUBLE_CASES[case]()
-    t = np.arange(sum(c.shape[1] for c in blocks), dtype=float)
+    # A propagator is reduced on its own grid, hand-made blocks on any.
+    steps = sum(c.shape[1] for c in blocks)
+    t = source.t if hasattr(source, "t") else np.arange(steps, dtype=float)
     got = compute_series(source, t, h)
     want = longdouble_series(blocks, basis, h)
     n, eps = h.n_total, np.finfo(float).eps

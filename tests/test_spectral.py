@@ -91,6 +91,12 @@ def assert_columns_up_to_sign(v, expected, atol):
     np.testing.assert_allclose(v * signs, expected, atol=atol)
 
 
+@pytest.mark.parametrize("coefficients", [[], [[1.0]]], ids=["empty", "2-d"])
+def test_state_vector_needs_a_nonempty_1d_sequence(coefficients):
+    with pytest.raises(ValueError, match="^coefficients must be a nonempty 1-d sequence$"):
+        StateVector(coefficients)
+
+
 class TestEigendecompose:
     def test_two_level_analytic(self):
         # k=0.8 at N=1 gives [[0.1, -0.5], [-0.5, 0.1]].
@@ -399,6 +405,40 @@ def test_zero_bias_decomposition_peak_memory(n):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * (n + 1) ** 2
+
+
+@needs_dstevd  # the eigh fallback densifies the matrix: dim^2 doubles of its own
+@pytest.mark.parametrize("delta_mu, bound", [(0.1, 1.1), (0.0, 0.6)])
+def test_decomposition_copies_no_block(delta_mu, bound):
+    # eigendecompose hands its own arrays to SpectralDecomposition read-only,
+    # so they are not copied: a copy of the vectors would add dim^2 doubles
+    # (biased) or dim^2 / 2 (the two sector blocks).
+    n = 1000
+    h = build_hamiltonian(CouplingConfig(n, k=1.0, delta_mu=delta_mu, e_j=float(n)))
+    tracemalloc.start()
+    try:
+        eigendecompose(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * (n + 1) ** 2
+
+
+def test_decomposition_copies_the_callers_writeable_arrays():
+    lam, vectors = np.array([0.0, 1.0]), np.asfortranarray([[0.6, 0.8], [-0.8, 0.6]])
+    frozen = np.array([2.0, 3.0])
+    frozen.setflags(write=False)
+    d = SpectralDecomposition([(Basis(2, np.arange(2)), lam, vectors)])
+    ((_, got_lam, got_v),) = d.blocks
+    assert lam.flags.writeable and vectors.flags.writeable
+    assert not got_lam.flags.writeable and not got_v.flags.writeable
+    assert got_v.strides == vectors.strides  # the copy keeps the layout
+    lam[:], vectors[:] = 7.0, 7.0
+    assert np.array_equal(got_lam, [0.0, 1.0])
+    assert np.array_equal(got_v, [[0.6, 0.8], [-0.8, 0.6]])
+    # A read-only array is taken as it is.
+    ((_, taken, _),) = SpectralDecomposition([(Basis(2, np.arange(2)), frozen, got_v)]).blocks
+    assert taken is frozen
 
 
 class TestLargeN:
