@@ -8,10 +8,14 @@ what `f"{v:.11e}"` rows and `json.dumps(..., indent=2)` would give, but the
 long lists (CSV rows, the JSON series columns and the envelope's "t" and
 "amplitude") are streamed ROW_CHUNK rows at a time, each chunk rendered in
 numpy: a CSV value by _Scientific, a JSON value by _Shortest as the bytes of
-repr(float(v)), which json writes. Each renderer hands the few values it
-cannot settle exactly to Python's own formatting. A series or envelope value
-that is not finite is refused before any file is opened. The reader streams
-too, READ_CHUNK bytes of text at a time.
+repr(float(v)), which json writes. A value fills a fixed-size slot, with a 0
+byte for each absent character, and _squeeze deletes the 0 bytes of the
+chunk; a JSON slot has the exponent's word only in a chunk that has a value
+in scientific notation. Each renderer hands the few values it cannot settle
+exactly to Python's own formatting. A series or envelope value that is not
+finite is refused before any file is opened. The reader streams too,
+READ_CHUNK bytes of text at a time, and decodes each JSON column after the
+first straight into an array of the first's length.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def _table(texts, dtype) -> np.ndarray:
 
 
 def _squeeze(text: np.ndarray) -> bytes:
-    return text[text != 0].tobytes()
+    return text.tobytes().translate(None, b"\0")
 
 
 @functools.cache
@@ -168,9 +172,12 @@ class _Scientific:
 
 
 # One JSON value as _WORDS little-endian 8-byte words: the head (sign, "0."
-# and zeros for a fixed-notation exponent below 0, first digit), the other 16
-# digits in 4 groups, one of which may hold the point, and the exponent.
-_WORDS = 6
+# and zeros for a fixed-notation exponent below 0, first digit) and the other
+# 16 digits in 4 groups, one of which may hold the point; then, only in a
+# chunk that has a value in scientific notation, the exponent. repr's longest
+# text, 24 bytes, fits the _WORDS words.
+_WORDS = 5
+_POW5 = 5 ** np.arange(28, dtype=np.int64)  # the powers of five below 2**63
 
 
 @functools.cache
@@ -207,7 +214,10 @@ class _Shortest:
     interval widened by `band` (twice that), and Python formats each value
     whose result could move within `band`: a near-tie, a chosen multiple
     outside the interval narrowed by `band`, or a k that does not settle.
-    The bytes are thus exact for any `work`. `fallbacks` counts those values.
+    A near-tie at 17 digits is instead settled exactly in integers where
+    0 <= k < 28 and band < 1/3; only an exact tie goes on to Python. The
+    bytes are thus exact for any `work`. `fallbacks` counts the values
+    Python formats.
     """
 
     def __init__(self, work=np.longdouble):
@@ -236,8 +246,10 @@ class _Shortest:
         self.fallbacks = 0
         self._lock = threading.Lock()
 
-    def __call__(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The (values, _WORDS) words of the values of `rows`, in `out` if given."""
+    def __call__(self, rows: np.ndarray, lead: np.ndarray = np.empty(0, "<u8")) -> np.ndarray:
+        """A row of words per value of `rows`: the words of `lead`, the
+        value's _WORDS words, and its exponent's if any value of `rows` is in
+        scientific notation."""
         v = rows.ravel()
         zero = v == 0  # scaled as 1.0, then given the digits of 0
         a, k, s, m, frac, slow = _scaled(v, self.powers, 17)
@@ -267,23 +279,38 @@ class _Shortest:
         q = m // step
         twice = (2 * (m - q * step) - step).astype(np.float64) + 2 * frac  # 2 (s - midpoint)
         d = (q + (twice > 0)) * step  # the nearest multiple
+        near = abs(twice) <= 2 * band
+        # A near-tie at 17 digits (j = 0) with 0 <= k < 28 is settled exactly.
+        # While band < 1/3 its exact |v| * 10**k lies within 1.5 band of
+        # m + 1/2, so d is m or m + 1. With |v| = M * 2**E, that is X / 2**p
+        # for X = M * 5**k (under 2**116) and p = -(E + k), from 1 to 62: d is
+        # m + 1 where the low p bits of X exceed 2**(p - 1), which the int64
+        # product keeps though it wraps. An exact tie is left to Python.
+        tie = near & ~slow & (j == 0) & (k >= 0) & (k < _POW5.size)
+        tie = np.flatnonzero(tie & (band < 1 / 3))
+        p = 1075 - (bits[tie] >> 52) - k[tie]
+        tail = (bits[tie] & (1 << 52) - 1 | 1 << 52) * _POW5[k[tie]] & (1 << p) - 1
+        midway = 1 << p - 1
+        d[tie], near[tie] = m[tie] + (tail > midway), tail == midway
         off = (d - m).astype(np.float64)
-        slow |= (abs(twice) <= 2 * band) | (off - low <= band) | (high - off < band)
+        slow |= near | (off - low <= band) | (high - off < band)
         carry = d == 10**17  # rounded up to the next power of ten
         d[carry] = 10**16
         e = 16 - k + carry - _EXPONENTS.start  # the row of the decimal exponent
         d[slow], e[slow] = 0, -_EXPONENTS.start
-        lead = d // 10**16
-        rest = d - lead * 10**16
-        words = np.empty((v.size, _WORDS), "<u8") if out is None else out
-        words[:, 0] = self.heads[20 * e + 10 * np.signbit(v) + lead]
-        words[:, -1] = self.exps[e]
+        first = d // 10**16
+        rest = d - first * 10**16
+        exps = self.exps[e]
+        words = np.empty((v.size, lead.size + _WORDS + exps.any()), "<u8")
+        words[:, : lead.size] = lead
+        words[:, lead.size] = self.heads[20 * e + 10 * np.signbit(v) + first]
+        words[:, lead.size + _WORDS :] = exps[:, None]  # no column if all are fixed
         point = self.points[e]
         zeros_after = np.ones(v.size, np.intp)
         for g in range(3, -1, -1):
             q = rest // 10000
             group = rest - 10000 * q
-            words[:, g + 1] = self.groups[self.forms[g, point + zeros_after] + group]
+            words[:, lead.size + g + 1] = self.groups[self.forms[g][point + zeros_after] + group]
             zeros_after &= group == 0
             rest = q
         slow = np.flatnonzero(slow & ~zero)
@@ -291,7 +318,7 @@ class _Shortest:
             with self._lock:
                 self.fallbacks += slow.size
             text = np.array([repr(x) for x in v[slow].tolist()], f"S{8 * _WORDS}")
-            words[slow] = text.view("<u8").reshape(slow.size, _WORDS)
+            words[slow, lead.size : lead.size + _WORDS] = text.view("<u8").reshape(slow.size, -1)
         return words
 
 
@@ -307,9 +334,7 @@ def _render_list(separator: np.ndarray, values: np.ndarray) -> bytes:
     bits = values.view(np.int64)
     starts = np.concatenate(([True], bits[1:] != bits[:-1]))
     firsts = np.flatnonzero(starts)
-    text = np.empty((firsts.size, separator.size + _WORDS), separator.dtype)
-    text[:, : separator.size] = separator
-    _json_renderer()(values[firsts], out=text[:, separator.size :])
+    text = _json_renderer()(values[firsts], separator)
     if firsts.size < values.size:
         text = text[np.cumsum(starts) - 1]
     return _squeeze(text.view(np.uint8))
@@ -399,9 +424,10 @@ def read_series(path) -> ObservableSeries:
     Only that member is decoded, not the spec and summary before it. Any
     other layout (the pre-columnar list of rows too) is a ValueError.
 
-    The file is read READ_CHUNK bytes at a time, a JSON column decoded a
-    piece at a time, so beside the columns returned a read holds a few
-    READ_CHUNK of text and the decoded pieces of one column, no more.
+    The file is read READ_CHUNK bytes at a time and a JSON column decoded a
+    piece at a time, each column after the first straight into an array of
+    the first's length, so beside the columns returned a read holds a few
+    READ_CHUNK of text and one piece's values, no more.
     """
     with open(path, "rb") as f:
         head = bytearray(f.read(len(CSV_HEADER) + 1))
@@ -452,18 +478,21 @@ def _read_json_series(path, f, buf: bytearray) -> ObservableSeries:
         if not buf.startswith(key):
             raise ValueError(f"{path}: the series does not hold column {name} where written")
         del buf[: len(key)]
-        columns[name] = _read_column(f"{path}: series column {name}", f, buf, decode)
+        out = np.empty(columns["t"].size) if columns else None
+        columns[name] = _read_column(f"{path}: series column {name}", f, buf, decode, out)
+        if columns[name] is None:
+            raise ValueError(f"{path}: the series columns differ in length")
     _fill(f, buf, len(_SERIES_END) + 1)
     if buf != _SERIES_END:
         raise ValueError(f"{path}: the series has more than its columns or is not the last member")
-    if len({values.size for values in columns.values()}) != 1:
-        raise ValueError(f"{path}: the series columns differ in length")
     return ObservableSeries(**columns)
 
 
-def _read_column(column: str, f, buf: bytearray, decode) -> np.ndarray:
-    """Decode the list at the head of `buf`, reading on from `f`, into one
-    array joined from its pieces; leave in `buf` what follows the list.
+def _read_column(column: str, f, buf: bytearray, decode, out: np.ndarray | None):
+    """Decode the list at the head of `buf`, reading on from `f`, into `out`
+    if given, else into one array joined from its pieces; leave in `buf` what
+    follows the list. None if the list is not `out`'s length, as soon as a
+    piece runs past it.
 
     A piece runs from the "[" to the "]", or to the last "," buffered before
     any string, list or object (which alone could hold a ","; one is refused
@@ -472,7 +501,7 @@ def _read_column(column: str, f, buf: bytearray, decode) -> np.ndarray:
     """
     if not buf.startswith(b"["):
         raise ValueError(f"{column} is not a list of numbers")
-    pieces, head, skip = [], "[", 0
+    pieces, head, skip, size = [], "[", 0, 0
     del buf[:1]
     while True:
         stop = min((i for c in b'"[]{' if (i := buf.find(c)) >= 0), default=len(buf))
@@ -495,8 +524,17 @@ def _read_column(column: str, f, buf: bytearray, decode) -> np.ndarray:
             raise ValueError(f"{column} is not a list of numbers")
         if not np.isfinite(piece := np.array(piece)).all():
             raise ValueError(f"{column} holds a non-finite value")
-        pieces.append(piece)
+        if out is None:
+            pieces.append(piece)
+        elif size + piece.size > out.size:
+            return None
+        else:
+            out[size : size + piece.size] = piece
+        size += piece.size
         del buf[: cut + 1]
         if last:
-            return np.concatenate(pieces)
+            break
         head, skip = "[0,", 1
+    if out is None:
+        return np.concatenate(pieces)
+    return out if size == out.size else None

@@ -43,7 +43,12 @@ class ZeroNormError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ObservableSeries:
-    """Per-time observables over a grid, stored column-wise."""
+    """Per-time observables over a grid, stored column-wise.
+
+    Each column is a read-only view of its argument as a float64 array. A
+    float64 array is not copied: the series shares its memory and shows what
+    the caller writes to it later, and the caller's array stays writeable.
+    """
 
     t: np.ndarray
     imbalance: np.ndarray
@@ -56,7 +61,7 @@ class ObservableSeries:
     def __post_init__(self):
         n = None
         for name in self.COLUMNS:
-            a = np.asarray(getattr(self, name), dtype=np.float64)
+            a = np.asarray(getattr(self, name), dtype=np.float64).view()
             if a.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
             if n is None:

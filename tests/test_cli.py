@@ -345,6 +345,16 @@ class TestRunScenario:
                 id="unequal-length",
             ),
             pytest.param(
+                _with_series(lambda s: dict(s, imbalance=s["imbalance"] + [1.0])),
+                "^.*bad.json: the series columns differ in length$",
+                id="longer-column",
+            ),
+            pytest.param(
+                _with_series(lambda s: dict(s, variance=s["variance"][:1])),
+                "^.*bad.json: the series columns differ in length$",
+                id="shorter-column",
+            ),
+            pytest.param(
                 _with_series(lambda s: [dict(zip(s, row)) for row in zip(*s.values())]),
                 "bad.json is in the pre-columnar row layout",
                 id="row-layout",
@@ -1463,10 +1473,9 @@ class TestByteFormat:
         assert _written(tmp_path / "sweep") == {k: v.encode() for k, v in expected.items()}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_read_memory_is_bounded_by_the_columns(self, tmp_path, fmt):
+    def test_read_memory_is_bounded_by_the_columns(self, tmp_path, fmt, steps=50_000):
         # Beside the seven float64 columns it returns, the reader may hold a
         # few chunks of text and their decoded values, whatever the steps.
-        steps = 50_000
         rng = np.random.default_rng(18)
         series = ObservableSeries(*rng.standard_normal((7, steps)))
         out = tmp_path / f"run.{fmt}"
@@ -1481,6 +1490,11 @@ class TestByteFormat:
         if fmt == "json":
             for name in ObservableSeries.COLUMNS:
                 assert getattr(back, name).tobytes() == getattr(series, name).tobytes()
+
+    def test_json_read_memory_is_bounded_by_the_columns_at_200000_steps(self, tmp_path):
+        # A second copy of any one column would pass the bound at 50,000
+        # steps but not here.
+        self.test_read_memory_is_bounded_by_the_columns(tmp_path, "json", steps=200_000)
 
     def test_write_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch):
         # tracemalloc sees the text, the float objects and numpy's buffers.

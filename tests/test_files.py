@@ -3,8 +3,10 @@ repr(float(v))."""
 
 import functools
 import json
+import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,6 +121,16 @@ def with_neighbours(values) -> np.ndarray:
     return np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, 0)])
 
 
+def exact_ties() -> np.ndarray:
+    """Doubles q / 2**(k + 1), q odd, that times 10**k are an integer of 17
+    digits plus 1/2: exact ties at the last digit, for k from 1 to 24."""
+    values = []
+    for k in range(1, 25):
+        q = -(-2 * 10**16 // 5**k) | 1  # the least odd q with q * 5**k / 2 >= 1e16
+        values += [math.ldexp(q + i, -k - 1) for i in range(0, 8, 2) if (q + i) * 5**k < 2e17]
+    return np.array(values)
+
+
 @pytest.mark.parametrize("work", WORKS)
 class TestShortest:
     @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
@@ -148,6 +160,10 @@ class TestShortest:
         values = with_neighbours(POWERS)
         assert shortest(work, values) == reprs(values)
 
+    def test_exact_ties_and_their_neighbours(self, work):
+        values = with_neighbours(exact_ties())
+        assert shortest(work, values) == reprs(values)
+
     def test_fixed_and_scientific_switch(self, work):
         values = with_neighbours([1e-4, 1e-5, 1e15, 1e16, 9.9999e-5, 1.5e16, 123456789012345.6])
         values = np.concatenate([values, -values])
@@ -171,6 +187,25 @@ class TestShortest:
             repr(v).encode() for v in values.tolist()
         ]
         assert renderer.fallbacks == values.size
+
+
+def test_near_ties_of_17_digits_are_settled_without_python():
+    # |v| * 10**k within band of an integer plus 1/2, but not on it, with 17
+    # digits in repr: settled exactly in numpy. Exact ties go to Python.
+    rng = np.random.default_rng(29)
+    near = []
+    for v in rng.uniform(1.0, 1000.0, 20_000).tolist():
+        s = Fraction(v) * 10 ** (16 - math.floor(math.log10(v)))
+        if 0 < abs(s - math.floor(s) - Fraction(1, 2)) < 0.02 and len(repr(v)) == 18:
+            near.append(v)
+    renderer = files._Shortest()
+    assert renderer.band < 1 / 3 and len(near) > 100
+    text = renderer(np.array(near)).view(np.uint8).reshape(len(near), -1)
+    assert renderer.fallbacks == 0
+    assert [bytes(row).replace(b"\0", b"") for row in text] == [repr(v).encode() for v in near]
+    ties = exact_ties()
+    renderer(ties)
+    assert 0 < renderer.fallbacks <= ties.size
 
 
 def test_renderers_share_their_tables():
@@ -234,9 +269,9 @@ def test_runs_of_equal_values_across_chunks(tmp_path, monkeypatch):
     envelope = np.column_stack([column, column[::-1]])  # strided columns
     rendered = []
 
-    def counted(rows, out=None):
+    def counted(rows, lead):
         rendered.append(rows.size)
-        return renderer(rows, out)
+        return renderer(rows, lead)
 
     monkeypatch.setattr(files, "_json_renderer", lambda: counted)
     out = tmp_path / "runs.json"
@@ -256,3 +291,30 @@ def test_runs_of_equal_values_across_chunks(tmp_path, monkeypatch):
             bits = values[start : start + chunk].view(np.int64)
             runs += 1 + np.count_nonzero(bits[1:] != bits[:-1])
     assert sum(rendered) == runs < 9 * column.size
+
+
+def test_chunks_with_and_without_the_exponent_word(tmp_path):
+    # A chunk of a streamed list has the exponent word only if one of its
+    # values is in scientific notation. Chunks: all fixed notation, one
+    # scientific value first, one last, and only zeros of either sign. The
+    # envelope's items are led by a two-word separator, the series' by one.
+    chunk = 7 * files.ROW_CHUNK
+    column = np.linspace(1.0, 2.0, 4 * chunk)
+    column[chunk] = 1e-7
+    column[3 * chunk - 1] = -2.5e16
+    column[3 * chunk :] = np.where(np.arange(chunk) % 3, 0.0, -0.0)
+    columns = {name: column * (i + 1) for i, name in enumerate(ObservableSeries.COLUMNS)}
+    envelope = np.column_stack([column, -column])
+    out = tmp_path / "layout.json"
+    summary = {"collapse_revival": {"detected": False}}
+    files.write_output(out, "json", {}, ObservableSeries(**columns), summary, envelope)
+    lists = {"t": column, "amplitude": -column}
+    payload = {
+        "spec": {},
+        "summary": {"collapse_revival": {"detected": False, "envelope": lists}},
+        "series": columns,
+    }
+    assert out.read_text() == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
+    renderer = files._json_renderer()
+    widths = [renderer(column[i : i + chunk]).shape[1] for i in range(0, column.size, chunk)]
+    assert widths == [files._WORDS, files._WORDS + 1, files._WORDS + 1, files._WORDS]

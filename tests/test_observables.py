@@ -190,6 +190,18 @@ class TestObservableSeries:
         with pytest.raises(ValueError, match=message):
             ObservableSeries(*columns)
 
+    def test_columns_are_read_only_views_of_the_callers_arrays(self):
+        a = np.arange(4.0)
+        series = ObservableSeries(*[a] * 7)
+        assert a.flags.writeable
+        for name in ObservableSeries.COLUMNS:
+            column = getattr(series, name)
+            assert not column.flags.writeable and np.shares_memory(column, a)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        a[0] = 5.0  # the caller may still write, and the series shows it
+        assert series.t[0] == 5.0
+
 
 class TestComputeSeries:
     def test_rows_match_scalar_records(self):
@@ -207,6 +219,13 @@ class TestComputeSeries:
             )
             assert series.norm_error[j] == pytest.approx(r.norm_error, abs=1e-15)
             assert series.energy[j] == pytest.approx(r.energy, abs=1e-12)
+
+    def test_grid_stays_writeable_and_shared(self):
+        h = build_hamiltonian(CouplingConfig(4, k=1.0, e_j=1.0))
+        t = np.linspace(0.0, 2.0, 9)
+        series = compute_series(evolve_series(eigendecompose(h), fock(4, 0), t), t, h)
+        assert t.flags.writeable and not series.t.flags.writeable
+        assert np.shares_memory(series.t, t)
 
     def test_records_round_trip(self):
         n = 5
