@@ -258,7 +258,7 @@ class Basis:
     def hamiltonian(self, h) -> tuple:
         """(diagonal, coupling) of h in this basis: the diagonal at each row,
         and h's coupling of consecutive rows where they are neighbours in h
-        (or in its sector block), 0 where a split window's halves meet."""
+        (or in its sector block), 0 across the dropped rows between them."""
         r, diagonal, offdiagonal = self.rows, h.diagonal, h.offdiagonal
         if self.sector:
             diagonal, offdiagonal = _sector_block(diagonal, offdiagonal, self.sector == "even")
@@ -282,18 +282,16 @@ class Basis:
         return c
 
 
-def _window(weight: np.ndarray) -> tuple:
-    """(lo, hi, dropped): the fewest rows [lo, hi) whose dropped edge rows
-    weigh dropped <= DROPPED_WEIGHT_MAX in total; at least one row stays."""
-    size = weight.size
-    head = np.concatenate(([0.0], np.cumsum(weight)))  # weight of the rows < i
-    tail = np.concatenate((np.cumsum(weight[::-1])[::-1], [0.0]))  # rows >= i
-    lo = np.arange(min(size, int(np.searchsorted(head, DROPPED_WEIGHT_MAX, side="right"))))
-    # The first hi whose tail fits next to head[lo]: -tail ascends.
-    hi = np.maximum(np.searchsorted(-tail, head[lo] - DROPPED_WEIGHT_MAX), lo + 1)
-    dropped = head[lo] + tail[hi]
-    best = int(np.argmax(np.where(dropped <= DROPPED_WEIGHT_MAX, lo - hi, -size - 1)))
-    return int(lo[best]), int(hi[best]), float(dropped[best])
+def _lightest(weight: np.ndarray) -> tuple:
+    """(keep, dropped): a mask that drops the lightest entries, ties in index
+    order, while their total dropped stays <= DROPPED_WEIGHT_MAX; at least
+    one entry stays."""
+    order = np.argsort(weight, kind="stable")
+    total = np.cumsum(weight[order])
+    n_drop = min(int(np.searchsorted(total, DROPPED_WEIGHT_MAX, side="right")), weight.size - 1)
+    keep = np.ones(weight.size, dtype=bool)
+    keep[order[:n_drop]] = False
+    return keep, float(total[n_drop - 1]) if n_drop else 0.0
 
 
 class GridPropagator:
@@ -305,11 +303,12 @@ class GridPropagator:
 
     t                   t_grid as float64, t_grid itself (no copy) if it is
     basis               the Basis of the block rows: a parity sector's if the
-                        state keeps only that one, else Fock; cut by _window
+                        state keeps only that one, else Fock; only the rows
+                        the state reaches, lightest dropped as the components
     kept_components     eigencomponents the propagation keeps
     kept_per_parity     [even, odd] counts of them; None without parity labels
     dropped_weight      sum of |a_n|^2 over the dropped ones, the lightest
-    dropped_row_weight  sum of b_i^2 over the Fock rows outside the window,
+    dropped_row_weight  sum of b_i^2 over the dropped Fock rows, the lightest,
                         b_i = sum_kept |a_n| |V_in| >= |c_i(t)| at every t
     phase_error_bound   eps * max|lambda_kept| * |t_max|, the round-off of the
                         largest phase, which sets the error at large couplings
@@ -338,16 +337,9 @@ class GridPropagator:
             x = basis.fold(c)
             # Two real products: numpy would otherwise copy v to complex.
             a.append(v.T @ x.real + 1j * (v.T @ x.imag))
-        weight = np.concatenate([x.real**2 + x.imag**2 for x in a])
-        order = np.argsort(weight, kind="stable")
-        dropped = np.cumsum(weight[order])
-        n_drop = int(np.searchsorted(dropped, DROPPED_WEIGHT_MAX, side="right"))
-        # Keep at least one component; a zero state fails in the observables.
-        n_drop = min(n_drop, weight.size - 1)
-        kept = np.ones(weight.size, dtype=bool)
-        kept[order[:n_drop]] = False
-        self.kept_components = weight.size - n_drop
-        self.dropped_weight = float(dropped[n_drop - 1]) if n_drop else 0.0
+        # At least one component stays; a zero state fails in the observables.
+        kept, self.dropped_weight = _lightest(np.concatenate([x.real**2 + x.imag**2 for x in a]))
+        self.kept_components = int(kept.sum())
 
         # Each block's kept eigenpairs, ascending, and their overlaps.
         kept = np.split(kept, np.cumsum([x.size for x in a])[:-1])
@@ -373,10 +365,13 @@ class GridPropagator:
         bound[:pairs] += np.abs(v_odd) @ np.abs(self._a[n_top:])
         weight = bound**2
         weight[:pairs] *= 2.0  # a split pair is two Fock rows
-        lo, hi, self.dropped_row_weight = _window(weight)
-        self._v, self._v_odd = v_top[lo:hi], v_odd[lo : min(hi, pairs)]
-        mirror = np.arange(dim - min(hi, pairs), dim - lo)
-        self.basis = Basis(dim, np.concatenate((np.arange(lo, hi), mirror)), sector)
+        keep, self.dropped_row_weight = _lightest(weight)
+        top = np.flatnonzero(keep)
+        paired = top[top < pairs]
+        self.basis = Basis(dim, np.concatenate((top, dim - 1 - paired[::-1])), sector)
+        if top[-1] - top[0] + 1 == top.size:  # one run of rows: views, not copies
+            top = paired = slice(top[0], top[-1] + 1)
+        self._v, self._v_odd = v_top[top], v_odd[paired]
 
         self._dim, self._steps = dim, t.size
         t_max = float(t[-1]) if t.size else 0.0

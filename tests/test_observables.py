@@ -363,6 +363,8 @@ LONGDOUBLE_CASES = {
     "window": lambda: _propagated_blocks(100, 100.0, 1.0, 0.3, "fock:100,0", None, True),
     "window-split": lambda: _propagated_blocks(100, 100.0, 1.0, 0.0, "fock:74,26", None, True),
     "window-sector": lambda: _propagated_blocks(100, 100.0, 1.0, 0.0, "cat", "even", True),
+    # Rows 0-4 and 96-100: a row set with a gap.
+    "window-gapped": lambda: _propagated_blocks(100, 100.0, 1.0, 0.3, "cat", None, True),
 }
 
 

@@ -6,10 +6,12 @@ every eigencomponent kept, direct phases exp(-i lam t_j) against the block
 phase table exp(-i lam k dt) exp(-i lam t_s), and one complex product per
 grid against the split real gemms per block. The truncation is checked
 against the dense scaling-and-squaring oracle of tests/oracles.py, and the
-row window of localized states against the spectral reference and, at large
+kept rows of localized states against the spectral reference and, at large
 N, against the closed-form Rabi limit.
 """
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -62,20 +64,22 @@ def reference_series(s: ScenarioSpec):
 
 # At N = 61 the +-1 similarity swaps the even and odd labels between the
 # two signs, so the split product pairs its halves the other way round. At
-# k = 7 N (ratio N) both states keep a window of rows.
+# k = 7 N (ratio N) the states keep part of their rows, the biased cat in
+# two runs, near rows 0 and N.
 @pytest.mark.parametrize(
-    "n,initial,k",
+    "n,initial,k,dmu",
     [
-        pytest.param(60, "fock:45,15", 1.0, id="60-fock:45,15"),
-        pytest.param(61, "fock:46,15", 1.0, id="61-fock:46,15"),
-        pytest.param(60, "fock:60,0", 420.0, id="60-fock:60,0-window"),
-        pytest.param(61, "cat", 427.0, id="61-cat-window"),
+        pytest.param(60, "fock:45,15", 1.0, 0.0, id="60-fock:45,15"),
+        pytest.param(61, "fock:46,15", 1.0, 0.0, id="61-fock:46,15"),
+        pytest.param(60, "fock:60,0", 420.0, 0.0, id="60-fock:60,0-window"),
+        pytest.param(61, "cat", 427.0, 0.0, id="61-cat-window"),
+        pytest.param(100, "cat", 700.0, 0.3, id="100-cat-gapped"),
     ],
 )
-def test_tunneling_sign_flip_is_bitwise(n, initial, k):
+def test_tunneling_sign_flip_is_bitwise(n, initial, k, dmu):
     steps = full_rows(n + 1) + 703  # two blocks, the second partial
-    a, diag = run_scenario(spec(n, initial, k=k, e_j=7.0, steps=steps))
-    b, diag_b = run_scenario(spec(n, initial, k=k, e_j=-7.0, steps=steps))
+    a, diag = run_scenario(spec(n, initial, k=k, e_j=7.0, dmu=dmu, steps=steps))
+    b, diag_b = run_scenario(spec(n, initial, k=k, e_j=-7.0, dmu=dmu, steps=steps))
     assert (diag["diagnostics"]["kept_rows"] < n + 1) == (k > 1.0)
     for name, col in columns(a).items():
         assert np.array_equal(col, getattr(b, name)), name
@@ -128,14 +132,14 @@ def test_matches_reference_path(n, initial, dmu, steps):
         assert np.abs(col - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
 
 
-# Ratio k/e_j = N, self-trapped: each state keeps a window of rows. The split
-# product keeps the top rows of a window and their mirror images, which for
-# fock:74,26 are two runs around rows 26 and 74; cat keeps a window of its
-# sector; with bias the whole matrix's window is one run.
+# Ratio k/e_j = N, self-trapped: each state keeps part of its rows. The split
+# product keeps top rows and their mirror images, which for fock:74,26 are
+# two runs around rows 26 and 74; cat keeps rows of its sector; with bias
+# fock:100,0 keeps one run of Fock rows and cat two, near rows 0 and N.
 @pytest.mark.parametrize(
     "initial,dmu,parity",
     [("fock:100,0", 0.0, [5, 5]), ("fock:74,26", 0.0, [11, 11]), ("cat", 0.0, [5, 0]),
-     ("fock:100,0", 0.3, None)],
+     ("fock:100,0", 0.3, None), ("cat", 0.3, None)],
 )
 def test_windowed_states_match_reference(initial, dmu, parity):
     s = spec(100, initial, k=100.0, e_j=1.0, dmu=dmu, t_max=2.0, steps=2 * full_rows(101) + 17)
@@ -162,6 +166,109 @@ def test_split_window_keeps_mirror_images():
     assert np.array_equal(diagonal, h.diagonal[basis.rows])
     assert offdiagonal[top.size - 1] == 0.0
     assert np.count_nonzero(offdiagonal) == basis.rows.size - 2
+
+
+def test_gapped_rows_match_reference():
+    # The biased cat's halves stay near rows 0 and N: only those rows are
+    # kept, with no contiguous run between them.
+    n = 100
+    h = build_hamiltonian(CouplingConfig(n, k=100.0, delta_mu=0.3, e_j=1.0))
+    decomp, psi = eigendecompose(h), parse_state("cat", n)
+    t = np.linspace(0.0, 2.0, 2 * full_rows(n + 1) + 17)
+    propagator = evolve_series(decomp, psi, t)
+    assert propagator.basis.kept_rows <= 10
+    assert propagator.basis.rows.tolist() == [*range(5), *range(96, 101)]
+    # Each coefficient is within 2e-14 of the exact sum plus the phase
+    # round-off, which both paths carry.
+    bound = 2e-14 + 2.0 * propagator.phase_error_bound
+    want = spectral_reference(decomp, psi.coefficients, t)
+    got = propagator.basis.unfold(np.concatenate([c.copy() for c in propagator], axis=1))
+    assert np.abs(got - want).max() <= bound
+    assert np.abs(evolve(decomp, psi, t[-1]).coefficients - want[:, -1]).max() <= bound
+
+
+def test_gapped_split_rows_keep_both_symmetries():
+    # (|60,0> + |40,20>)/sqrt2 at ratio N, zero bias: the split product keeps
+    # top rows in two runs, around rows 0 and 20, and their mirror images.
+    # The mirrored state mirrors the series, and e_j -> -e_j keeps every bit,
+    # as both Fock components have even n.
+    n, t = 60, np.linspace(0.0, 20.0, full_rows(61) + 703)
+    c = np.zeros(n + 1)
+    c[[0, 20]] = math.sqrt(0.5)
+    series = {}
+    for e_j in (7.0, -7.0):
+        h = build_hamiltonian(CouplingConfig(n, k=420.0, e_j=e_j))
+        decomp = eigendecompose(h)
+        for name, x in (("state", c), ("mirror", c[::-1])):
+            propagator = evolve_series(decomp, StateVector(x), t)
+            top = propagator.basis.rows[propagator.basis.rows <= n // 2]
+            assert min(propagator.kept_per_parity) > 0 and np.diff(top).max() > 1
+            series[name, e_j] = compute_series(propagator, t, h)
+    for name in ("state", "mirror"):
+        for col, values in columns(series[name, 7.0]).items():
+            assert np.array_equal(values, getattr(series[name, -7.0], col)), (name, col)
+    a, b = series["state", 7.0], series["mirror", 7.0]
+    assert np.abs(a.imbalance + b.imbalance).max() <= 1e-9
+    assert np.abs(a.variance - b.variance).max() <= 1e-9
+    assert np.abs(a.entanglement_bits - b.entanglement_bits).max() <= 1e-9
+
+
+def test_a_run_of_kept_rows_is_not_copied():
+    # fock:N,0 at ratio 4/N, zero bias, keeps every row: one run. While it is
+    # built, the propagator holds its kept eigenvectors twice (the blocks'
+    # columns and their C-order product) and one |V| temporary, about
+    # 1.27 * 8 * dim * kept bytes; copying the kept rows would make it 1.52.
+    n = 1000
+    decomp = eigendecompose(build_hamiltonian(CouplingConfig(n, k=1.0, e_j=n / 4.0)))
+    psi, t = parse_state(f"fock:{n},0", n), np.linspace(0.0, 1.0, 10)
+    tracemalloc.start()
+    try:
+        propagator = evolve_series(decomp, psi, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert propagator.basis.kept_rows == n + 1
+    assert peak <= 1.4 * 8 * (n + 1) * propagator.kept_components
+
+
+class TestLightest:
+    """spectral._lightest, the one rule that drops eigencomponents and rows."""
+
+    @staticmethod
+    def units(*counts):
+        # Multiples of 2^-96 (1e-28 is about 7.9 of them): every sum is exact.
+        return np.array(counts, dtype=float) * 2.0**-96
+
+    def test_dropped_total_stays_within_the_budget(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            weight = rng.exponential(2e-29, rng.integers(1, 40))
+            keep, dropped = spectral._lightest(weight)
+            assert dropped <= DROPPED_WEIGHT_MAX and keep.any()
+            assert math.isclose(dropped, weight[~keep].sum(), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("weight", [[0.0], [0.0] * 5, [1.0], [1e-40, 0.0, 1e-40]])
+    def test_at_least_one_entry_stays(self, weight):
+        keep, dropped = spectral._lightest(np.array(weight))
+        assert keep.sum() == 1 and dropped == sum(weight) - np.array(weight)[keep].sum()
+
+    def test_kept_count_is_minimal(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            weight = self.units(*rng.integers(0, 6, rng.integers(1, 8)))
+            keep, _ = spectral._lightest(weight)
+            fits = [
+                r for r in range(weight.size)
+                for dropped in itertools.combinations(range(weight.size), r)
+                if weight[list(dropped)].sum() <= DROPPED_WEIGHT_MAX
+            ]
+            assert keep.sum() == weight.size - max(fits)
+
+    def test_ties_drop_the_earlier_entry_first(self):
+        # Three entries of 3 units: two fit the budget of 7.9, three do not.
+        keep, dropped = spectral._lightest(self.units(3, 9, 3, 3))
+        assert keep.tolist() == [False, True, False, True]
+        assert dropped == self.units(6)[0]
 
 
 # k = 0: the closed-form Rabi limit. dmu = 20 holds |N,0> near its start,
