@@ -12,8 +12,9 @@ repr(float(v)), which json writes. A value fills a fixed-size slot, with a 0
 byte for each absent character, and _squeeze deletes the 0 bytes of the
 chunk; a JSON slot has the exponent's word only in a chunk that has a value
 in scientific notation. Each renderer hands the few values it cannot settle
-exactly to Python's own formatting. A series or envelope value that is not
-finite is refused before any file is opened. The reader streams too,
+exactly to Python's own formatting, which _python alone does; the renderers
+hold only tables, so threads share them. A series or envelope value that is
+not finite is refused before any file is opened. The reader streams too,
 READ_CHUNK bytes of text at a time, and decodes each JSON column after the
 first straight into an array of the first's length.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import json
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +64,13 @@ def _table(texts, dtype) -> np.ndarray:
 
 def _squeeze(text: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
+
+
+def _python(values: np.ndarray, form, width: int) -> np.ndarray:
+    """form(v) for each of `values` as a row of `width` bytes, padded with 0
+    bytes: the one place a value is formatted in Python."""
+    text = np.array([form(v) for v in values.tolist()], f"S{width}")
+    return text.view(np.uint8).reshape(-1, width)
 
 
 @functools.cache
@@ -124,7 +131,7 @@ class _Scientific:
     where it is off by at most 1e12 * eps of `work`. Python formats each value
     whose product lies within `band` (twice that) of a half-integer, or whose
     k does not settle within three corrections (a non-finite product never
-    does), so the bytes are exact for any `work`. `fallbacks` counts them.
+    does), so the bytes are exact for any `work`.
     """
 
     def __init__(self, work=np.longdouble):
@@ -136,8 +143,6 @@ class _Scientific:
         self.exps = _table(
             ("-+"[e >= 0] + f"{abs(e):02d}".rjust(3, "\0") for e in _EXPONENTS), "<u4"
         )
-        self.fallbacks = 0
-        self._lock = threading.Lock()
 
     def __call__(self, rows: np.ndarray) -> bytes:
         v = rows.ravel()
@@ -162,12 +167,7 @@ class _Scientific:
         sep = out["sep"].reshape(rows.shape)
         sep[:, :-1], sep[:, -1] = ord(","), ord("\n")
         text = out.view(np.uint8).reshape(v.size, _LAYOUT.itemsize)
-        slow = np.flatnonzero(slow)
-        if slow.size:
-            with self._lock:
-                self.fallbacks += slow.size
-            for i in slow:
-                text[i, :-1] = np.frombuffer(f"{v[i]:.11e}".encode().ljust(19, b"\0"), np.uint8)
+        text[slow, :-1] = _python(v[slow], "{:.11e}".format, _LAYOUT.itemsize - 1)
         return _squeeze(text)
 
 
@@ -216,8 +216,7 @@ class _Shortest:
     outside the interval narrowed by `band`, or a k that does not settle.
     A near-tie at 17 digits is instead settled exactly in integers where
     0 <= k < 28 and band < 1/3; only an exact tie goes on to Python. The
-    bytes are thus exact for any `work`. `fallbacks` counts the values
-    Python formats.
+    bytes are thus exact for any `work`.
     """
 
     def __init__(self, work=np.longdouble):
@@ -243,8 +242,6 @@ class _Shortest:
         strip = zeros_after & (q < 4)
         form = np.where((p > 0) & (q >= 0) & (q < 4), 2 + q + 4 * strip, strip)
         self.forms = 10000 * np.where((p == 17) & (q == 0) & strip, 10, form).reshape(4, 36)
-        self.fallbacks = 0
-        self._lock = threading.Lock()
 
     def __call__(self, rows: np.ndarray, lead: np.ndarray = np.empty(0, "<u8")) -> np.ndarray:
         """A row of words per value of `rows`: the words of `lead`, the
@@ -313,12 +310,8 @@ class _Shortest:
             words[:, lead.size + g + 1] = self.groups[self.forms[g][point + zeros_after] + group]
             zeros_after &= group == 0
             rest = q
-        slow = np.flatnonzero(slow & ~zero)
-        if slow.size:
-            with self._lock:
-                self.fallbacks += slow.size
-            text = np.array([repr(x) for x in v[slow].tolist()], f"S{8 * _WORDS}")
-            words[slow, lead.size : lead.size + _WORDS] = text.view("<u8").reshape(slow.size, -1)
+        slow &= ~zero
+        words[slow, lead.size : lead.size + _WORDS] = _python(v[slow], repr, 8 * _WORDS).view("<u8")
         return words
 
 

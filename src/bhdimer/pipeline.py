@@ -236,11 +236,13 @@ def sweep(base: ScenarioSpec, ratio_tokens, initials, out_dir=None, jobs: int = 
     recorded with status "error" and never runs, as is one whose run raises
     one of RUN_FAILURES. Any other exception is a program fault. The cells
     run on the calling thread and jobs - 1 more threads, with BLAS on one
-    thread while there are two or more (lapack.one_blas_thread), so the
-    files depend on neither jobs nor OPENBLAS_NUM_THREADS. A fault stops
-    new cells from starting; once the running ones end, the fault of the
-    earliest cell in sweep order propagates. The cells of one coupling share
-    one decomposition, made by the first of them to run, freed after the last.
+    thread while there are two or more (lapack.one_blas_thread), so any
+    jobs >= 2 writes the files of jobs = 1 at one BLAS thread; jobs = 1
+    leaves BLAS unpinned, and more BLAS threads may change its files. A
+    fault stops new cells from starting; once the running ones end, the
+    fault of the earliest cell in sweep order propagates. The cells of one
+    coupling share one decomposition, made by the first of them to run,
+    freed after the last.
 
     Returns the combined summary: "base", the spec every cell shares (all
     but k, e_j and initial), and "cells", one entry per (ratio token,

@@ -71,6 +71,8 @@ class StateVector:
         c = np.array(self.coefficients, dtype=np.complex128)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 

@@ -548,7 +548,7 @@ class TestSweep:
 
     def test_parallel_matches_serial_json(self, tmp_path, monkeypatch):
         # Four threads build the JSON renderer and its tables anew on first
-        # use, then share them and its fallback counter.
+        # use, then share them.
         for name in ("_json_renderer", "_group_words", "_powers", "_four_digits"):
             monkeypatch.setattr(files, name, functools.cache(getattr(files, name).__wrapped__))
         base = small_spec(fmt="json")

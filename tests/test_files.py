@@ -23,6 +23,25 @@ WORKS = [np.longdouble, np.float64]
 LARGEST = np.finfo(np.float64).max
 POWERS = np.array([10.0**k for k in range(-323, 309)])
 
+# The widths in which the renderers have files._python format a value: a CSV
+# slot less its separator, and a JSON value's words.
+CSV_WIDTH, JSON_WIDTH = files._LAYOUT.itemsize - 1, 8 * files._WORDS
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """How many values have gone to files._python so far at a slot width:
+    CSV_WIDTH for _Scientific, JSON_WIDTH for _Shortest."""
+    sizes = {CSV_WIDTH: [], JSON_WIDTH: []}
+    python = files._python
+
+    def counted(values, form, width):
+        sizes[width].append(values.size)  # one append per call, safe across threads
+        return python(values, form, width)
+
+    monkeypatch.setattr(files, "_python", counted)
+    return lambda width: sum(sizes[width])
+
 
 @functools.cache
 def renderer(work) -> files._Scientific:
@@ -80,7 +99,7 @@ class TestScientific:
         )
         assert render(work, values) == expected(values)
 
-    def test_every_value_sent_to_python(self, work):
+    def test_every_value_sent_to_python(self, work, sent):
         scientific = files._Scientific(work)
         scientific.band = 1.0  # every scaled fraction lies within 1 of 1/2
         rng = np.random.default_rng(11)
@@ -88,17 +107,16 @@ class TestScientific:
         rows = values[: len(values) // 7 * 7].reshape(-1, 7)
         lines = [",".join(f"{v:.11e}" for v in row) + "\n" for row in rows]
         assert scientific(rows) == "".join(lines).encode()
-        assert scientific.fallbacks == rows.size
+        assert sent(CSV_WIDTH) == rows.size
 
 
-def test_fig_rabi_is_rendered_without_python(tmp_path, capsys):
+def test_fig_rabi_is_rendered_without_python(tmp_path, capsys, sent):
     # A band wide enough to send every value to Python still gives the right
-    # bytes, only about 3x slower; this count is what shows it.
-    scientific = files._csv_renderer()
-    before = scientific.fallbacks
+    # bytes, only about 3x slower; this count is what shows it. The sidecar's
+    # JSON values are not counted: near-ties go to repr there by design.
     assert main(["--preset", "fig-rabi", "--n", "400", "--out", str(tmp_path / "r.csv")]) == 0
     capsys.readouterr()
-    assert scientific.fallbacks == before
+    assert sent(CSV_WIDTH) == 0
 
 
 @functools.cache
@@ -176,7 +194,7 @@ class TestShortest:
         values = [d * 10.0**k for d in integers + digits for k in (-20, -7, -3, 0, 2, 9, 30)]
         assert shortest(work, values) == reprs(values)
 
-    def test_every_value_sent_to_python(self, work):
+    def test_every_value_sent_to_python(self, work, sent):
         renderer = files._Shortest(work)
         renderer.band = 1e17  # every scaled value lies within 1e17 of a tie
         rng = np.random.default_rng(13)
@@ -186,10 +204,10 @@ class TestShortest:
         assert [bytes(row).replace(b"\0", b"") for row in text] == [
             repr(v).encode() for v in values.tolist()
         ]
-        assert renderer.fallbacks == values.size
+        assert sent(JSON_WIDTH) == values.size
 
 
-def test_near_ties_of_17_digits_are_settled_without_python():
+def test_near_ties_of_17_digits_are_settled_without_python(sent):
     # |v| * 10**k within band of an integer plus 1/2, but not on it, with 17
     # digits in repr: settled exactly in numpy. Exact ties go to Python.
     rng = np.random.default_rng(29)
@@ -201,11 +219,11 @@ def test_near_ties_of_17_digits_are_settled_without_python():
     renderer = files._Shortest()
     assert renderer.band < 1 / 3 and len(near) > 100
     text = renderer(np.array(near)).view(np.uint8).reshape(len(near), -1)
-    assert renderer.fallbacks == 0
+    assert sent(JSON_WIDTH) == 0
     assert [bytes(row).replace(b"\0", b"") for row in text] == [repr(v).encode() for v in near]
     ties = exact_ties()
     renderer(ties)
-    assert 0 < renderer.fallbacks <= ties.size
+    assert 0 < sent(JSON_WIDTH) <= ties.size
 
 
 def test_renderers_share_their_tables():
@@ -213,15 +231,21 @@ def test_renderers_share_their_tables():
     assert files._Scientific().four is files._four_digits()
 
 
-def test_fallback_count_kept_across_threads():
+def test_fallback_count_kept_across_threads(sent):
+    # Eight threads share one renderer, as a sweep's cells do: each gets the
+    # words of a serial render, and every value reaches files._python once.
     renderer = files._Shortest()
     renderer.band = 1e17
     values = POWERS[:50, None]
+    serial = renderer(values)
+    before = sent(JSON_WIDTH)
+    results = [[] for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [
-            threading.Thread(target=lambda: [renderer(values) for _ in range(20)]) for _ in range(8)
+            threading.Thread(target=lambda out=out: out.extend(renderer(values) for _ in range(20)))
+            for out in results
         ]
         for thread in threads:
             thread.start()
@@ -230,14 +254,14 @@ def test_fallback_count_kept_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert renderer.fallbacks == 8 * 20 * values.size
+    assert sent(JSON_WIDTH) - before == 8 * 20 * values.size
+    assert all(np.array_equal(words, serial) for out in results for words in out)
+    assert [len(out) for out in results] == [20] * 8
 
 
-def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys):
+def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys, sent):
     # A JSON run at N=100: 17-digit near-ties go to Python, about 1-2% of
     # the series and envelope values; far more means the fast path broke.
-    renderer = files._json_renderer()
-    before = renderer.fallbacks
     out = tmp_path / "s.json"
     argv = ["--preset", "fig-selftrap", "--n", "100", "--steps", "4000", "--format", "json"]
     assert main([*argv, "--out", str(out)]) == 0
@@ -246,19 +270,18 @@ def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys):
     envelope = written["summary"]["collapse_revival"]["envelope"]
     values = sum(len(column) for column in [*written["series"].values(), *envelope.values()])
     assert len(envelope["t"]) > 0
-    assert renderer.fallbacks - before <= 0.03 * values
+    assert sent(JSON_WIDTH) <= 0.03 * values
 
 
-def test_runs_of_equal_values_across_chunks(tmp_path, monkeypatch):
+def test_runs_of_equal_values_across_chunks(tmp_path, monkeypatch, sent):
     # Runs of equal bits cross the 7 * ROW_CHUNK chunk boundaries of a
     # streamed list: 0.0 and -0.0 stay apart, the smallest subnormal repeats,
     # and a value the renderer hands to Python opens and closes the list.
     chunk = 7 * files.ROW_CHUNK
     slow = 0.10490011715303971
     renderer = files._json_renderer()
-    before = renderer.fallbacks
     renderer(np.array([[slow]]))
-    assert renderer.fallbacks > before
+    assert sent(JSON_WIDTH) > 0
     column = np.arange(2 * chunk + 6) * 0.25
     column[:3] = slow
     column[chunk - 2 : chunk + 2] = [0.0, -0.0, -0.0, 0.0]

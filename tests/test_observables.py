@@ -263,6 +263,7 @@ class TestComputeSeries:
             ("2-d grid", "^t_grid must be one-dimensional$"),
             ("other N", "^state dimension does not match Hamiltonian$"),
             ("fewer times", "^t_grid and states must have equal length$"),
+            ("more times", "^t_grid and states must have equal length$"),
         ],
     )
     def test_inconsistent_input_rejected(self, case, message):
@@ -273,6 +274,7 @@ class TestComputeSeries:
             "2-d grid": ([np.ones((4, 3), complex)], t[None]),
             "other N": (evolve_series(other, fock(4, 0), t), t),
             "fewer times": ([np.ones((4, 2), complex)], t),
+            "more times": ([np.ones((4, 2), complex)] * 2, t),
         }[case]
         with pytest.raises(ValueError, match=message):
             compute_series(blocks, grid, h)

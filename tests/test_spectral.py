@@ -97,6 +97,15 @@ def test_state_vector_needs_a_nonempty_1d_sequence(coefficients):
         StateVector(coefficients)
 
 
+@pytest.mark.parametrize(
+    "coefficients", [[math.nan] + [0.0] * 10, [math.inf, 0.0], [complex(0.0, math.nan), 1.0]],
+    ids=["nan", "inf", "complex-nan"],
+)
+def test_state_vector_needs_finite_coefficients(coefficients):
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        StateVector(coefficients)
+
+
 class TestEigendecompose:
     def test_two_level_analytic(self):
         # k=0.8 at N=1 gives [[0.1, -0.5], [-0.5, 0.1]].
