@@ -6,17 +6,18 @@ the spec and summary in a ".summary.json" sidecar; JSON files bundle spec,
 summary and series, the series as one list per column. Every file is exactly
 what `f"{v:.11e}"` rows and `json.dumps(..., indent=2)` would give, but the
 long lists (CSV rows, the JSON series columns and the envelope's "t" and
-"amplitude") are streamed ROW_CHUNK rows at a time, each chunk rendered in
-numpy: a CSV value by _Scientific, a JSON value by _Shortest as the bytes of
-repr(float(v)), which json writes. A value fills a fixed-size slot, with a 0
-byte for each absent character, and _squeeze deletes the 0 bytes of the
-chunk; a JSON slot has the exponent's word only in a chunk that has a value
-in scientific notation. Each renderer hands the few values it cannot settle
-exactly to Python's own formatting, which _python alone does; the renderers
-hold only tables, so threads share them. A series or envelope value that is
-not finite is refused before any file is opened. The reader streams too,
-READ_CHUNK bytes of text at a time, and decodes each JSON column after the
-first straight into an array of the first's length.
+"amplitude") are streamed from their columns ROW_CHUNK rows at a time, each
+chunk stacked (CSV) and rendered in numpy: a CSV value by _Scientific, a
+JSON value by _Shortest as the bytes of repr(float(v)), which json writes. A
+value fills a fixed-size slot, with a 0 byte for each absent character, and
+_squeeze deletes the 0 bytes of the chunk; a JSON slot has the exponent's
+word only in a chunk that has a value in scientific notation. Each renderer
+hands the few values it cannot settle exactly to Python's own formatting,
+which _python alone does; the renderers hold only tables, so threads share
+them. A series or envelope value that is not finite is refused before any
+file is opened. The reader streams too, READ_CHUNK bytes of text at a time,
+and decodes each JSON column after the first straight into an array of the
+first's length.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ _LAYOUT = np.dtype(
 
 
 class _Scientific:
-    """Rows of doubles as CSV bytes: f"{v:.11e}" for each value, "," between
+    """Columns of doubles as CSV bytes: f"{v:.11e}" for each value, "," between
     the values of a row and "\n" after it.
 
     The mantissa is |v| * 10**k rounded to an integer, with 10**k correctly
@@ -144,7 +145,8 @@ class _Scientific:
             ("-+"[e >= 0] + f"{abs(e):02d}".rjust(3, "\0") for e in _EXPONENTS), "<u4"
         )
 
-    def __call__(self, rows: np.ndarray) -> bytes:
+    def __call__(self, *columns: np.ndarray) -> bytes:
+        rows = np.column_stack(columns)  # one chunk's rows, never the series'
         v = rows.ravel()
         zero = v == 0  # scaled as 1.0, then given mantissa 0
         _, k, _, m, frac, slow = _scaled(v, self.powers, 12)
@@ -336,8 +338,8 @@ def _render_list(separator: np.ndarray, values: np.ndarray) -> bytes:
 def _json_parts(payload: dict, lists: dict) -> list:
     """json.dumps(payload, indent=2) + "\n" as writer parts: `lists` maps each
     placeholder string in the payload, in text order, to the values of the
-    non-empty list it stands for, streamed as a (values, render, 1) part that
-    leads each item with indent=2's "," and line break, the first "," skipped."""
+    non-empty list it stands for, streamed as a ((values,), render, 1) part:
+    each item led by indent=2's "," and line break, the first "," skipped."""
     text = json.dumps(payload, indent=2) + "\n"
     parts = []
     for name, values in lists.items():
@@ -347,24 +349,24 @@ def _json_parts(payload: dict, lists: dict) -> list:
         separator = f",\n{' ' * (indent + 2)}".encode()
         separator += bytes(-len(separator) % 8)
         render = functools.partial(_render_list, np.frombuffer(separator, "<u8"))
-        parts += [head + "[", (values, render, 1), "\n" + " " * indent + "]"]
+        parts += [head + "[", ((values,), render, 1), "\n" + " " * indent + "]"]
     parts.append(text)
     return parts
 
 
 def _write_parts(path: Path, parts) -> None:
-    """Write text parts and streamed (rows, render, skip) parts in order, the
-    latter as render(chunk) per ROW_CHUNK series rows' worth of values (7 *
-    ROW_CHUNK values of a 1-D list), less its first `skip` bytes."""
+    """Write text parts and streamed (columns, render, skip) parts in order,
+    the latter as render(*slices) per ROW_CHUNK series rows' worth of values
+    (7 * ROW_CHUNK of one column), less its first `skip` bytes."""
     with open(path, "wb") as f:
         for part in parts:
             if isinstance(part, str):
                 f.write(part.encode())
                 continue
-            rows, render, skip = part
-            step = ROW_CHUNK * len(ObservableSeries.COLUMNS) // rows[:1].size
-            for start in range(0, len(rows), step):
-                text = render(rows[start : start + step])
+            columns, render, skip = part
+            step = ROW_CHUNK * len(ObservableSeries.COLUMNS) // len(columns)
+            for start in range(0, len(columns[0]), step):
+                text = render(*(column[start : start + step] for column in columns))
                 f.write(text[skip:] if start == 0 else text)
 
 
@@ -401,8 +403,7 @@ def write_output(
         payload["series"] = _stand_in("series", columns, lists)
     out.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        rows = np.column_stack(list(columns.values()))
-        _write_parts(out, [CSV_HEADER + "\n", (rows, _csv_renderer(), 0)])
+        _write_parts(out, [CSV_HEADER + "\n", (list(columns.values()), _csv_renderer(), 0)])
         out = out.with_name(out.stem + ".summary.json")
     _write_parts(out, _json_parts(payload, lists))
 

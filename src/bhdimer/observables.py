@@ -116,6 +116,8 @@ def _finish(sums: np.ndarray, n_total: int, sector: bool) -> tuple:
     energy has its coherence part, which is +0.0 on a basis of one row.
     """
     total, imbalance, variance, energy, entropy, spare = sums
+    if not np.isfinite(total).all():
+        raise ValueError("state norm is not finite: a coefficient is NaN, inf or too large")
     if not total.all():
         raise ZeroNormError("state has zero norm")
     sums[1:5] /= total

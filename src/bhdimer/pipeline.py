@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -266,16 +265,12 @@ def sweep(base: ScenarioSpec, ratio_tokens, initials, out_dir=None, jobs: int = 
             return exc
 
     specs = [cell_spec(*cell) for cell in cells]
-    # Runnable cells left per coupling.
-    left = Counter(spec.config for spec in specs if isinstance(spec, ScenarioSpec))
-    locks = {config: threading.Lock() for config in left}
-    made = {}
-
-    def decomposition(config):
-        with locks[config]:
-            if config not in made:
-                made[config] = eigendecompose(build_hamiltonian(config))
-            return made[config]
+    # Each runnable cell holds its coupling's slot: a lock, then the
+    # decomposition the first of its cells to run makes. A cell drops its hold
+    # as it starts, so the decomposition goes with the last cell that held it.
+    slots = {spec.config: [threading.Lock()] for spec in specs if isinstance(spec, ScenarioSpec)}
+    holds = [slots[spec.config] if isinstance(spec, ScenarioSpec) else None for spec in specs]
+    del slots
 
     def run_cell(i):
         (ratio_token, initial), spec = cells[i], specs[i]
@@ -285,15 +280,14 @@ def sweep(base: ScenarioSpec, ratio_tokens, initials, out_dir=None, jobs: int = 
         entry["ratio_value"] = spec.config.ratio
         if spec.out is not None:
             entry["file"] = spec.out.name
+        slot, holds[i] = holds[i], None
         try:
-            _, cell_summary = run_scenario(spec, decomposition=decomposition(spec.config))
+            with slot[0]:
+                if len(slot) == 1:
+                    slot.append(eigendecompose(build_hamiltonian(spec.config)))
+            _, cell_summary = run_scenario(spec, decomposition=slot[1])
         except RUN_FAILURES as exc:  # keep the other cells running
             return entry | _cell_error(exc)
-        finally:
-            with locks[spec.config]:
-                left[spec.config] -= 1
-                if not left[spec.config]:
-                    made.pop(spec.config, None)
         return entry | {"status": "ok", "summary": cell_summary}
 
     entries, faults = [None] * len(cells), {}

@@ -775,7 +775,9 @@ class TestSweepSharesDecompositions:
         # Each good coupling once; the failing one in each of its cells.
         assert len(calls) == 2 + 3
 
-    def test_each_decomposition_released_after_its_last_cell(self, monkeypatch):
+    def test_each_decomposition_released_after_its_last_cell(
+        self, monkeypatch, ratios=("0.25", "1", "4"), decompositions=3, expected=(1,) * 6
+    ):
         refs, alive = [], []
         real_decompose, real_run = pipeline.eigendecompose, pipeline.run_scenario
 
@@ -790,13 +792,20 @@ class TestSweepSharesDecompositions:
 
         monkeypatch.setattr(pipeline, "eigendecompose", decompose)
         monkeypatch.setattr(pipeline, "run_scenario", run)
-        sweep(small_spec(), ["0.25", "1", "4"], ["cat", "me"], jobs=1)
-        assert len(refs) == 3
-        assert alive == [1] * 6
+        sweep(small_spec(), list(ratios), ["cat", "me"], jobs=1)
+        assert len(refs) == decompositions
+        assert alive == list(expected)
         assert all(ref() is None for ref in refs)
 
+    def test_decomposition_of_non_adjacent_cells_released_after_the_last(self, monkeypatch):
+        # 2/N = 0.25 at N = 8: cells 0, 1, 4 and 5 share one decomposition,
+        # which outlives the one of cells 2 and 3.
+        self.test_each_decomposition_released_after_its_last_cell(
+            monkeypatch, ("0.25", "1", "2/N"), 2, (1, 1, 2, 2, 1, 1)
+        )
+
     def test_stress_more_threads_than_cores(self, monkeypatch):
-        # Cells of one coupling race for its decomposition and its count.
+        # Cells of one coupling race for its slot's decomposition.
         calls = _spy_decompositions(monkeypatch)
         ratios = ["0.25", "2/N", "1", "4", "8/N"]  # 2/N = 0.25, 8/N = 1 at N = 8
         initials = [f"fock:{8 - n},{n}" for n in range(9)] + ["cat", "me"]
@@ -1496,10 +1505,13 @@ class TestByteFormat:
         # steps but not here.
         self.test_read_memory_is_bounded_by_the_columns(tmp_path, "json", steps=200_000)
 
-    def test_write_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch):
+    def test_write_memory_does_not_grow_with_steps(
+        self, tmp_path, monkeypatch, fmt="json", per_step=7 * 8
+    ):
         # tracemalloc sees the text, the float objects and numpy's buffers.
-        # Writing ten times the steps may add the seven output columns and a
-        # few chunks of rendered rows (about 64 bytes per value), no more.
+        # Writing ten times the steps may add `per_step` bytes a step (here
+        # the seven output columns) and a few chunks of rendered rows (about
+        # 64 bytes per value), no more.
         real = pipeline.write_output
         peaks = []
 
@@ -1514,7 +1526,11 @@ class TestByteFormat:
         monkeypatch.setattr(pipeline, "write_output", traced)
         short, long = 4_000, 40_000
         for steps in (short, short, long):  # the first run warms caches
-            run_scenario(small_spec(tmp_path, fmt="json", steps=steps))
+            run_scenario(small_spec(tmp_path, fmt=fmt, steps=steps))
         growth = peaks[2] - peaks[1]
         chunk = files.ROW_CHUNK * 7 * 64
-        assert growth <= 7 * 8 * (long - short) + 3 * chunk
+        assert growth <= per_step * (long - short) + 3 * chunk
+
+    def test_csv_write_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch):
+        # CSV rows are stacked a chunk at a time, never for the whole series.
+        self.test_write_memory_does_not_grow_with_steps(tmp_path, monkeypatch, "csv", 0)

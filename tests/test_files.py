@@ -53,7 +53,7 @@ def expected(values) -> bytes:
 
 
 def render(work, values) -> bytes:
-    return renderer(work)(np.asarray(values, dtype=np.float64)[:, None])
+    return renderer(work)(np.asarray(values, dtype=np.float64))
 
 
 def finite(bits) -> np.ndarray:
@@ -106,7 +106,7 @@ class TestScientific:
         values = np.concatenate([finite(rng.integers(0, 2**64, 693, dtype=np.uint64)), POWERS])
         rows = values[: len(values) // 7 * 7].reshape(-1, 7)
         lines = [",".join(f"{v:.11e}" for v in row) + "\n" for row in rows]
-        assert scientific(rows) == "".join(lines).encode()
+        assert scientific(*rows.T) == "".join(lines).encode()
         assert sent(CSV_WIDTH) == rows.size
 
 

@@ -288,6 +288,20 @@ class TestComputeSeries:
         with pytest.raises(ZeroNormError, match="^state has zero norm$"):
             compute_series(blocks, np.arange(5.0), h)
 
+    @pytest.mark.parametrize("case", ["NaN coefficient", "norm overflows"])
+    def test_non_finite_norm_refused(self, case):
+        # Squared, a NaN stays NaN and 1e200 overflows to inf: either would
+        # come out as NaN or inf columns with no error.
+        h = build_hamiltonian(CouplingConfig(3, k=1.0, e_j=1.0))
+        t = np.linspace(0.0, 1.0, 3)
+        if case == "NaN coefficient":
+            blocks = [np.ones((4, 3), complex)]
+            blocks[0][2, 1] = np.nan
+        else:
+            blocks = evolve_series(eigendecompose(h), StateVector([1e200, 0, 0, 0]), t)
+        with pytest.raises(ValueError, match="^state norm is not finite"):
+            compute_series(blocks, t, h)
+
     def test_memory_holds_the_columns_and_one_block(self):
         # Beside one block's buffers, which a grid of two blocks already
         # holds, a longer grid adds only its six output rows: no temporary
