@@ -17,7 +17,9 @@ which _python alone does; the renderers hold only tables, so threads share
 them. A series or envelope value that is not finite is refused before any
 file is opened. The reader streams too, READ_CHUNK bytes of text at a time,
 and decodes each JSON column after the first straight into an array of the
-first's length.
+first's length; json decodes a column a piece at a time, and one scan of a
+piece's bytes for the letters of true, false and null, not a pass over its
+values, tells that every value is a number.
 """
 
 from __future__ import annotations
@@ -492,6 +494,12 @@ def _read_column(column: str, f, buf: bytearray, decode, out: np.ndarray | None)
     any string, list or object (which alone could hold a ","; one is refused
     where it starts). The first piece's text is decoded as "[" + text + "]",
     a later one's as "[0," + text + "]", its 0 dropped, so a blank one fails.
+
+    A decoded piece is checked by one scan of its own bytes, not of each
+    value: with strings, lists and objects refused and parse_int=float, json
+    can return only floats (NaN and Infinity too), True, False and None, and
+    true, false and null are the only tokens with a "u" or an "l" (a number
+    is digits and "+-.eE"). So a piece with neither letter is all floats.
     """
     if not buf.startswith(b"["):
         raise ValueError(f"{column} is not a list of numbers")
@@ -508,15 +516,17 @@ def _read_column(column: str, f, buf: bytearray, decode, out: np.ndarray | None)
         # A blank first piece keeps its "," to fail as the whole list would; a
         # list the file ends inside is left open, which fails to decode too.
         end = cut + (not last and skip == 0 and not buf[:cut].strip())
-        text = head + str(buf[:end] + b"]" if cut >= 0 else buf, "utf-8")
         try:
-            piece = decode(text)[skip:]
+            piece = decode(head + str(buf[:end] + b"]" if cut >= 0 else buf, "utf-8"))[skip:]
+        except UnicodeDecodeError as exc:
+            at = f.tell() - len(buf) + exc.start
+            raise ValueError(f"{column} is not valid UTF-8 at byte {at}") from exc
         except json.JSONDecodeError as exc:
             at = f.tell() - len(buf) + exc.pos - len(head)
             raise ValueError(f"{column} is not valid JSON: {exc.msg} at byte {at}") from exc
-        if not piece or not set(map(type, piece)) <= {float}:
+        if not piece or buf.find(b"u", 0, end) >= 0 or buf.find(b"l", 0, end) >= 0:
             raise ValueError(f"{column} is not a list of numbers")
-        if not np.isfinite(piece := np.array(piece)).all():
+        if not np.isfinite(piece := np.array(piece, np.float64)).all():
             raise ValueError(f"{column} holds a non-finite value")
         if out is None:
             pieces.append(piece)

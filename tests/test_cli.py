@@ -228,6 +228,19 @@ def _with_series(change):
     ) + "\n"
 
 
+def _with_entry(entry: str, where: float):
+    """A layout: the payload as indent=2 JSON with the imbalance entry at
+    `where` (0 first, 0.5 in the middle, 1 last) written as the text `entry`."""
+
+    def layout(payload):
+        column = list(payload["series"]["imbalance"])
+        column[round(where * (len(column) - 1))] = "<entry>"
+        text = _with_series(lambda s: dict(s, imbalance=column))(payload)
+        return text.replace('"<entry>"', entry)
+
+    return layout
+
+
 class TestRunScenario:
     def test_csv_shape_and_format(self, tmp_path):
         spec = small_spec(tmp_path)
@@ -255,6 +268,13 @@ class TestRunScenario:
         back = read_series(spec.out)
         for name in back.COLUMNS:
             np.testing.assert_array_equal(getattr(back, name), getattr(series, name))
+        # A number the writer never writes, but json reads as a float, reads
+        # back as one: 1E+2 holds no "u" or "l", the letters of the literals.
+        hand = tmp_path / "hand.json"
+        hand.write_text(_with_entry("1E+2", 0.5)(json.loads(spec.out.read_text())))
+        imbalance = series.imbalance.copy()
+        imbalance[round(0.5 * (imbalance.size - 1))] = 100.0
+        _assert_reads_back(hand, dataclasses.replace(series, imbalance=imbalance), _READ_CHUNKS)
 
     @pytest.mark.parametrize(
         "layout,message",
@@ -281,22 +301,29 @@ class TestRunScenario:
                 "bad.json: the series has more than its columns or is not the last member",
                 id="duplicate-series",
             ),
+            # Each bad entry first, in the middle and last in its column: at
+            # chunks of 1 and 7 bytes the last two are in a later piece.
             *(
                 pytest.param(
-                    _with_series(lambda s, v=value: dict(s, imbalance=[v] + s["imbalance"][1:])),
+                    _with_entry(entry, where),
                     f"bad.json: series column imbalance {fault}",
-                    id=f"{name}-entry",
+                    id=f"{name}-entry{place}",
                 )
-                for name, value, fault in [
-                    ("null", None, "is not a list of numbers"),
-                    ("string", "1.5", "is not a list of numbers"),
-                    ("comma-string", "1,5", "is not a list of numbers"),
-                    ("boolean", True, "is not a list of numbers"),
-                    ("nan", math.nan, "holds a non-finite value"),
-                    ("infinity", math.inf, "holds a non-finite value"),
-                    ("list", [1.0], "is not a list of numbers"),
-                    ("pair", [1.0, 2.0], "is not a list of numbers"),
+                for name, entry, fault in [
+                    ("null", "null", "is not a list of numbers"),
+                    ("string", '"1.5"', "is not a list of numbers"),
+                    ("comma-string", '"1,5"', "is not a list of numbers"),
+                    ("boolean", "true", "is not a list of numbers"),
+                    ("false", "false", "is not a list of numbers"),
+                    ("nan", "NaN", "holds a non-finite value"),
+                    ("infinity", "Infinity", "holds a non-finite value"),
+                    ("negative-infinity", "-Infinity", "holds a non-finite value"),
+                    ("list", "[1.0]", "is not a list of numbers"),
+                    ("pair", "[1.0, 2.0]", "is not a list of numbers"),
+                    # A lone surrogate is written as the byte 0xff.
+                    ("non-utf-8", "\udcff", r"is not valid UTF-8 at byte \d+$"),
                 ]
+                for place, where in [("", 0), ("-middle", 0.5), ("-last", 1)]
             ),
             pytest.param(
                 _with_series(lambda s: dict(s, imbalance=[])),
@@ -367,13 +394,16 @@ class TestRunScenario:
         spec = small_spec(tmp_path, fmt="json")
         run_scenario(spec)
         bad = tmp_path / "bad.json"
-        bad.write_text(layout(json.loads(spec.out.read_text())))
+        text = layout(json.loads(spec.out.read_text())).encode("utf-8", "surrogateescape")
+        bad.write_bytes(text)
         # At 1-byte chunks every bad entry of two or more bytes straddles a
         # chunk boundary; 7 and 64 cut the file at other offsets.
         for chunk in (files.READ_CHUNK, *_READ_CHUNKS):
             monkeypatch.setattr(files, "READ_CHUNK", chunk)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=message) as refused:
                 read_series(bad)
+            if "UTF-8" in message:  # the offset named is the bad byte's in the file
+                assert str(refused.value).endswith(f" at byte {text.index(0xFF)}")
 
     @pytest.mark.filterwarnings("ignore:loadtxt")
     @pytest.mark.parametrize(
