@@ -435,11 +435,15 @@ def read_series(path) -> ObservableSeries:
         # them once instead of growing its array a quarter at a time.
         lines = sum(chunk.count(b"\n") for chunk in iter(lambda: f.read(READ_CHUNK), b""))
         f.seek(len(head))
-        data = np.loadtxt(f, delimiter=",", ndmin=2, max_rows=lines + 1)
+        width = len(ObservableSeries.COLUMNS)
+        refusal = f"{path}: the CSV body does not hold rows of {width} finite values"
+        try:
+            data = np.loadtxt(f, delimiter=",", ndmin=2, max_rows=lines + 1)
+        except ValueError as exc:  # a value that is no number, a row of another width
+            raise ValueError(refusal) from exc
     # min and max reduce without a temporary the size of the body; NaN propagates.
-    width = len(ObservableSeries.COLUMNS)
     if data.shape[1] != width or not np.isfinite([data.min(), data.max()]).all():
-        raise ValueError(f"{path}: the CSV body does not hold rows of {width} finite values")
+        raise ValueError(refusal)
     return ObservableSeries(*data.T)
 
 

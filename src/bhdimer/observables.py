@@ -170,17 +170,20 @@ def compute_series(blocks, t_grid, h: TridiagonalHamiltonian) -> ObservableSerie
     weights = np.stack([np.ones(rows), basis.paired if basis.sector else d, d**2, diagonal])
     scratch = None
     start = 0
-    for block in blocks:
-        c = np.ascontiguousarray(block, dtype=complex).view(np.float64)
-        if c.shape[0] != rows:
-            raise ValueError("state dimension does not match Hamiltonian")
-        n = c.shape[1] // 2
-        if start + n > t.size:
-            raise ValueError("t_grid and states must have equal length")
-        if scratch is None or 2 * n * rows > scratch.size:
-            scratch = np.empty(2 * n * rows)
-        _block_columns(c, offdiagonal, weights, sums[:, start : start + n], scratch)
-        start += n
+    # An overflowing state gives inf and NaN sums, which _finish refuses as a
+    # norm that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            c = np.ascontiguousarray(block, dtype=complex).view(np.float64)
+            if c.shape[0] != rows:
+                raise ValueError("state dimension does not match Hamiltonian")
+            n = c.shape[1] // 2
+            if start + n > t.size:
+                raise ValueError("t_grid and states must have equal length")
+            if scratch is None or 2 * n * rows > scratch.size:
+                scratch = np.empty(2 * n * rows)
+            _block_columns(c, offdiagonal, weights, sums[:, start : start + n], scratch)
+            start += n
     if start != t.size:
         raise ValueError("t_grid and states must have equal length")
     columns = _finish(sums, h.n_total, basis.sector is not None)

@@ -78,6 +78,8 @@ class ScenarioSpec:
         parse_state(self.initial, self.config.n_total)
         if self.out is not None:
             object.__setattr__(self, "out", Path(self.out))
+            if self.out.suffix[1:] in FORMATS and self.out.suffix[1:] != self.fmt:
+                raise ValueError(f"out {self.out} ends in {self.out.suffix}, not .{self.fmt}")
 
 
 def _json_value(x):
@@ -234,12 +236,13 @@ def sweep(base: ScenarioSpec, ratio_tokens, initials, out_dir=None, jobs: int = 
     calling thread; one whose coupling or initial state is a ValueError is
     recorded with status "error" and never runs, as is one whose run raises
     one of RUN_FAILURES. Any other exception is a program fault. The cells
-    run on the calling thread and jobs - 1 more threads, with BLAS on one
-    thread while there are two or more (lapack.one_blas_thread), so any
-    jobs >= 2 writes the files of jobs = 1 at one BLAS thread; jobs = 1
-    leaves BLAS unpinned, and more BLAS threads may change its files. A
-    fault stops new cells from starting; once the running ones end, the
-    fault of the earliest cell in sweep order propagates. The cells of one
+    that run do so on the calling thread and up to jobs - 1 more threads,
+    never more threads in all than such cells, with BLAS on one thread
+    while there are two or more (lapack.one_blas_thread), so any jobs >= 2
+    writes the files of jobs = 1 at one BLAS thread; jobs = 1 leaves BLAS
+    unpinned, and more BLAS threads may change its files. A fault stops
+    new cells from starting; once the running ones end, the fault of the
+    earliest cell in sweep order propagates. The cells of one
     coupling share one decomposition, made by the first of them to run,
     freed after the last.
 
@@ -254,59 +257,53 @@ def sweep(base: ScenarioSpec, ratio_tokens, initials, out_dir=None, jobs: int = 
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def cell_spec(ratio_token, initial):
-        # The cell's spec, or the ValueError that makes it an error cell.
+    # Each cell's entry, and the cells that run: one whose coupling or
+    # initial state is a ValueError is complete here and never runs. Each run
+    # holds its coupling's slot: a lock, then the decomposition the first of
+    # its runs makes. A run drops its hold as it starts, so the decomposition
+    # goes with the last run that held it.
+    entries, runs, slots = [], [], {}
+    for ratio_token, initial in cells:
+        entry = {"ratio": str(ratio_token), "initial": initial}
         out = None if out_dir is None else out_dir / _cell_file(ratio_token, initial, base.fmt)
         try:
             k, e_j = realize_ratio(parse_ratio(ratio_token, base.config.n_total))
             config = replace(base.config, k=k, e_j=e_j)
-            return replace(base, config=config, initial=initial, out=out)
+            spec = replace(base, config=config, initial=initial, out=out)
         except ValueError as exc:
-            return exc
-
-    specs = [cell_spec(*cell) for cell in cells]
-    # Each runnable cell holds its coupling's slot: a lock, then the
-    # decomposition the first of its cells to run makes. A cell drops its hold
-    # as it starts, so the decomposition goes with the last cell that held it.
-    slots = {spec.config: [threading.Lock()] for spec in specs if isinstance(spec, ScenarioSpec)}
-    holds = [slots[spec.config] if isinstance(spec, ScenarioSpec) else None for spec in specs]
+            entries.append(entry | _cell_error(exc))
+            continue
+        runs.append((len(entries), spec, slots.setdefault(config, [threading.Lock()])))
+        file = {} if out is None else {"file": out.name}
+        entries.append(entry | {"ratio_value": config.ratio} | file)
     del slots
 
-    def run_cell(i):
-        (ratio_token, initial), spec = cells[i], specs[i]
-        entry = {"ratio": str(ratio_token), "initial": initial}
-        if not isinstance(spec, ScenarioSpec):
-            return entry | _cell_error(spec)
-        entry["ratio_value"] = spec.config.ratio
-        if spec.out is not None:
-            entry["file"] = spec.out.name
-        slot, holds[i] = holds[i], None
+    def run_cell(j):
+        (i, spec, slot), runs[j] = runs[j], None
         try:
             with slot[0]:
                 if len(slot) == 1:
                     slot.append(eigendecompose(build_hamiltonian(spec.config)))
-            _, cell_summary = run_scenario(spec, decomposition=slot[1])
+            entries[i] |= {"status": "ok", "summary": run_scenario(spec, decomposition=slot[1])[1]}
         except RUN_FAILURES as exc:  # keep the other cells running
-            return entry | _cell_error(exc)
-        return entry | {"status": "ok", "summary": cell_summary}
+            entries[i] |= _cell_error(exc)
 
-    entries, faults = [None] * len(cells), {}
-    claim, order = threading.Lock(), iter(range(len(cells)))
+    faults, claim, order = {}, threading.Lock(), iter(range(len(runs)))
 
     def work():
-        # The next cell in sweep order, until none is left or one has faulted.
+        # The next run in sweep order, until none is left or one has faulted.
         while True:
             with claim:
-                i = None if faults else next(order, None)
-            if i is None:
+                j = None if faults else next(order, None)
+            if j is None:
                 return
             try:
-                entries[i] = run_cell(i)
+                run_cell(j)
             except BaseException as exc:  # raised on the calling thread below
                 with claim:
-                    faults[i] = exc
+                    faults[j] = exc
 
-    workers = [threading.Thread(target=work) for _ in range(min(jobs, len(cells)) - 1)]
+    workers = [threading.Thread(target=work) for _ in range(min(jobs, len(runs)) - 1)]
     # One parallelism layer at a time: BLAS runs on one thread while cell
     # threads run, so no gemm's sums depend on what another cell is doing.
     with lapack.one_blas_thread() if workers else nullcontext():

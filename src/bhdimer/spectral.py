@@ -339,8 +339,11 @@ class GridPropagator:
             x = basis.fold(c)
             # Two real products: numpy would otherwise copy v to complex.
             a.append(v.T @ x.real + 1j * (v.T @ x.imag))
-        # At least one component stays; a zero state fails in the observables.
-        kept, self.dropped_weight = _lightest(np.concatenate([x.real**2 + x.imag**2 for x in a]))
+        # At least one component stays; a zero state fails in the observables,
+        # and so does one whose squared weights overflow.
+        with np.errstate(over="ignore"):
+            weight = np.concatenate([x.real**2 + x.imag**2 for x in a])
+        kept, self.dropped_weight = _lightest(weight)
         self.kept_components = int(kept.sum())
 
         # Each block's kept eigenpairs, ascending, and their overlaps.
@@ -365,7 +368,8 @@ class GridPropagator:
         n_top, pairs = v_top.shape[1], v_odd.shape[0]
         bound = np.abs(v_top) @ np.abs(self._a[:n_top])
         bound[:pairs] += np.abs(v_odd) @ np.abs(self._a[n_top:])
-        weight = bound**2
+        with np.errstate(over="ignore"):  # as above
+            weight = bound**2
         weight[:pairs] *= 2.0  # a split pair is two Fock rows
         keep, self.dropped_row_weight = _lightest(weight)
         top = np.flatnonzero(keep)

@@ -180,6 +180,16 @@ class TestScenarioSpec:
         run_scenario(spec)
         assert '"t_max": 30.0' in spec.out.read_text()
 
+    @pytest.mark.parametrize("fmt,name", [("csv", "run.json"), ("json", "run.csv")])
+    def test_out_suffix_of_the_other_format_rejected(self, tmp_path, fmt, name):
+        # A CSV series in run.json, or JSON in run.csv, would be mistaken for
+        # the other format; any other suffix, or none, is the caller's choice.
+        message = rf"^out {re.escape(str(tmp_path / name))} ends in \.\w+, not \.{fmt}$"
+        with pytest.raises(ValueError, match=message):
+            small_spec(fmt=fmt, out=tmp_path / name)
+        for other in ("run", "run.txt", f"run.{fmt}"):
+            assert small_spec(fmt=fmt, out=tmp_path / other).out == tmp_path / other
+
     def test_initial_must_match_n(self):
         with pytest.raises(ValueError):
             small_spec(initial="fock:9,0")
@@ -411,13 +421,20 @@ class TestRunScenario:
         [
             "1.0\n" * 14, ",".join(["1.0"] * 14) + "\n", "",
             "nan,inf,1,2,3,4,5\n", "1,2,3,4,5,6,7\n1,2,3,4,5,6,-inf\n", "1,2,3,NaN,5,6,7\n",
+            "1,2,3,x,5,6,7\n", "1,2,3,4,5,6,7\n1,2,3,4,5,6\n",
         ],
-        ids=["one-per-line", "fourteen-per-line", "header-only", "nan-inf", "late-inf", "nan"],
+        ids=[
+            "one-per-line", "fourteen-per-line", "header-only", "nan-inf", "late-inf", "nan",
+            "not-a-number", "six-value-row",
+        ],
     )
     def test_csv_read_back_requires_seven_columns(self, tmp_path, body):
+        # numpy's own refusals (a value that is no number, a row whose width
+        # changes) come out as the reader's, which names the file.
         bad = tmp_path / "bad.csv"
         bad.write_text(CSV_HEADER + "\n" + body)
-        with pytest.raises(ValueError, match="bad.csv"):
+        message = f"{bad}: the CSV body does not hold rows of 7 finite values"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_series(bad)
 
     @pytest.mark.parametrize(
@@ -663,6 +680,24 @@ class TestSweep:
         assert [c["status"] for c in summary["cells"]] == ["error", "error", "ok", "ok"]
         assert all("must be finite" in c["error"] for c in summary["cells"][:2])
 
+    def test_error_cells_alone_start_no_thread(self, monkeypatch):
+        # No cell runs, so no worker is started for one to run on.
+        made, real = [], threading.Thread
+
+        def thread(*args, **kwargs):
+            made.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.threading, "Thread", thread)
+        initials = ["cat", "me", "fock:8,0"]
+        summary = sweep(small_spec(), ["bad"], initials, jobs=4)
+        assert made == []
+        error = "ValueError: cannot parse ratio token 'bad'"
+        assert summary["cells"] == [
+            {"ratio": "bad", "initial": initial, "status": "error", "error": error}
+            for initial in initials
+        ]
+
     def test_one_job_runs_every_cell_on_the_calling_thread(self, monkeypatch):
         seen, real = [], pipeline.run_scenario
 
@@ -878,6 +913,17 @@ class TestMain:
         rc = main(["--n", "10", "--ratio", "1", "--initial", "fock:3,3"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_out_suffix_of_the_other_format_is_a_usage_error(self, tmp_path, capsys):
+        # Without --format the series is CSV: it does not go into run.json,
+        # and no run.summary.json sidecar is made beside it.
+        out = tmp_path / "run.json"
+        argv = ["--n", "10", "--ratio", "1", "--steps", "700", "--window", "21"]
+        rc = main([*argv, "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert rc == 2 and stdout == ""
+        assert err == f"error: out {out} ends in .json, not .csv\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_couplings_are_a_usage_error(self, tmp_path, capsys):
         argv = ["--n", "1000", "--k", "1e308", "--ej", "1", "--steps", "200"]
