@@ -9,17 +9,18 @@ long lists (CSV rows, the JSON series columns and the envelope's "t" and
 "amplitude") are streamed from their columns ROW_CHUNK rows at a time, each
 chunk stacked (CSV) and rendered in numpy: a CSV value by _Scientific, a
 JSON value by _Shortest as the bytes of repr(float(v)), which json writes. A
-value fills a fixed-size slot, with a 0 byte for each absent character, and
-_squeeze deletes the 0 bytes of the chunk; a JSON slot has the exponent's
-word only in a chunk that has a value in scientific notation. Each renderer
-hands the few values it cannot settle exactly to Python's own formatting,
-which _python alone does; the renderers hold only tables, so threads share
-them. A series or envelope value that is not finite is refused before any
-file is opened. The reader streams too, READ_CHUNK bytes of text at a time,
-and decodes each JSON column after the first straight into an array of the
-first's length; json decodes a column a piece at a time, and one scan of a
-piece's bytes for the letters of true, false and null, not a pass over its
-values, tells that every value is a number.
+CSV value fills a fixed-size slot with a 0 byte for each absent character,
+a JSON value's text fills three 8-byte words from their first byte with 0
+bytes after it, and _squeeze deletes the 0 bytes of the chunk. A JSON chunk
+renders each of its distinct values once. Each renderer hands the few
+values it cannot settle exactly to Python's own formatting, which _python
+alone does; the renderers hold only tables, so threads share them. A series
+or envelope value that is not finite is refused before any file is opened.
+The reader streams too, READ_CHUNK bytes of text at a time, and decodes each
+JSON column after the first straight into an array of the first's length;
+json decodes a column a piece at a time, and one scan of a piece's bytes for
+the letters of true, false and null, not a pass over its values, tells that
+every value is a number.
 """
 
 from __future__ import annotations
@@ -175,34 +176,33 @@ class _Scientific:
         return _squeeze(text)
 
 
-# One JSON value as _WORDS little-endian 8-byte words: the head (sign, "0."
-# and zeros for a fixed-notation exponent below 0, first digit) and the other
-# 16 digits in 4 groups, one of which may hold the point; then, only in a
-# chunk that has a value in scientific notation, the exponent. repr's longest
-# text, 24 bytes, fits the _WORDS words.
-_WORDS = 5
+# One JSON value as _WORDS little-endian 8-byte words that hold its text
+# from the first byte on, 0 bytes after it: repr's longest text, 24 bytes
+# ("-1.2345678901234567e-310"), fills them.
+_WORDS = 3
 _POW5 = 5 ** np.arange(28, dtype=np.int64)  # the powers of five below 2**63
+_DIGITS = 17  # the most significant digits repr writes
 
 
-@functools.cache
-def _group_words() -> np.ndarray:
-    """The words of 0000 to 9999 in 11 forms of 10000 words: as they are (0),
-    without trailing zeros (1), with a point before digit q (2 + q), the same
-    without the trailing zeros after the point but one (6 + q), and with a
-    point in front, no trailing zeros and no bare point (10, scientific)."""
-    i = np.arange(10000)
-    plain = _four_digits().astype(np.uint64)
-    last = 3 - (i % 10 == 0) - (i % 100 == 0) - (i % 1000 == 0) - (i == 0)  # nonzero digit
-    keep = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], np.uint64)  # first 0 to 4 bytes
+def _exact(at: np.ndarray, bits: np.ndarray, k: np.ndarray, band: float):
+    """For the values at `at`: where |v| * 10**k can be compared exactly with
+    a number within 1.5 band of it, and p + 1, 4M and 5**k as uint64. With
+    |v| = M * 2**E, |v| * 10**k is 4M * 5**k / 2**(p + 2) for p = -(E + k);
+    the comparison takes band < 1/3, 0 <= k < 28 (5**k below 2**63) and p
+    from -1 to 62."""
+    bits, k = bits[at], k[at]
+    shift = (1076 - (bits >> 52) - k).view(np.uint64)
+    four_m = ((bits & (1 << 52) - 1 | 1 << 52) << 2).view(np.uint64)
+    exact = (k.view(np.uint64) < _POW5.size) & (shift < 64) & (band < 1 / 3)
+    return exact, shift, four_m, _POW5.take(k, mode="clip").view(np.uint64)
 
-    def point(w, q):
-        low = np.uint64((1 << 8 * q) - 1)
-        return (w & low) | (w & ~low) << np.uint64(8) | np.uint64(ord(".") << 8 * q)
 
-    bare = plain & keep[last + 1]
-    forms = [plain, bare] + [point(plain, q) for q in range(4)]
-    forms += [point(plain & keep[np.maximum(last, q) + 1], q) for q in range(4)]
-    return np.concatenate(forms + [np.where(i == 0, 0, point(bare, 0))])
+def _sign(twice: np.ndarray, shift: np.ndarray, numerator: np.ndarray, five: np.ndarray):
+    """The sign of twice / 2 - numerator * five / 2**(shift + 1), from that
+    difference times 2**(shift + 1) in uint64 arithmetic, which wraps: it is
+    exact where the difference is under 1/2 in size, as under 2**63 then."""
+    difference = (twice.view(np.uint64) << shift) - numerator * five
+    return np.sign(difference.view(np.int64))
 
 
 class _Shortest:
@@ -215,55 +215,117 @@ class _Shortest:
     multiple of the highest power of ten in that interval nearest to |v|.
     The scaled values are off by at most 1e17 * eps of `work`, plus float64
     rounding of the small offsets, so the multiples are sought in the
-    interval widened by `band` (twice that), and Python formats each value
-    whose result could move within `band`: a near-tie, a chosen multiple
-    outside the interval narrowed by `band`, or a k that does not settle.
-    A near-tie at 17 digits is instead settled exactly in integers where
-    0 <= k < 28 and band < 1/3; only an exact tie goes on to Python. The
-    bytes are thus exact for any `work`.
+    interval widened by `band` (twice that). Each value whose result could
+    move within `band`, a near-tie or a chosen multiple near an end of the
+    interval, is settled exactly in integers where 0 <= k < 28 and band <
+    1/3, and every value the packed path cannot settle goes to _python's
+    repr: an exact tie, a multiple on or outside an end, any other near-tie
+    or multiple near an end, and a k that does not settle. The bytes are
+    thus exact for any `work`.
+
+    A value's text fills its _WORDS words from the first byte: the sign (or
+    a 0 byte), 18 digit places at bytes 1 to 18 and 4 more at bytes 19 to
+    22. The places hold the multiple's 17 digits with a 0 put in where the
+    point goes, after the digits before it (fixed notation from exponent 0,
+    and scientific) or after the leading 0 of "0.00..." (fixed notation
+    below exponent 0, whose last |e| digits go to the 4 more places). That 0
+    becomes the point, scientific notation puts its exponent at bytes 19 to
+    23, and the places after the last significant digit, and after the one
+    digit that fixed notation keeps past its point, stay 0 bytes.
     """
 
     def __init__(self, work=np.longdouble):
         self.powers = _powers(work)
         self.band = 2e17 * float(np.finfo(work).eps)
-        self.groups = _group_words()
+        # A group of four places as the word of its digit values (0 to 9) at
+        # bytes 3 to 6, its first at byte 7 and its last three at bytes 0 to 2.
+        digits = (_four_digits() ^ np.uint32(0x30303030)).astype(np.uint64)
+        self.groups = [digits << np.uint64(24), digits << np.uint64(56), digits >> np.uint64(8)]
+        heads = (sign + chr(i // 10) + chr(i % 10) for sign in "\0-" for i in range(100))
+        self.heads = _table((head.ljust(8, "\0") for head in heads), "<u8")  # bytes 0 to 2
         e = np.arange(_EXPONENTS.start, _EXPONENTS.stop)
         fixed = (e >= -4) & (e <= 15)
-        heads = (
-            (sign + ("0." + "0" * (z - 1) if z else "") + str(d)).ljust(8, "\0")
-            for z in range(5) for sign in ("", "-") for d in range(10)
-        )
-        self.heads = _table(heads, "<u8").reshape(5, 20)[np.where(fixed, -e, 0).clip(0)].ravel()
-        exps = ("" if f else f"e{x:+03d}" for x, f in zip(e.tolist(), fixed))
-        self.exps = _table((x.ljust(8, "\0") for x in exps), "<u8")
-        # The point stands before digit p: 0 (nowhere, the head holds "0."), 1
-        # to 16 (fixed notation) or 17 (scientific: before digit 1, and gone
-        # with a bare zero tail). Group g holds digits 4g + 1 to 4g + 4; its
-        # form follows from p and from whether all digits after it are zero.
-        self.points = 2 * np.where(fixed, np.maximum(e + 1, 0), 17)
-        g, p, zeros_after = np.ogrid[:4, :18, :2]
-        q = np.where(p == 17, 1, p) - 4 * g - 1  # the point's place in the group
-        strip = zeros_after & (q < 4)
-        form = np.where((p > 0) & (q >= 0) & (q < 4), 2 + q + 4 * strip, strip)
-        self.forms = 10000 * np.where((p == 17) & (q == 0) & strip, 10, form).reshape(4, 36)
+        below = fixed & (e < 0)
+        # The 18 places are t * scale + u * keep, for t and u the digits of the
+        # multiple before and from a cut. From exponent 0 the cut is 10**(16 -
+        # e) in fixed notation and 10**16 in scientific, with scale = 10 * cut
+        # and keep = 1: a 0 after t. Below exponent 0 it is 10**|e|, with scale
+        # = 1 and keep = 0: |e| + 1 leading 0 places, and u * more (10**(4 -
+        # |e|)) in the 4 more places.
+        cut = 10 ** np.where(below, -e, np.where(fixed, 16 - e, 16)).astype(np.int64)
+        more = below * 10 ** np.where(below, 4 + e, 0)
+        self.splits = np.column_stack([cut, np.where(below, 1, 10 * cut), ~below, more])
+        # The characters by exponent and j, for a multiple of 10**j but not of
+        # 10**(j + 1) (n = 17 - j significant digits, 1 for 10**17 at j = 17):
+        # four words (the fourth 0) that the digit values are ORed into, "0"
+        # in the places up to the last one kept (byte `last`), the point in
+        # its place and in scientific notation the exponent at byte 19.
+        e, n = e[:, None], np.maximum(_DIGITS - np.arange(_DIGITS + 1), 1)
+        fixed = fixed[:, None]
+        last = np.where(fixed, np.where(e < 0, n + 1 - e, np.maximum(n + 1, e + 3)), n + (n > 1))
+        point = np.where(fixed & (e >= 0), e + 2, 2)
+        dot = np.uint64(ord("0") ^ ord(".")) << (8 * (point % 8)).astype(np.uint64)
+        dot = (point <= last) * dot
+        zeros = np.array([0x3030303030303030 >> 8 * (8 - i) for i in range(9)], np.uint64)
+        chars = np.zeros(last.shape + (_WORDS + 1,), np.uint64)
+        for i in range(_WORDS):
+            chars[..., i] = zeros[np.clip(last + 1 - 8 * i, 0, 8)] ^ (point // 8 == i) * dot
+        chars[..., 0] &= ~np.uint64(0xFF)  # the sign's byte
+        exps = ("" if f else f"\0\0\0e{x:+03d}" for x, f in zip(e.ravel().tolist(), fixed.ravel()))
+        chars[..., 2] |= _table((x.ljust(8, "\0") for x in exps), "<u8")[:, None]
+        self.chars = chars.reshape(-1, _WORDS + 1)
 
     def __call__(self, rows: np.ndarray, lead: np.ndarray = np.empty(0, "<u8")) -> np.ndarray:
-        """A row of words per value of `rows`: the words of `lead`, the
-        value's _WORDS words, and its exponent's if any value of `rows` is in
-        scientific notation."""
+        """A row of words per value of `rows`: the words of `lead`, then the
+        value's _WORDS words."""
         v = rows.ravel()
+        d, e, j, slow = self._select(v)
+        cut, scale, keep, more = np.take(self.splits, e, axis=0).T
+        t = d // cut
+        u = d - t * cut
+        places = t * scale + u * keep
+        first = places // 10**16  # places 1 and 2; then four groups of four
+        places -= first * 10**16
+        halves = np.empty((2, v.size), np.int64)
+        np.floor_divide(places, 10**8, out=halves[0])
+        np.subtract(places, halves[0] * 10**8, out=halves[1])
+        g0, g2 = tops = halves // 10000
+        g1, g3 = halves - 10000 * tops
+        at3, at7, to2 = self.groups
+        chars = np.take(self.chars, (_DIGITS + 1) * e + j, axis=0)
+        words = np.empty((v.size, lead.size + _WORDS), "<u8")
+        words[:, : lead.size] = lead
+        word = np.take(self.heads, first + 100 * np.signbit(v))
+        word |= np.take(at3, g0)
+        word |= np.take(at7, g1)
+        np.bitwise_or(word, chars[:, 0], out=words[:, lead.size])
+        word = np.take(to2, g1)
+        word |= np.take(at3, g2)
+        word |= np.take(at7, g3)
+        np.bitwise_or(word, chars[:, 1], out=words[:, lead.size + 1])
+        word = np.take(to2, g3)
+        word |= np.take(at3, u * more)  # the 4 more places
+        np.bitwise_or(word, chars[:, 2], out=words[:, lead.size + 2])
+        words[slow, lead.size :] = _python(v[slow], repr, 8 * _WORDS).view("<u8")
+        return words
+
+    def _select(self, v: np.ndarray):
+        """For each of `v`: repr's multiple d of 10**j in |v| * 10**k, the row
+        e of its decimal exponent, and j; and the indices of the values left
+        to Python, given d = 0 and j = 16 in the row of exponent 0, as a zero
+        is ("0.0")."""
         zero = v == 0  # scaled as 1.0, then given the digits of 0
-        a, k, s, m, frac, slow = _scaled(v, self.powers, 17)
+        a, k, s, m, frac, slow = _scaled(v, self.powers, _DIGITS)
         band = self.band
         with np.errstate(over="ignore", invalid="ignore"):
-            half = 0.5 * s.astype(np.float64)
+            half = 0.5 * s.astype(np.float64) / a  # a gap times it is half the scaled gap
             bits = a.view(np.int64)
             # The ends of the rounding interval, less m.
-            low = frac - (a - (bits - 1).view(np.float64)) / a * half
-            high = frac + ((bits + 1).view(np.float64) - a) / a * half
+            low = frac - (a - (bits - 1).view(np.float64)) * half
+            high = frac + ((bits + 1).view(np.float64) - a) * half
             slow |= zero | ~np.isfinite(high)
             x = m + np.floor(low - band).astype(np.int64)
-            y = m + np.floor(high + band).astype(np.int64)
+            y = m + (high + band).astype(np.int64)  # high > 0: truncation is floor
         width = np.where(slow, 0, y - x)
         # j, the largest with a multiple of 10**j in (x, y]: the levels above
         # 2 are tested only where level 2 holds.
@@ -281,42 +343,34 @@ class _Shortest:
         twice = (2 * (m - q * step) - step).astype(np.float64) + 2 * frac  # 2 (s - midpoint)
         d = (q + (twice > 0)) * step  # the nearest multiple
         near = abs(twice) <= 2 * band
-        # A near-tie at 17 digits (j = 0) with 0 <= k < 28 is settled exactly.
-        # While band < 1/3 its exact |v| * 10**k lies within 1.5 band of
-        # m + 1/2, so d is m or m + 1. With |v| = M * 2**E, that is X / 2**p
-        # for X = M * 5**k (under 2**116) and p = -(E + k), from 1 to 62: d is
-        # m + 1 where the low p bits of X exceed 2**(p - 1), which the int64
-        # product keeps though it wraps. An exact tie is left to Python.
-        tie = near & ~slow & (j == 0) & (k >= 0) & (k < _POW5.size)
-        tie = np.flatnonzero(tie & (band < 1 / 3))
-        p = 1075 - (bits[tie] >> 52) - k[tie]
-        tail = (bits[tie] & (1 << 52) - 1 | 1 << 52) * _POW5[k[tie]] & (1 << p) - 1
-        midway = 1 << p - 1
-        d[tie], near[tie] = m[tie] + (tail > midway), tail == midway
+        # A near-tie: d is the multiple above the midpoint c = (2q + 1) step / 2
+        # where |v| * 10**k exceeds c. An exact tie is left to Python.
+        tie = np.flatnonzero(near)
+        exact, shift, four_m, five = _exact(tie, bits, k, band)
+        side = _sign((2 * q[tie] + 1) * step[tie], shift, four_m, five)  # of c - |v| * 10**k
+        d[tie], near[tie] = (q[tie] + (side < 0)) * step[tie], ~exact | (side == 0)
+        # A multiple near an end of the interval is kept where it lies strictly
+        # inside each end it is near, or else left to Python. The ends are (4M
+        # -+ 2) * 5**k / 2**(p + 2), the lower (4M - 1) * 5**k / 2**(p + 2) for
+        # a power of two with a smaller double below.
         off = (d - m).astype(np.float64)
-        slow |= near | (off - low <= band) | (high - off < band)
+        ends = (off - low <= band) | (high - off < band)
+        end = np.flatnonzero(ends)
+        end = end[~(slow[end] | near[end])]
+        slow |= near | ends
+        exact, shift, four_m, five = _exact(end, bits, k, band)
+        doubled, lower = 2 * d[end], four_m - 2 + ((four_m == 1 << 54) & (bits[end] >> 52 > 1))
+        slow[end] = ~exact | (
+            (off[end] - low[end] <= band) & (_sign(doubled, shift, lower, five) <= 0)
+            | (high[end] - off[end] < band) & (_sign(doubled, shift, four_m + 2, five) >= 0)
+        )
+        # d / 10**j is no multiple of 10 where it is not slow, or j would be
+        # higher: j tells the number of significant digits.
         carry = d == 10**17  # rounded up to the next power of ten
         d[carry] = 10**16
         e = 16 - k + carry - _EXPONENTS.start  # the row of the decimal exponent
-        d[slow], e[slow] = 0, -_EXPONENTS.start
-        first = d // 10**16
-        rest = d - first * 10**16
-        exps = self.exps[e]
-        words = np.empty((v.size, lead.size + _WORDS + exps.any()), "<u8")
-        words[:, : lead.size] = lead
-        words[:, lead.size] = self.heads[20 * e + 10 * np.signbit(v) + first]
-        words[:, lead.size + _WORDS :] = exps[:, None]  # no column if all are fixed
-        point = self.points[e]
-        zeros_after = np.ones(v.size, np.intp)
-        for g in range(3, -1, -1):
-            q = rest // 10000
-            group = rest - 10000 * q
-            words[:, lead.size + g + 1] = self.groups[self.forms[g][point + zeros_after] + group]
-            zeros_after &= group == 0
-            rest = q
-        slow &= ~zero
-        words[slow, lead.size : lead.size + _WORDS] = _python(v[slow], repr, 8 * _WORDS).view("<u8")
-        return words
+        d[slow], e[slow], j[slow] = 0, -_EXPONENTS.start, _DIGITS - 1
+        return d, e, j, np.flatnonzero(slow & ~zero)
 
 
 # The long-double CSV and JSON value renderers, their tables built on first use.
@@ -325,15 +379,19 @@ _json_renderer = functools.cache(_Shortest)
 
 
 def _render_list(separator: np.ndarray, values: np.ndarray) -> bytes:
-    """`values` as list items, each led by the words of `separator`. Each run
-    of equal values is rendered once, equal by their bits, so that 0.0 and
-    -0.0 differ, and its words are copied to the rest of the run."""
-    bits = values.view(np.int64)
-    starts = np.concatenate(([True], bits[1:] != bits[:-1]))
-    firsts = np.flatnonzero(starts)
-    text = _json_renderer()(values[firsts], separator)
-    if firsts.size < values.size:
-        text = text[np.cumsum(starts) - 1]
+    """`values` as list items, each led by the words of `separator`. Each
+    distinct value is rendered once, distinct by its bits so that 0.0 and
+    -0.0 differ: the sorted bits give the distinct values, and a search
+    among them gives each item's words. Where none repeats, the values are
+    rendered in place."""
+    bits = np.sort(values.view(np.int64))
+    firsts = np.concatenate(([True], bits[1:] != bits[:-1]))
+    if firsts.all():
+        text = _json_renderer()(values, separator)
+    else:
+        distinct = bits[firsts]
+        text = _json_renderer()(distinct.view(np.float64), separator)
+        text = np.take(text, np.searchsorted(distinct, values.view(np.int64)), axis=0)
     return _squeeze(text.view(np.uint8))
 
 
@@ -431,12 +489,18 @@ def read_series(path) -> ObservableSeries:
             return _read_json_series(path, f, head)
         if head != (CSV_HEADER + "\n").encode():
             raise ValueError(f"{path} does not carry the expected CSV header")
-        # Given at least as many rows as the body holds, loadtxt allocates
-        # them once instead of growing its array a quarter at a time.
-        lines = sum(chunk.count(b"\n") for chunk in iter(lambda: f.read(READ_CHUNK), b""))
-        f.seek(len(head))
         width = len(ObservableSeries.COLUMNS)
         refusal = f"{path}: the CSV body does not hold rows of {width} finite values"
+        # Given at least as many rows as the body holds, loadtxt allocates
+        # them once instead of growing its array a quarter at a time. A body
+        # of white space only is refused here, before loadtxt warns of it.
+        lines, blank = 0, True
+        for chunk in iter(lambda: f.read(READ_CHUNK), b""):
+            lines += chunk.count(b"\n")
+            blank = blank and chunk.isspace()
+        if blank:
+            raise ValueError(refusal)
+        f.seek(len(head))
         try:
             data = np.loadtxt(f, delimiter=",", ndmin=2, max_rows=lines + 1)
         except ValueError as exc:  # a value that is no number, a row of another width

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -415,27 +416,38 @@ class TestRunScenario:
             if "UTF-8" in message:  # the offset named is the bad byte's in the file
                 assert str(refused.value).endswith(f" at byte {text.index(0xFF)}")
 
-    @pytest.mark.filterwarnings("ignore:loadtxt")
     @pytest.mark.parametrize(
         "body",
         [
-            "1.0\n" * 14, ",".join(["1.0"] * 14) + "\n", "",
+            "1.0\n" * 14, ",".join(["1.0"] * 14) + "\n", "", " \t ", "\n\n", "\n  \n",
             "nan,inf,1,2,3,4,5\n", "1,2,3,4,5,6,7\n1,2,3,4,5,6,-inf\n", "1,2,3,NaN,5,6,7\n",
             "1,2,3,x,5,6,7\n", "1,2,3,4,5,6,7\n1,2,3,4,5,6\n",
         ],
         ids=[
-            "one-per-line", "fourteen-per-line", "header-only", "nan-inf", "late-inf", "nan",
-            "not-a-number", "six-value-row",
+            "one-per-line", "fourteen-per-line", "header-only", "white-space-only", "blank-lines",
+            "blank-lines-with-spaces", "nan-inf", "late-inf", "nan", "not-a-number",
+            "six-value-row",
         ],
     )
     def test_csv_read_back_requires_seven_columns(self, tmp_path, body):
         # numpy's own refusals (a value that is no number, a row whose width
-        # changes) come out as the reader's, which names the file.
+        # changes) come out as the reader's, which names the file, and a
+        # body with no data row is refused before numpy can warn of it.
         bad = tmp_path / "bad.csv"
         bad.write_text(CSV_HEADER + "\n" + body)
         message = f"{bad}: the CSV body does not hold rows of 7 finite values"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            read_series(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read_series(bad)
+
+    def test_csv_read_back_of_one_row_without_a_final_newline(self, tmp_path):
+        one = tmp_path / "one.csv"
+        one.write_text(CSV_HEADER + "\n" + ",".join(["1.5"] * 7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = read_series(one)
+        assert [getattr(series, name).tolist() for name in series.COLUMNS] == [[1.5]] * 7
 
     @pytest.mark.parametrize(
         "header",
@@ -596,7 +608,7 @@ class TestSweep:
     def test_parallel_matches_serial_json(self, tmp_path, monkeypatch):
         # Four threads build the JSON renderer and its tables anew on first
         # use, then share them.
-        for name in ("_json_renderer", "_group_words", "_powers", "_four_digits"):
+        for name in ("_json_renderer", "_powers", "_four_digits"):
             monkeypatch.setattr(files, name, functools.cache(getattr(files, name).__wrapped__))
         base = small_spec(fmt="json")
         parallel = sweep(base, ["0.25", "1"], ["cat", "me"], out_dir=tmp_path / "p", jobs=4)

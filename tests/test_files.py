@@ -260,8 +260,10 @@ def test_fallback_count_kept_across_threads(sent):
 
 
 def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys, sent):
-    # A JSON run at N=100: 17-digit near-ties go to Python, about 1-2% of
-    # the series and envelope values; far more means the fast path broke.
+    # A JSON run at N=100: exact ties, and multiples near an end of the
+    # rounding interval whose search level falls by one, go to Python, about
+    # 0.2% of the series and envelope values; far more means the fast path
+    # broke.
     out = tmp_path / "s.json"
     argv = ["--preset", "fig-selftrap", "--n", "100", "--steps", "4000", "--format", "json"]
     assert main([*argv, "--out", str(out)]) == 0
@@ -270,13 +272,67 @@ def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys, sent):
     envelope = written["summary"]["collapse_revival"]["envelope"]
     values = sum(len(column) for column in [*written["series"].values(), *envelope.values()])
     assert len(envelope["t"]) > 0
-    assert sent(JSON_WIDTH) <= 0.03 * values
+    assert sent(JSON_WIDTH) <= 0.005 * values
+
+
+def test_multiples_near_an_interval_end_are_settled_without_python(sent):
+    # repr's multiple d of 10**j lies within band inside an end of the
+    # rounding interval of |v| * 10**k, and no multiple of 10**(j + 1) lies
+    # within 2 band of the interval (which the widened search would pick
+    # instead): settled exactly in numpy. With v = M * 2**E, the ends times
+    # 2**(2 - E) are (4M -+ 2) * 10**k, or (4M - 1) * 10**k below a power of
+    # two.
+    renderer = files._Shortest()
+    band = Fraction(renderer.band)
+    rng = np.random.default_rng(31)
+    near = []
+    for v in rng.uniform(1.0, 1000.0, 100_000).tolist():
+        k = 16 - math.floor(math.log10(v))
+        mantissa, exponent = math.frexp(v)
+        m, scale = int(mantissa * 2**53), 2 ** (55 - exponent)
+        text = repr(v)
+        d = int(text.replace(".", "")) * 10 ** (k - len(text) + text.index(".") + 1)
+        ends = ((4 * m - 1 - (m != 2**52)) * 10**k, (4 * m + 2) * 10**k)
+        gaps = (d * scale - ends[0], ends[1] - d * scale)
+        if not 0 < min(gaps) <= band * scale:
+            continue
+        j = next(j for j in range(17, -1, -1) if d % 10**j == 0)
+        wide, low, high = 10 ** (j + 1), Fraction(ends[0], scale), Fraction(ends[1], scale)
+        if (high + 2 * band) // wide * wide <= low - 2 * band:
+            near.append(v)
+    assert renderer.band < 1 / 3 and len(near) > 100
+    text = renderer(np.array(near)).view(np.uint8).reshape(len(near), -1)
+    assert sent(JSON_WIDTH) == 0
+    assert [bytes(row).replace(b"\0", b"") for row in text] == [repr(v).encode() for v in near]
+
+
+def test_a_band_near_one_third_is_settled_exactly(sent):
+    # A band of 0.3, still under the 1/3 that exact settling takes, flags
+    # far more near-ties and multiples near an end than the long double's
+    # does: those settled in integers must still give repr's bytes. Where
+    # 0 <= k < 28, most flagged values are settled so.
+    renderer = files._Shortest()
+    renderer.band = 0.3
+    rng = np.random.default_rng(37)
+    uniform = rng.uniform(1e-3, 1e3, 50_000)
+    others = np.concatenate(
+        [finite(rng.integers(0, 2**64, 50_000, dtype=np.uint64)), 2.0 ** np.arange(-60, 60)]
+    )
+    for values in (uniform, others):
+        text = renderer(values[:, None]).view(np.uint8).reshape(len(values), -1)
+        assert [bytes(row).replace(b"\0", b"") for row in text] == [
+            repr(v).encode() for v in values.tolist()
+        ]
+        if values is uniform:
+            assert sent(JSON_WIDTH) < 0.05 * values.size
 
 
 def test_runs_of_equal_values_across_chunks(tmp_path, monkeypatch, sent):
-    # Runs of equal bits cross the 7 * ROW_CHUNK chunk boundaries of a
-    # streamed list: 0.0 and -0.0 stay apart, the smallest subnormal repeats,
-    # and a value the renderer hands to Python opens and closes the list.
+    # Equal bits recur within and across the 7 * ROW_CHUNK chunks of a
+    # streamed list, in runs and apart: 0.0 and -0.0 stay apart, in a run
+    # and alternating, the smallest subnormal repeats, two values alternate
+    # across a chunk boundary, and a value the renderer hands to Python
+    # opens and closes the list and recurs mid-chunk.
     chunk = 7 * files.ROW_CHUNK
     slow = 0.10490011715303971
     renderer = files._json_renderer()
@@ -284,6 +340,9 @@ def test_runs_of_equal_values_across_chunks(tmp_path, monkeypatch, sent):
     assert sent(JSON_WIDTH) > 0
     column = np.arange(2 * chunk + 6) * 0.25
     column[:3] = slow
+    column[100:140] = np.where(np.arange(40) % 2, 0.0, -0.0)
+    column[500:4000:700] = slow
+    column[chunk - 30 : chunk + 30] = np.where(np.arange(60) % 2, 1.5, -2.75)
     column[chunk - 2 : chunk + 2] = [0.0, -0.0, -0.0, 0.0]
     column[2 * chunk - 3 : 2 * chunk + 3] = 5e-324
     column[2 * chunk + 3 :] = slow
@@ -307,20 +366,19 @@ def test_runs_of_equal_values_across_chunks(tmp_path, monkeypatch, sent):
         "series": columns,
     }
     assert out.read_text() == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
-    # Each chunk renders the first value of each of its runs, and no other.
-    runs = 0
+    # Each chunk renders each of its distinct bit patterns once, no more.
+    distinct = 0
     for values in [*columns.values(), *lists.values()]:
         for start in range(0, values.size, chunk):
-            bits = values[start : start + chunk].view(np.int64)
-            runs += 1 + np.count_nonzero(bits[1:] != bits[:-1])
-    assert sum(rendered) == runs < 9 * column.size
+            distinct += np.unique(values[start : start + chunk].view(np.int64)).size
+    assert sum(rendered) == distinct < 9 * column.size
 
 
 def test_chunks_with_and_without_the_exponent_word(tmp_path):
-    # A chunk of a streamed list has the exponent word only if one of its
-    # values is in scientific notation. Chunks: all fixed notation, one
-    # scientific value first, one last, and only zeros of either sign. The
-    # envelope's items are led by a two-word separator, the series' by one.
+    # A value takes _WORDS words in every chunk of a streamed list, whatever
+    # its notation. Chunks: all fixed notation, one scientific value first,
+    # one last, and only zeros of either sign. The envelope's items are led
+    # by a two-word separator, the series' by one.
     chunk = 7 * files.ROW_CHUNK
     column = np.linspace(1.0, 2.0, 4 * chunk)
     column[chunk] = 1e-7
@@ -340,4 +398,4 @@ def test_chunks_with_and_without_the_exponent_word(tmp_path):
     assert out.read_text() == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
     renderer = files._json_renderer()
     widths = [renderer(column[i : i + chunk]).shape[1] for i in range(0, column.size, chunk)]
-    assert widths == [files._WORDS, files._WORDS + 1, files._WORDS + 1, files._WORDS]
+    assert widths == [files._WORDS] * 4
