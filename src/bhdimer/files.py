@@ -17,10 +17,12 @@ values it cannot settle exactly to Python's own formatting, which _python
 alone does; the renderers hold only tables, so threads share them. A series
 or envelope value that is not finite is refused before any file is opened.
 The reader streams too, READ_CHUNK bytes of text at a time, and decodes each
-JSON column after the first straight into an array of the first's length;
-json decodes a column a piece at a time, and one scan of a piece's bytes for
-the letters of true, false and null, not a pass over its values, tells that
-every value is a number.
+JSON column after the first straight into an array of the first's length.
+orjson, imported on the first JSON read, decodes a column a piece at a time
+from its bytes; a piece it refuses or could read otherwise than json (the
+token -0) goes to json, which thus names each refusal. One scan of a piece's
+bytes for the letters of true, false and null, not a pass over its values,
+tells that every value is a number.
 """
 
 from __future__ import annotations
@@ -534,7 +536,6 @@ def _read_json_series(path, f, buf: bytearray) -> ObservableSeries:
     del buf[: at + len(_SERIES_MEMBER)]
     if _fill(f, buf, 1) and buf[0] == ord("["):
         raise ValueError(f"{path} is in the pre-columnar row layout: its series is a list of rows")
-    decode = json.JSONDecoder(parse_int=float).decode
     columns = {}
     for i, name in enumerate(ObservableSeries.COLUMNS):
         key = (("," if i else "{") + f'\n    "{name}": ').encode()
@@ -543,7 +544,7 @@ def _read_json_series(path, f, buf: bytearray) -> ObservableSeries:
             raise ValueError(f"{path}: the series does not hold column {name} where written")
         del buf[: len(key)]
         out = np.empty(columns["t"].size) if columns else None
-        columns[name] = _read_column(f"{path}: series column {name}", f, buf, decode, out)
+        columns[name] = _read_column(f"{path}: series column {name}", f, buf, out)
         if columns[name] is None:
             raise ValueError(f"{path}: the series columns differ in length")
     _fill(f, buf, len(_SERIES_END) + 1)
@@ -552,7 +553,7 @@ def _read_json_series(path, f, buf: bytearray) -> ObservableSeries:
     return ObservableSeries(**columns)
 
 
-def _read_column(column: str, f, buf: bytearray, decode, out: np.ndarray | None):
+def _read_column(column: str, f, buf: bytearray, out: np.ndarray | None):
     """Decode the list at the head of `buf`, reading on from `f`, into `out`
     if given, else into one array joined from its pieces; leave in `buf` what
     follows the list. None if the list is not `out`'s length, as soon as a
@@ -563,15 +564,24 @@ def _read_column(column: str, f, buf: bytearray, decode, out: np.ndarray | None)
     where it starts). The first piece's text is decoded as "[" + text + "]",
     a later one's as "[0," + text + "]", its 0 dropped, so a blank one fails.
 
+    orjson decodes each piece's bytes. A piece it refuses (NaN, Infinity, a
+    number beyond the doubles, bad UTF-8, any syntax error) goes to json, as
+    does one where its values could differ from json's with parse_int=float:
+    orjson reads the token -0 as the integer 0, so a piece holding a zero is
+    scanned for that token (_minus_zero). json thus gives every refusal its
+    message and byte offset, and every value read is float(token).
+
     A decoded piece is checked by one scan of its own bytes, not of each
-    value: with strings, lists and objects refused and parse_int=float, json
-    can return only floats (NaN and Infinity too), True, False and None, and
+    value: with strings, lists and objects refused, both decoders can return
+    only numbers (json's NaN and Infinity too), True, False and None, and
     true, false and null are the only tokens with a "u" or an "l" (a number
-    is digits and "+-.eE"). So a piece with neither letter is all floats.
+    is digits and "+-.eE"). So a piece with neither letter is all numbers.
     """
+    import orjson  # here, so that a run that reads no JSON never loads it
+
     if not buf.startswith(b"["):
         raise ValueError(f"{column} is not a list of numbers")
-    pieces, head, skip, size = [], "[", 0, 0
+    pieces, head, skip, size = [], b"[", 0, 0
     del buf[:1]
     while True:
         stop = min((i for c in b'"[]{' if (i := buf.find(c)) >= 0), default=len(buf))
@@ -584,17 +594,16 @@ def _read_column(column: str, f, buf: bytearray, decode, out: np.ndarray | None)
         # A blank first piece keeps its "," to fail as the whole list would; a
         # list the file ends inside is left open, which fails to decode too.
         end = cut + (not last and skip == 0 and not buf[:cut].strip())
+        text = head + buf[:end] + b"]" if cut >= 0 else head + buf
         try:
-            piece = decode(head + str(buf[:end] + b"]" if cut >= 0 else buf, "utf-8"))[skip:]
-        except UnicodeDecodeError as exc:
-            at = f.tell() - len(buf) + exc.start
-            raise ValueError(f"{column} is not valid UTF-8 at byte {at}") from exc
-        except json.JSONDecodeError as exc:
-            at = f.tell() - len(buf) + exc.pos - len(head)
-            raise ValueError(f"{column} is not valid JSON: {exc.msg} at byte {at}") from exc
-        if not piece or buf.find(b"u", 0, end) >= 0 or buf.find(b"l", 0, end) >= 0:
+            piece = np.array(orjson.loads(text), np.float64)[skip:]
+        except orjson.JSONDecodeError:
+            piece = None
+        if piece is None or (piece == 0).any() and _minus_zero(text):
+            piece = _json_decode(column, text, f.tell() - len(buf) - len(head))[skip:]
+        if not piece.size or buf.find(b"u", 0, end) >= 0 or buf.find(b"l", 0, end) >= 0:
             raise ValueError(f"{column} is not a list of numbers")
-        if not np.isfinite(piece := np.array(piece, np.float64)).all():
+        if not np.isfinite(piece).all():
             raise ValueError(f"{column} holds a non-finite value")
         if out is None:
             pieces.append(piece)
@@ -606,7 +615,33 @@ def _read_column(column: str, f, buf: bytearray, decode, out: np.ndarray | None)
         del buf[: cut + 1]
         if last:
             break
-        head, skip = "[0,", 1
+        head, skip = b"[0,", 1
     if out is None:
         return np.concatenate(pieces)
     return out if size == out.size else None
+
+
+# The bytes that may follow a number in a list: "," "]" and JSON's white space.
+_AFTER_NUMBER = np.zeros(256, bool)
+_AFTER_NUMBER[list(b",] \t\n\r")] = True
+
+
+def _minus_zero(text: bytes) -> bool:
+    """Whether the valid JSON `text` may hold the token -0: a "-0" followed
+    by a byte that ends a number (an exponent's "-0" too, as in 1e-0)."""
+    chars = np.frombuffer(text, np.uint8)
+    signs = np.flatnonzero(chars == ord("-"))  # never among the last two bytes
+    zeros = signs[chars[signs + 1] == ord("0")]
+    return bool(_AFTER_NUMBER[chars[zeros + 2]].any())
+
+
+def _json_decode(column: str, text: bytes, start: int) -> np.ndarray:
+    """json's decode of the list `text`, integers as floats, whose byte i is
+    byte start + i of the file; a refusal names the file's byte."""
+    try:
+        return np.array(json.JSONDecoder(parse_int=float).decode(str(text, "utf-8")), np.float64)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{column} is not valid UTF-8 at byte {start + exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        at = start + exc.pos
+        raise ValueError(f"{column} is not valid JSON: {exc.msg} at byte {at}") from exc

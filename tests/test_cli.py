@@ -11,6 +11,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -239,15 +240,37 @@ def _with_series(change):
     ) + "\n"
 
 
+def _halfway(x: float, more: str = "") -> str:
+    """The exact decimal halfway between the double x > 0 and the next one up,
+    as digits and a power of ten; with the digits `more` appended, just above."""
+    half = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    k = half.denominator.bit_length() - 1  # a power of two
+    return f"{half.numerator * 5**k}{more}e-{k + len(more)}"
+
+
+def _with_entries(entries: dict):
+    """A layout: the payload as indent=2 JSON with each imbalance entry at an
+    index of `entries` written as the text it maps to."""
+
+    def layout(payload):
+        column = list(payload["series"]["imbalance"])
+        for i in entries:
+            column[i] = f"<entry {i}>"
+        text = _with_series(lambda s: dict(s, imbalance=column))(payload)
+        for i, entry in entries.items():
+            text = text.replace(f'"<entry {i}>"', entry)
+        return text
+
+    return layout
+
+
 def _with_entry(entry: str, where: float):
     """A layout: the payload as indent=2 JSON with the imbalance entry at
     `where` (0 first, 0.5 in the middle, 1 last) written as the text `entry`."""
 
     def layout(payload):
-        column = list(payload["series"]["imbalance"])
-        column[round(where * (len(column) - 1))] = "<entry>"
-        text = _with_series(lambda s: dict(s, imbalance=column))(payload)
-        return text.replace('"<entry>"', entry)
+        size = len(payload["series"]["imbalance"])
+        return _with_entries({round(where * (size - 1)): entry})(payload)
 
     return layout
 
@@ -279,12 +302,30 @@ class TestRunScenario:
         back = read_series(spec.out)
         for name in back.COLUMNS:
             np.testing.assert_array_equal(getattr(back, name), getattr(series, name))
-        # A number the writer never writes, but json reads as a float, reads
-        # back as one: 1E+2 holds no "u" or "l", the letters of the literals.
-        hand = tmp_path / "hand.json"
-        hand.write_text(_with_entry("1E+2", 0.5)(json.loads(spec.out.read_text())))
+        # Numbers the writer never writes read back as float(token), bit for
+        # bit: 1E+2 holds no "u" or "l", the letters of the literals; -0 is
+        # -0.0, where orjson alone would give the integer 0; the smallest
+        # subnormal, the smallest normal and the largest double; decimals
+        # exactly halfway between two doubles and just above; 19 significant
+        # digits; integers past 2**53 and 2**64; and the exponent -0 that
+        # _minus_zero also stops at.
+        doubles = (1.0, 0.1, 1e300, 5e-324, 2.0**-1022, 2.0**60)
+        halfway = [_halfway(x) for x in doubles]
+        tokens = [
+            "-0", "5e-324", "2.2250738585072009e-308", "1.7976931348623157e308", "-0.0", "0",
+            *halfway, *(f"-{token}" for token in halfway), *(_halfway(x, "1") for x in doubles),
+            "1234567890123456789", "-9.999999999999999999e-300", "1.000000000000000111",
+            "7.205759403792793599e16", str(2**53 + 1), str(2**63 + 1), str(2**64 - 1),
+            str(2**64 + 1), str(2**64 + 2048), str(-(2**64) - 2049), "1E+2", "1e-0", "-1e-0",
+            "-0",
+        ]
+        at = np.linspace(0, series.imbalance.size - 1, len(tokens)).round().astype(int)
         imbalance = series.imbalance.copy()
-        imbalance[round(0.5 * (imbalance.size - 1))] = 100.0
+        imbalance[at] = [float(token) for token in tokens]
+        assert np.signbit(imbalance[at[[0, 4, -1]]]).all()  # the -0 and -0.0 tokens
+        hand = tmp_path / "hand.json"
+        layout = _with_entries(dict(zip(at.tolist(), tokens)))
+        hand.write_text(layout(json.loads(spec.out.read_text())))
         _assert_reads_back(hand, dataclasses.replace(series, imbalance=imbalance), _READ_CHUNKS)
 
     @pytest.mark.parametrize(
@@ -329,6 +370,7 @@ class TestRunScenario:
                     ("nan", "NaN", "holds a non-finite value"),
                     ("infinity", "Infinity", "holds a non-finite value"),
                     ("negative-infinity", "-Infinity", "holds a non-finite value"),
+                    ("overflow", "1e400", "holds a non-finite value"),
                     ("list", "[1.0]", "is not a list of numbers"),
                     ("pair", "[1.0, 2.0]", "is not a list of numbers"),
                     # A lone surrogate is written as the byte 0xff.

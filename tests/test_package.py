@@ -46,12 +46,13 @@ def test_package_exports_the_public_api():
 
 
 def test_import_leaves_out_the_executor_modules():
-    # A sweep runs its cells on plain threads; no process pays for these imports.
+    # A sweep runs its cells on plain threads; no process pays for these
+    # imports. orjson is loaded by the first JSON read, which a CLI run never makes.
     paths = [str(Path(bhdimer.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
         "import sys, bhdimer, bhdimer.cli; "
-        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        "print(sorted({'concurrent.futures', 'logging', 'orjson'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
