@@ -6,16 +6,15 @@ the spec and summary in a ".summary.json" sidecar; JSON files bundle spec,
 summary and series, the series as one list per column. Every file is exactly
 what `f"{v:.11e}"` rows and `json.dumps(..., indent=2)` would give, but the
 long lists (CSV rows, the JSON series columns and the envelope's "t" and
-"amplitude") are streamed from their columns ROW_CHUNK rows at a time, each
-chunk stacked (CSV) and rendered in numpy: a CSV value by _Scientific, a
-JSON value by _Shortest as the bytes of repr(float(v)), which json writes. A
-CSV value fills a fixed-size slot with a 0 byte for each absent character,
-a JSON value's text fills three 8-byte words from their first byte with 0
-bytes after it, and _squeeze deletes the 0 bytes of the chunk. A JSON chunk
-renders each of its distinct values once. Each renderer hands the few
-values it cannot settle exactly to Python's own formatting, which _python
-alone does; the renderers hold only tables, so threads share them. A series
-or envelope value that is not finite is refused before any file is opened.
+"amplitude") are streamed from their columns ROW_CHUNK rows at a time. A
+CSV chunk is rendered in numpy by _Scientific, which leaves a 0 byte for
+each absent character (_squeeze drops them) and the few values it cannot
+settle exactly to Python's own formatting, which _python alone does. A JSON
+list chunk is written by orjson, imported and checked on the first list
+written, in the digits of repr(float(v)); _repr_notation puts the few
+numbers whose notation differs into repr's, and indent=2's separator joins
+the items. Threads share both writers. A series or envelope value that is
+not finite is refused before any file is opened.
 The reader streams too, READ_CHUNK bytes of text at a time, and decodes each
 JSON column after the first straight into an array of the first's length.
 orjson, imported on the first JSON read, decodes a column a piece at a time
@@ -60,8 +59,7 @@ class NonFiniteOutputError(ValueError):
 
 # Rendered text stands a 0 byte for each absent character; _squeeze drops them.
 _EXPONENTS = range(-324, 309)  # decimal exponents of the finite doubles
-_SCALES = range(-300, 344)  # 16 or 11 minus an exponent, with up to 3 corrections
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_SCALES = range(-300, 339)  # 11 minus an exponent, with up to 3 corrections
 
 
 def _table(texts, dtype) -> np.ndarray:
@@ -178,223 +176,76 @@ class _Scientific:
         return _squeeze(text)
 
 
-# One JSON value as _WORDS little-endian 8-byte words that hold its text
-# from the first byte on, 0 bytes after it: repr's longest text, 24 bytes
-# ("-1.2345678901234567e-310"), fills them.
-_WORDS = 3
-_POW5 = 5 ** np.arange(28, dtype=np.int64)  # the powers of five below 2**63
-_DIGITS = 17  # the most significant digits repr writes
-
-
-def _exact(at: np.ndarray, bits: np.ndarray, k: np.ndarray, band: float):
-    """For the values at `at`: where |v| * 10**k can be compared exactly with
-    a number within 1.5 band of it, and p + 1, 4M and 5**k as uint64. With
-    |v| = M * 2**E, |v| * 10**k is 4M * 5**k / 2**(p + 2) for p = -(E + k);
-    the comparison takes band < 1/3, 0 <= k < 28 (5**k below 2**63) and p
-    from -1 to 62."""
-    bits, k = bits[at], k[at]
-    shift = (1076 - (bits >> 52) - k).view(np.uint64)
-    four_m = ((bits & (1 << 52) - 1 | 1 << 52) << 2).view(np.uint64)
-    exact = (k.view(np.uint64) < _POW5.size) & (shift < 64) & (band < 1 / 3)
-    return exact, shift, four_m, _POW5.take(k, mode="clip").view(np.uint64)
-
-
-def _sign(twice: np.ndarray, shift: np.ndarray, numerator: np.ndarray, five: np.ndarray):
-    """The sign of twice / 2 - numerator * five / 2**(shift + 1), from that
-    difference times 2**(shift + 1) in uint64 arithmetic, which wraps: it is
-    exact where the difference is under 1/2 in size, as under 2**63 then."""
-    difference = (twice.view(np.uint64) << shift) - numerator * five
-    return np.sign(difference.view(np.int64))
-
-
-class _Shortest:
-    """Doubles as the bytes of repr(float(v)): the fewest digits that read
-    back as v, in fixed notation for a decimal exponent from -4 to 15 and in
-    scientific notation (at least two exponent digits) otherwise.
-
-    |v| is scaled into [1e16, 1e17) as in _Scientific, and so is its rounding
-    interval (half the gap to each neighbouring double). repr picks the
-    multiple of the highest power of ten in that interval nearest to |v|.
-    The scaled values are off by at most 1e17 * eps of `work`, plus float64
-    rounding of the small offsets, so the multiples are sought in the
-    interval widened by `band` (twice that). Each value whose result could
-    move within `band`, a near-tie or a chosen multiple near an end of the
-    interval, is settled exactly in integers where 0 <= k < 28 and band <
-    1/3, and every value the packed path cannot settle goes to _python's
-    repr: an exact tie, a multiple on or outside an end, any other near-tie
-    or multiple near an end, and a k that does not settle. The bytes are
-    thus exact for any `work`.
-
-    A value's text fills its _WORDS words from the first byte: the sign (or
-    a 0 byte), 18 digit places at bytes 1 to 18 and 4 more at bytes 19 to
-    22. The places hold the multiple's 17 digits with a 0 put in where the
-    point goes, after the digits before it (fixed notation from exponent 0,
-    and scientific) or after the leading 0 of "0.00..." (fixed notation
-    below exponent 0, whose last |e| digits go to the 4 more places). That 0
-    becomes the point, scientific notation puts its exponent at bytes 19 to
-    23, and the places after the last significant digit, and after the one
-    digit that fixed notation keeps past its point, stay 0 bytes.
-    """
-
-    def __init__(self, work=np.longdouble):
-        self.powers = _powers(work)
-        self.band = 2e17 * float(np.finfo(work).eps)
-        # A group of four places as the word of its digit values (0 to 9) at
-        # bytes 3 to 6, its first at byte 7 and its last three at bytes 0 to 2.
-        digits = (_four_digits() ^ np.uint32(0x30303030)).astype(np.uint64)
-        self.groups = [digits << np.uint64(24), digits << np.uint64(56), digits >> np.uint64(8)]
-        heads = (sign + chr(i // 10) + chr(i % 10) for sign in "\0-" for i in range(100))
-        self.heads = _table((head.ljust(8, "\0") for head in heads), "<u8")  # bytes 0 to 2
-        e = np.arange(_EXPONENTS.start, _EXPONENTS.stop)
-        fixed = (e >= -4) & (e <= 15)
-        below = fixed & (e < 0)
-        # The 18 places are t * scale + u * keep, for t and u the digits of the
-        # multiple before and from a cut. From exponent 0 the cut is 10**(16 -
-        # e) in fixed notation and 10**16 in scientific, with scale = 10 * cut
-        # and keep = 1: a 0 after t. Below exponent 0 it is 10**|e|, with scale
-        # = 1 and keep = 0: |e| + 1 leading 0 places, and u * more (10**(4 -
-        # |e|)) in the 4 more places.
-        cut = 10 ** np.where(below, -e, np.where(fixed, 16 - e, 16)).astype(np.int64)
-        more = below * 10 ** np.where(below, 4 + e, 0)
-        self.splits = np.column_stack([cut, np.where(below, 1, 10 * cut), ~below, more])
-        # The characters by exponent and j, for a multiple of 10**j but not of
-        # 10**(j + 1) (n = 17 - j significant digits, 1 for 10**17 at j = 17):
-        # four words (the fourth 0) that the digit values are ORed into, "0"
-        # in the places up to the last one kept (byte `last`), the point in
-        # its place and in scientific notation the exponent at byte 19.
-        e, n = e[:, None], np.maximum(_DIGITS - np.arange(_DIGITS + 1), 1)
-        fixed = fixed[:, None]
-        last = np.where(fixed, np.where(e < 0, n + 1 - e, np.maximum(n + 1, e + 3)), n + (n > 1))
-        point = np.where(fixed & (e >= 0), e + 2, 2)
-        dot = np.uint64(ord("0") ^ ord(".")) << (8 * (point % 8)).astype(np.uint64)
-        dot = (point <= last) * dot
-        zeros = np.array([0x3030303030303030 >> 8 * (8 - i) for i in range(9)], np.uint64)
-        chars = np.zeros(last.shape + (_WORDS + 1,), np.uint64)
-        for i in range(_WORDS):
-            chars[..., i] = zeros[np.clip(last + 1 - 8 * i, 0, 8)] ^ (point // 8 == i) * dot
-        chars[..., 0] &= ~np.uint64(0xFF)  # the sign's byte
-        exps = ("" if f else f"\0\0\0e{x:+03d}" for x, f in zip(e.ravel().tolist(), fixed.ravel()))
-        chars[..., 2] |= _table((x.ljust(8, "\0") for x in exps), "<u8")[:, None]
-        self.chars = chars.reshape(-1, _WORDS + 1)
-
-    def __call__(self, rows: np.ndarray, lead: np.ndarray = np.empty(0, "<u8")) -> np.ndarray:
-        """A row of words per value of `rows`: the words of `lead`, then the
-        value's _WORDS words."""
-        v = rows.ravel()
-        d, e, j, slow = self._select(v)
-        cut, scale, keep, more = np.take(self.splits, e, axis=0).T
-        t = d // cut
-        u = d - t * cut
-        places = t * scale + u * keep
-        first = places // 10**16  # places 1 and 2; then four groups of four
-        places -= first * 10**16
-        halves = np.empty((2, v.size), np.int64)
-        np.floor_divide(places, 10**8, out=halves[0])
-        np.subtract(places, halves[0] * 10**8, out=halves[1])
-        g0, g2 = tops = halves // 10000
-        g1, g3 = halves - 10000 * tops
-        at3, at7, to2 = self.groups
-        chars = np.take(self.chars, (_DIGITS + 1) * e + j, axis=0)
-        words = np.empty((v.size, lead.size + _WORDS), "<u8")
-        words[:, : lead.size] = lead
-        word = np.take(self.heads, first + 100 * np.signbit(v))
-        word |= np.take(at3, g0)
-        word |= np.take(at7, g1)
-        np.bitwise_or(word, chars[:, 0], out=words[:, lead.size])
-        word = np.take(to2, g1)
-        word |= np.take(at3, g2)
-        word |= np.take(at7, g3)
-        np.bitwise_or(word, chars[:, 1], out=words[:, lead.size + 1])
-        word = np.take(to2, g3)
-        word |= np.take(at3, u * more)  # the 4 more places
-        np.bitwise_or(word, chars[:, 2], out=words[:, lead.size + 2])
-        words[slow, lead.size :] = _python(v[slow], repr, 8 * _WORDS).view("<u8")
-        return words
-
-    def _select(self, v: np.ndarray):
-        """For each of `v`: repr's multiple d of 10**j in |v| * 10**k, the row
-        e of its decimal exponent, and j; and the indices of the values left
-        to Python, given d = 0 and j = 16 in the row of exponent 0, as a zero
-        is ("0.0")."""
-        zero = v == 0  # scaled as 1.0, then given the digits of 0
-        a, k, s, m, frac, slow = _scaled(v, self.powers, _DIGITS)
-        band = self.band
-        with np.errstate(over="ignore", invalid="ignore"):
-            half = 0.5 * s.astype(np.float64) / a  # a gap times it is half the scaled gap
-            bits = a.view(np.int64)
-            # The ends of the rounding interval, less m.
-            low = frac - (a - (bits - 1).view(np.float64)) * half
-            high = frac + ((bits + 1).view(np.float64) - a) * half
-            slow |= zero | ~np.isfinite(high)
-            x = m + np.floor(low - band).astype(np.int64)
-            y = m + (high + band).astype(np.int64)  # high > 0: truncation is floor
-        width = np.where(slow, 0, y - x)
-        # j, the largest with a multiple of 10**j in (x, y]: the levels above
-        # 2 are tested only where level 2 holds.
-        j = (y - y // 10 * 10 < width).astype(np.intp)
-        deep = np.flatnonzero(y - y // 100 * 100 < width)
-        j[deep] = 2
-        deep_y, deep_width = y[deep], width[deep]
-        for p in _POW10[3:]:
-            hit = deep_y - deep_y // p * p < deep_width
-            if not hit.any():
-                break
-            j[deep] += hit
-        step = _POW10[j]
-        q = m // step
-        twice = (2 * (m - q * step) - step).astype(np.float64) + 2 * frac  # 2 (s - midpoint)
-        d = (q + (twice > 0)) * step  # the nearest multiple
-        near = abs(twice) <= 2 * band
-        # A near-tie: d is the multiple above the midpoint c = (2q + 1) step / 2
-        # where |v| * 10**k exceeds c. An exact tie is left to Python.
-        tie = np.flatnonzero(near)
-        exact, shift, four_m, five = _exact(tie, bits, k, band)
-        side = _sign((2 * q[tie] + 1) * step[tie], shift, four_m, five)  # of c - |v| * 10**k
-        d[tie], near[tie] = (q[tie] + (side < 0)) * step[tie], ~exact | (side == 0)
-        # A multiple near an end of the interval is kept where it lies strictly
-        # inside each end it is near, or else left to Python. The ends are (4M
-        # -+ 2) * 5**k / 2**(p + 2), the lower (4M - 1) * 5**k / 2**(p + 2) for
-        # a power of two with a smaller double below.
-        off = (d - m).astype(np.float64)
-        ends = (off - low <= band) | (high - off < band)
-        end = np.flatnonzero(ends)
-        end = end[~(slow[end] | near[end])]
-        slow |= near | ends
-        exact, shift, four_m, five = _exact(end, bits, k, band)
-        doubled, lower = 2 * d[end], four_m - 2 + ((four_m == 1 << 54) & (bits[end] >> 52 > 1))
-        slow[end] = ~exact | (
-            (off[end] - low[end] <= band) & (_sign(doubled, shift, lower, five) <= 0)
-            | (high[end] - off[end] < band) & (_sign(doubled, shift, four_m + 2, five) >= 0)
-        )
-        # d / 10**j is no multiple of 10 where it is not slow, or j would be
-        # higher: j tells the number of significant digits.
-        carry = d == 10**17  # rounded up to the next power of ten
-        d[carry] = 10**16
-        e = 16 - k + carry - _EXPONENTS.start  # the row of the decimal exponent
-        d[slow], e[slow], j[slow] = 0, -_EXPONENTS.start, _DIGITS - 1
-        return d, e, j, np.flatnonzero(slow & ~zero)
-
-
-# The long-double CSV and JSON value renderers, their tables built on first use.
+# The CSV value renderer, its tables built on first use.
 _csv_renderer = functools.cache(_Scientific)
-_json_renderer = functools.cache(_Shortest)
+
+_DIGIT = np.isin(np.arange(256), list(b"0123456789"))  # whether a byte is a digit
 
 
-def _render_list(separator: np.ndarray, values: np.ndarray) -> bytes:
-    """`values` as list items, each led by the words of `separator`. Each
-    distinct value is rendered once, distinct by its bits so that 0.0 and
-    -0.0 differ: the sorted bits give the distinct values, and a search
-    among them gives each item's words. Where none repeats, the values are
-    rendered in place."""
-    bits = np.sort(values.view(np.int64))
-    firsts = np.concatenate(([True], bits[1:] != bits[:-1]))
-    if firsts.all():
-        text = _json_renderer()(values, separator)
-    else:
-        distinct = bits[firsts]
-        text = _json_renderer()(distinct.view(np.float64), separator)
-        text = np.take(text, np.searchsorted(distinct, values.view(np.int64)), axis=0)
-    return _squeeze(text.view(np.uint8))
+def _repr_notation(text: bytes) -> bytes:
+    """orjson's list `text` with each number in repr's notation. orjson
+    writes repr's shortest digits, in another notation in three cases: a
+    decimal exponent of -5 ("0.0000123" for 1.23e-05), a one-digit negative
+    exponent ("1e-7" for 1e-07) and a positive one ("1e16" for 1e+16). An
+    exponent -5 number is found by its text, a "." after a lone "0" and
+    before "0000": its "0.0000" becomes 0 bytes, dropped at the end, with
+    a "." put back after its first digit (if it has more) and "e-05" after
+    its last."""
+    chars = np.frombuffer(text, np.uint8)
+    e = np.flatnonzero(chars == ord("e"))
+    minus = chars[e + 1] == ord("-")
+    short, plus = minus & ~_DIGIT[np.take(chars, e + 3, mode="clip")], ~minus
+    at, put = [e[short] + 2, e[plus] + 1], [b"0" * short.sum(), b"+" * plus.sum()]
+    dots = np.flatnonzero(chars == ord("."))
+    dots = dots[np.take(chars, dots + 4, mode="clip") == ord("0")]  # a first cut
+    # From the byte before the "0" to the byte after 17 digits.
+    window = np.take(chars, dots[:, None] + np.arange(-2, 23), mode="clip")
+    five = ~_DIGIT[window[:, 0]] & (window[:, 1:7] == np.frombuffer(b"0.0000", np.uint8)).all(1)
+    dots = dots[five]
+    if dots.size:
+        digits = np.argmin(_DIGIT[window[five, 7:]], axis=1)
+        chars = chars.copy()
+        chars[dots[:, None] + np.arange(-1, 5)] = 0
+        at += [dots[digits > 1] + 6, np.repeat(dots + 5 + digits, 4)]
+        put += [b"." * (digits > 1).sum(), b"e-05" * dots.size]
+    text = np.insert(chars, np.concatenate(at), np.frombuffer(b"".join(put), np.uint8)).tobytes()
+    return text.replace(b"\0", b"") if dots.size else text
+
+
+def _render_list(dumps, separator: bytes, values: np.ndarray) -> bytes:
+    """`values` as list items, each led by `separator`: repr's text of each,
+    from dumps, orjson's dumps of a float64 array. Only a value with a
+    decimal exponent from -9 to -5 or above 15 needs _repr_notation."""
+    values = np.ascontiguousarray(values, np.float64)
+    text = dumps(values)
+    magnitude = np.abs(values)
+    if ((magnitude >= 1e-9) & (magnitude < 1e-4) | (magnitude >= 1e16)).any():
+        text = _repr_notation(text)
+    return separator + text[1:-1].replace(b",", separator) if values.size else b""
+
+
+# A value per case of notation: zeros, fixed (exponents -4 to 15), each one
+# _repr_notation rewrites, first, inside and last, and scientific beyond.
+_CANARY = np.array([
+    -1.5e-05, 0.0, -0.0, 1.0, 0.0001, 1.2345e-4, 123456789012345.6, 1e15, 2.0**53, 1e-05,
+    -9.999999999999999e-05, 1e-06, -2.5e-07, 1.2345678901234567e-09, 1e-10, 5e-324,
+    2.2250738585072014e-308, 1e16, -1.2345678901234568e16, 1.7976931348623157e308, 3e-07,
+])
+
+
+@functools.cache
+def _list_writer():
+    """orjson's dumps of a float64 array, imported on the first list written
+    and checked then: _render_list must give repr's text of _CANARY."""
+    import orjson  # here, so that a run that writes no list never loads it
+
+    dumps = functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
+    if _render_list(dumps, b",", _CANARY) != "".join(f",{v!r}" for v in _CANARY.tolist()).encode():
+        raise RuntimeError(
+            f"orjson {orjson.__version__} writes numbers in a notation that "
+            "files._repr_notation does not turn into repr's"
+        )
+    return dumps
 
 
 def _json_parts(payload: dict, lists: dict) -> list:
@@ -409,8 +260,7 @@ def _json_parts(payload: dict, lists: dict) -> list:
         line = head[head.rfind("\n") + 1 :]
         indent = len(line) - len(line.lstrip(" "))
         separator = f",\n{' ' * (indent + 2)}".encode()
-        separator += bytes(-len(separator) % 8)
-        render = functools.partial(_render_list, np.frombuffer(separator, "<u8"))
+        render = functools.partial(_render_list, _list_writer(), separator)
         parts += [head + "[", ((values,), render, 1), "\n" + " " * indent + "]"]
     parts.append(text)
     return parts
@@ -451,7 +301,7 @@ def write_output(
     JSON file; `envelope`, the (points, 2) collapse/revival envelope or None,
     becomes the last member of summary["collapse_revival"] as the columns
     "t" and "amplitude". A non-finite value is a ValueError before anything
-    is made."""
+    is made, and so is a list writer that fails its check."""
     columns = {name: getattr(series, name) for name in ObservableSeries.COLUMNS}
     lists = {}
     if envelope is not None:
@@ -463,11 +313,12 @@ def write_output(
     payload = {"spec": spec, "summary": summary}
     if fmt == "json":
         payload["series"] = _stand_in("series", columns, lists)
+    parts = _json_parts(payload, lists)  # checks the list writer on first use
     out.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         _write_parts(out, [CSV_HEADER + "\n", (list(columns.values()), _csv_renderer(), 0)])
         out = out.with_name(out.stem + ".summary.json")
-    _write_parts(out, _json_parts(payload, lists))
+    _write_parts(out, parts)
 
 
 def read_series(path) -> ObservableSeries:

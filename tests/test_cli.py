@@ -648,10 +648,9 @@ class TestSweep:
             ).read_bytes()
 
     def test_parallel_matches_serial_json(self, tmp_path, monkeypatch):
-        # Four threads build the JSON renderer and its tables anew on first
-        # use, then share them.
-        for name in ("_json_renderer", "_powers", "_four_digits"):
-            monkeypatch.setattr(files, name, functools.cache(getattr(files, name).__wrapped__))
+        # Four threads import and check the JSON list writer anew on first
+        # use, then share it.
+        monkeypatch.setattr(files, "_list_writer", functools.cache(files._list_writer.__wrapped__))
         base = small_spec(fmt="json")
         parallel = sweep(base, ["0.25", "1"], ["cat", "me"], out_dir=tmp_path / "p", jobs=4)
         serial = sweep(base, ["0.25", "1"], ["cat", "me"], out_dir=tmp_path / "s", jobs=1)

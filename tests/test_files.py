@@ -1,5 +1,5 @@
-"""The CSV and JSON value renderers against Python's own f"{v:.11e}" and
-repr(float(v))."""
+"""The CSV value renderer and the JSON list renderer against Python's own
+f"{v:.11e}" and repr(float(v))."""
 
 import functools
 import json
@@ -23,24 +23,19 @@ WORKS = [np.longdouble, np.float64]
 LARGEST = np.finfo(np.float64).max
 POWERS = np.array([10.0**k for k in range(-323, 309)])
 
-# The widths in which the renderers have files._python format a value: a CSV
-# slot less its separator, and a JSON value's words.
-CSV_WIDTH, JSON_WIDTH = files._LAYOUT.itemsize - 1, 8 * files._WORDS
-
 
 @pytest.fixture
 def sent(monkeypatch):
-    """How many values have gone to files._python so far at a slot width:
-    CSV_WIDTH for _Scientific, JSON_WIDTH for _Shortest."""
-    sizes = {CSV_WIDTH: [], JSON_WIDTH: []}
+    """How many values _Scientific has sent to files._python so far."""
+    sizes = []
     python = files._python
 
     def counted(values, form, width):
-        sizes[width].append(values.size)  # one append per call, safe across threads
+        sizes.append(values.size)  # one append per call, safe across threads
         return python(values, form, width)
 
     monkeypatch.setattr(files, "_python", counted)
-    return lambda width: sum(sizes[width])
+    return lambda: sum(sizes)
 
 
 @functools.cache
@@ -107,31 +102,25 @@ class TestScientific:
         rows = values[: len(values) // 7 * 7].reshape(-1, 7)
         lines = [",".join(f"{v:.11e}" for v in row) + "\n" for row in rows]
         assert scientific(*rows.T) == "".join(lines).encode()
-        assert sent(CSV_WIDTH) == rows.size
+        assert sent() == rows.size
 
 
 def test_fig_rabi_is_rendered_without_python(tmp_path, capsys, sent):
     # A band wide enough to send every value to Python still gives the right
-    # bytes, only about 3x slower; this count is what shows it. The sidecar's
-    # JSON values are not counted: near-ties go to repr there by design.
+    # bytes, only about 3x slower; this count is what shows it.
     assert main(["--preset", "fig-rabi", "--n", "400", "--out", str(tmp_path / "r.csv")]) == 0
     capsys.readouterr()
-    assert sent(CSV_WIDTH) == 0
+    assert sent() == 0
 
 
-@functools.cache
-def shortest_renderer(work) -> files._Shortest:
-    return files._Shortest(work)
-
-
-def shortest(work, values) -> bytes:
-    words = shortest_renderer(work)(np.asarray(values, dtype=np.float64)[:, None])
-    newline = np.full((len(words), 1), ord("\n"), "<u8")  # "\n" and seven 0 bytes
-    return files._squeeze(np.hstack([words, newline]).view(np.uint8))
+def items(values) -> bytes:
+    """`values` through the JSON list renderer, each item led by a line break."""
+    values = np.asarray(values, dtype=np.float64)
+    return files._render_list(files._list_writer(), b"\n", values)
 
 
 def reprs(values) -> bytes:
-    return "".join(f"{v!r}\n" for v in np.asarray(values, dtype=np.float64).tolist()).encode()
+    return "".join(f"\n{v!r}" for v in np.asarray(values, dtype=np.float64).tolist()).encode()
 
 
 def with_neighbours(values) -> np.ndarray:
@@ -149,104 +138,98 @@ def exact_ties() -> np.ndarray:
     return np.array(values)
 
 
-@pytest.mark.parametrize("work", WORKS)
 class TestShortest:
-    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
-    def test_arbitrary_bit_patterns(self, work, bits):
-        values = finite(bits)
-        assert shortest(work, values) == reprs(values)
+    """The JSON list renderer, orjson's digits in repr's notation, against repr."""
 
-    def test_many_random_bit_patterns(self, work):
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
+    def test_arbitrary_bit_patterns(self, bits):
+        values = finite(bits)
+        assert items(values) == reprs(values)
+
+    def test_many_random_bit_patterns(self):
         bits = np.random.default_rng(20261019).integers(0, 2**64, 200_000, dtype=np.uint64)
         values = finite(bits)
-        assert shortest(work, values) == reprs(values)
+        assert items(values) == reprs(values)
 
-    def test_zeros_subnormals_and_extremes(self, work):
+    def test_zeros_subnormals_and_extremes(self):
         subnormals = [5e-324, 1e-323, 2.5e-320, 1e-310, np.nextafter(2.2250738585072014e-308, 0)]
         values = [0.0, -0.0, 2.2250738585072014e-308, LARGEST, *subnormals]
         values += [-v for v in values]
-        assert shortest(work, values) == reprs(values)
+        assert items(values) == reprs(values)
 
-    def test_every_power_of_two(self, work):
+    def test_every_power_of_two(self):
         # 2**-52 and 2**-51 fill the norm_error column; a power of two has a
         # neighbour twice as close below as above.
         values = 2.0 ** np.arange(-1074, 1024)
-        assert shortest(work, values) == reprs(values)
-        assert shortest(work, -values) == reprs(-values)
+        assert items(values) == reprs(values)
+        assert items(-values) == reprs(-values)
 
-    def test_powers_of_ten_and_neighbours(self, work):
+    def test_powers_of_ten_and_neighbours(self):
         values = with_neighbours(POWERS)
-        assert shortest(work, values) == reprs(values)
+        assert items(values) == reprs(values)
 
-    def test_exact_ties_and_their_neighbours(self, work):
+    def test_exact_ties_and_their_neighbours(self):
         values = with_neighbours(exact_ties())
-        assert shortest(work, values) == reprs(values)
+        assert items(values) == reprs(values)
 
-    def test_fixed_and_scientific_switch(self, work):
+    def test_fixed_and_scientific_switch(self):
         values = with_neighbours([1e-4, 1e-5, 1e15, 1e16, 9.9999e-5, 1.5e16, 123456789012345.6])
         values = np.concatenate([values, -values])
-        assert shortest(work, values) == reprs(values)
+        assert items(values) == reprs(values)
 
-    def test_integers_and_every_digit_count(self, work):
+    def test_integers_and_every_digit_count(self):
         rng = np.random.default_rng(5)
         integers = [1.0, 9.0, 10.0, 100.0, 8.0, 1234.0, 2.0**53, 2.0**53 + 2, 1e22, 1e23]
         digits = [float(rng.integers(1, 10**n)) for n in range(1, 18) for _ in range(40)]
         values = [d * 10.0**k for d in integers + digits for k in (-20, -7, -3, 0, 2, 9, 30)]
-        assert shortest(work, values) == reprs(values)
+        assert items(values) == reprs(values)
 
-    def test_every_value_sent_to_python(self, work, sent):
-        renderer = files._Shortest(work)
-        renderer.band = 1e17  # every scaled value lies within 1e17 of a tie
+    def test_every_value_sent_to_python(self):
+        # The value set on which the numpy renderer this one replaced sent
+        # every value to Python's repr: random bit patterns and the powers
+        # of ten, zeros left out.
         rng = np.random.default_rng(13)
         values = np.concatenate([finite(rng.integers(0, 2**64, 693, dtype=np.uint64)), POWERS])
-        values = values[values != 0]  # a zero never goes to Python
-        text = renderer(values[:, None]).view(np.uint8).reshape(len(values), -1)
-        assert [bytes(row).replace(b"\0", b"") for row in text] == [
-            repr(v).encode() for v in values.tolist()
-        ]
-        assert sent(JSON_WIDTH) == values.size
+        values = values[values != 0]
+        assert items(values) == reprs(values)
 
 
-def test_near_ties_of_17_digits_are_settled_without_python(sent):
-    # |v| * 10**k within band of an integer plus 1/2, but not on it, with 17
-    # digits in repr: settled exactly in numpy. Exact ties go to Python.
+def test_near_ties_of_17_digits_are_settled_without_python():
+    # |v| * 10**k within 0.02 of an integer plus 1/2, but not on it, with 17
+    # digits in repr, and exact ties: the ties are where a shortest-digit
+    # writer could round otherwise than repr.
     rng = np.random.default_rng(29)
     near = []
     for v in rng.uniform(1.0, 1000.0, 20_000).tolist():
         s = Fraction(v) * 10 ** (16 - math.floor(math.log10(v)))
         if 0 < abs(s - math.floor(s) - Fraction(1, 2)) < 0.02 and len(repr(v)) == 18:
             near.append(v)
-    renderer = files._Shortest()
-    assert renderer.band < 1 / 3 and len(near) > 100
-    text = renderer(np.array(near)).view(np.uint8).reshape(len(near), -1)
-    assert sent(JSON_WIDTH) == 0
-    assert [bytes(row).replace(b"\0", b"") for row in text] == [repr(v).encode() for v in near]
+    assert len(near) > 100
+    assert items(near) == reprs(near)
     ties = exact_ties()
-    renderer(ties)
-    assert 0 < sent(JSON_WIDTH) <= ties.size
+    assert items(ties) == reprs(ties)
 
 
 def test_renderers_share_their_tables():
-    assert files._Shortest().powers is files._Scientific().powers
+    assert files._Scientific().powers is files._Scientific().powers
     assert files._Scientific().four is files._four_digits()
 
 
-def test_fallback_count_kept_across_threads(sent):
-    # Eight threads share one renderer, as a sweep's cells do: each gets the
-    # words of a serial render, and every value reaches files._python once.
-    renderer = files._Shortest()
-    renderer.band = 1e17
-    values = POWERS[:50, None]
-    serial = renderer(values)
-    before = sent(JSON_WIDTH)
+def test_fallback_count_kept_across_threads(monkeypatch):
+    # Eight threads check the list writer anew on first use and then share
+    # it, as a sweep's cells do: each gets the bytes of a serial render.
+    monkeypatch.setattr(files, "_list_writer", functools.cache(files._list_writer.__wrapped__))
+    values = np.concatenate([POWERS[:50], [1.5e-05, -2e-07, 3e16]])
+    serial = reprs(values)
     results = [[] for _ in range(8)]
+
+    def render(out):
+        out.extend(files._render_list(files._list_writer(), b"\n", values) for _ in range(20))
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [
-            threading.Thread(target=lambda out=out: out.extend(renderer(values) for _ in range(20)))
-            for out in results
-        ]
+        threads = [threading.Thread(target=render, args=(out,)) for out in results]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -254,36 +237,31 @@ def test_fallback_count_kept_across_threads(sent):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert sent(JSON_WIDTH) - before == 8 * 20 * values.size
-    assert all(np.array_equal(words, serial) for out in results for words in out)
+    assert all(text == serial for out in results for text in out)
     assert [len(out) for out in results] == [20] * 8
 
 
-def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys, sent):
-    # A JSON run at N=100: exact ties, and multiples near an end of the
-    # rounding interval whose search level falls by one, go to Python, about
-    # 0.2% of the series and envelope values; far more means the fast path
-    # broke.
+def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys):
+    # A JSON run at N=100: its series and envelope lists are what json
+    # writes for the values it reads back.
     out = tmp_path / "s.json"
     argv = ["--preset", "fig-selftrap", "--n", "100", "--steps", "4000", "--format", "json"]
     assert main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
-    written = json.loads(out.read_text())
-    envelope = written["summary"]["collapse_revival"]["envelope"]
-    values = sum(len(column) for column in [*written["series"].values(), *envelope.values()])
-    assert len(envelope["t"]) > 0
-    assert sent(JSON_WIDTH) <= 0.005 * values
+    text = out.read_text()
+    written = json.loads(text)
+    assert len(written["summary"]["collapse_revival"]["envelope"]["t"]) > 0
+    assert text == json.dumps(written, indent=2) + "\n"
 
 
-def test_multiples_near_an_interval_end_are_settled_without_python(sent):
-    # repr's multiple d of 10**j lies within band inside an end of the
+def test_multiples_near_an_interval_end_are_settled_without_python():
+    # repr's multiple d of 10**j lies within `band` inside an end of the
     # rounding interval of |v| * 10**k, and no multiple of 10**(j + 1) lies
-    # within 2 band of the interval (which the widened search would pick
-    # instead): settled exactly in numpy. With v = M * 2**E, the ends times
+    # within 2 band of the interval: digits a writer that searches a
+    # widened interval could get wrong. With v = M * 2**E, the ends times
     # 2**(2 - E) are (4M -+ 2) * 10**k, or (4M - 1) * 10**k below a power of
-    # two.
-    renderer = files._Shortest()
-    band = Fraction(renderer.band)
+    # two. `band` is 2e17 times the eps of x86-64's long double.
+    band = Fraction(2 * 10**17, 2**63)
     rng = np.random.default_rng(31)
     near = []
     for v in rng.uniform(1.0, 1000.0, 100_000).tolist():
@@ -300,44 +278,31 @@ def test_multiples_near_an_interval_end_are_settled_without_python(sent):
         wide, low, high = 10 ** (j + 1), Fraction(ends[0], scale), Fraction(ends[1], scale)
         if (high + 2 * band) // wide * wide <= low - 2 * band:
             near.append(v)
-    assert renderer.band < 1 / 3 and len(near) > 100
-    text = renderer(np.array(near)).view(np.uint8).reshape(len(near), -1)
-    assert sent(JSON_WIDTH) == 0
-    assert [bytes(row).replace(b"\0", b"") for row in text] == [repr(v).encode() for v in near]
+    assert len(near) > 100
+    assert items(near) == reprs(near)
 
 
-def test_a_band_near_one_third_is_settled_exactly(sent):
-    # A band of 0.3, still under the 1/3 that exact settling takes, flags
-    # far more near-ties and multiples near an end than the long double's
-    # does: those settled in integers must still give repr's bytes. Where
-    # 0 <= k < 28, most flagged values are settled so.
-    renderer = files._Shortest()
-    renderer.band = 0.3
+def test_a_band_near_one_third_is_settled_exactly():
+    # Uniform values over six decades, and arbitrary bit patterns with the
+    # powers of two around 1: where a band of 0.3 flagged many near-ties
+    # and multiples near an end.
     rng = np.random.default_rng(37)
     uniform = rng.uniform(1e-3, 1e3, 50_000)
     others = np.concatenate(
         [finite(rng.integers(0, 2**64, 50_000, dtype=np.uint64)), 2.0 ** np.arange(-60, 60)]
     )
     for values in (uniform, others):
-        text = renderer(values[:, None]).view(np.uint8).reshape(len(values), -1)
-        assert [bytes(row).replace(b"\0", b"") for row in text] == [
-            repr(v).encode() for v in values.tolist()
-        ]
-        if values is uniform:
-            assert sent(JSON_WIDTH) < 0.05 * values.size
+        assert items(values) == reprs(values)
 
 
-def test_runs_of_equal_values_across_chunks(tmp_path, monkeypatch, sent):
+def test_runs_of_equal_values_across_chunks(tmp_path):
     # Equal bits recur within and across the 7 * ROW_CHUNK chunks of a
     # streamed list, in runs and apart: 0.0 and -0.0 stay apart, in a run
     # and alternating, the smallest subnormal repeats, two values alternate
-    # across a chunk boundary, and a value the renderer hands to Python
-    # opens and closes the list and recurs mid-chunk.
+    # across a chunk boundary, and one value opens and closes the list and
+    # recurs mid-chunk.
     chunk = 7 * files.ROW_CHUNK
     slow = 0.10490011715303971
-    renderer = files._json_renderer()
-    renderer(np.array([[slow]]))
-    assert sent(JSON_WIDTH) > 0
     column = np.arange(2 * chunk + 6) * 0.25
     column[:3] = slow
     column[100:140] = np.where(np.arange(40) % 2, 0.0, -0.0)
@@ -349,13 +314,6 @@ def test_runs_of_equal_values_across_chunks(tmp_path, monkeypatch, sent):
     columns = {name: np.roll(column, 3 * i) for i, name in enumerate(ObservableSeries.COLUMNS)}
     columns["imbalance"] = -column
     envelope = np.column_stack([column, column[::-1]])  # strided columns
-    rendered = []
-
-    def counted(rows, lead):
-        rendered.append(rows.size)
-        return renderer(rows, lead)
-
-    monkeypatch.setattr(files, "_json_renderer", lambda: counted)
     out = tmp_path / "runs.json"
     summary = {"collapse_revival": {"detected": False}}
     files.write_output(out, "json", {}, ObservableSeries(**columns), summary, envelope)
@@ -366,19 +324,13 @@ def test_runs_of_equal_values_across_chunks(tmp_path, monkeypatch, sent):
         "series": columns,
     }
     assert out.read_text() == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
-    # Each chunk renders each of its distinct bit patterns once, no more.
-    distinct = 0
-    for values in [*columns.values(), *lists.values()]:
-        for start in range(0, values.size, chunk):
-            distinct += np.unique(values[start : start + chunk].view(np.int64)).size
-    assert sum(rendered) == distinct < 9 * column.size
 
 
 def test_chunks_with_and_without_the_exponent_word(tmp_path):
-    # A value takes _WORDS words in every chunk of a streamed list, whatever
-    # its notation. Chunks: all fixed notation, one scientific value first,
+    # Chunks of a streamed list with and without a number whose notation
+    # _repr_notation rewrites: all fixed notation, one such value first,
     # one last, and only zeros of either sign. The envelope's items are led
-    # by a two-word separator, the series' by one.
+    # by a deeper separator than the series'.
     chunk = 7 * files.ROW_CHUNK
     column = np.linspace(1.0, 2.0, 4 * chunk)
     column[chunk] = 1e-7
@@ -396,6 +348,57 @@ def test_chunks_with_and_without_the_exponent_word(tmp_path):
         "series": columns,
     }
     assert out.read_text() == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
-    renderer = files._json_renderer()
-    widths = [renderer(column[i : i + chunk]).shape[1] for i in range(0, column.size, chunk)]
-    assert widths == [files._WORDS] * 4
+
+
+def notation_values() -> np.ndarray:
+    """Both signs of 1- and 17-digit mantissas at every decimal exponent of
+    the doubles (fewer digits where a subnormal has no more), and of 1 ulp
+    either side of the powers of ten where repr's notation switches."""
+    texts = [f"{m}e{x}" for x in range(-324, 309) for m in ("1", "5", "1.2345678901234567")]
+    values = np.array([float(text) for text in texts])
+    values = np.concatenate([values, with_neighbours([1e-10, 1e-9, 1e-5, 1e-4, 1e16])])
+    values = values[np.isfinite(values) & (values != 0)]
+    return np.concatenate([values, -values])
+
+
+def test_notation_of_every_exponent_in_lists_of_one_to_three(tmp_path):
+    # Each value is the first, a middle and the last item of lists of one,
+    # two and three items, with every other kind of value beside it: the
+    # series columns and the envelope of one write_output take nine lists.
+    values = notation_values()
+    exponents = {int(repr(v).split("e")[1]) for v in values.tolist() if "e" in repr(v)}
+    assert exponents == set(range(-324, -4)) | set(range(16, 309))
+    out = tmp_path / "notation.json"
+    for size in (1, 2, 3):
+        padded = np.resize(values, -(-values.size // (9 * size)) * 9 * size)  # repeats the head
+        for shift in range(size):
+            for group in np.roll(padded, shift).reshape(-1, 9, size):
+                columns = dict(zip(ObservableSeries.COLUMNS, group[:7]))
+                envelope = group[7:].T
+                summary = {"collapse_revival": {"detected": True}}
+                files.write_output(out, "json", {}, ObservableSeries(**columns), summary, envelope)
+                lists = {"t": group[7], "amplitude": group[8]}
+                payload = {
+                    "spec": {},
+                    "summary": {"collapse_revival": {"detected": True, "envelope": lists}},
+                    "series": columns,
+                }
+                expected = json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
+                assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_list_writer_in_another_notation_is_refused(tmp_path, monkeypatch, fmt):
+    # orjson writing "1E-7" where 3.8.3 writes "1e-7" fails the list
+    # writer's check on first use, before any file or directory is made.
+    import orjson
+
+    dumps = orjson.dumps
+    monkeypatch.setattr(orjson, "dumps", lambda *a, **k: dumps(*a, **k).replace(b"e-7", b"E-7"))
+    monkeypatch.setattr(files, "_list_writer", functools.cache(files._list_writer.__wrapped__))
+    series = ObservableSeries(*np.ones((7, 3)))
+    out = tmp_path / "run" / f"s.{fmt}"
+    summary = {"collapse_revival": {"detected": False}}
+    with pytest.raises(RuntimeError, match=rf"orjson {orjson.__version__} writes numbers"):
+        files.write_output(out, fmt, {}, series, summary, np.ones((3, 2)))
+    assert not out.parent.exists()

@@ -47,7 +47,7 @@ def test_package_exports_the_public_api():
 
 def test_import_leaves_out_the_executor_modules():
     # A sweep runs its cells on plain threads; no process pays for these
-    # imports. orjson is loaded by the first JSON read, which a CLI run never makes.
+    # imports. orjson is loaded by the first JSON list written or read.
     paths = [str(Path(bhdimer.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
