@@ -113,9 +113,10 @@ def test_fig_rabi_is_rendered_without_python(tmp_path, capsys, sent):
     assert sent() == 0
 
 
-def items(values) -> bytes:
-    """`values` through the JSON list renderer, each item led by a line break."""
-    values = np.asarray(values, dtype=np.float64)
+def items(values, held=np.float64) -> bytes:
+    """`values` through the JSON list renderer, each item led by a line break,
+    handed to it in an array of dtype `held`."""
+    values = np.asarray(values, dtype=np.float64).astype(held)
     return files._render_list(files._list_writer(), b"\n", values)
 
 
@@ -138,60 +139,66 @@ def exact_ties() -> np.ndarray:
     return np.array(values)
 
 
+HELD = [np.longdouble, np.float64]
+
+
+@pytest.mark.parametrize("held", HELD)
 class TestShortest:
-    """The JSON list renderer, orjson's digits in repr's notation, against repr."""
+    """The JSON list renderer, orjson's digits in repr's notation, against repr,
+    on float64 values handed to it in float64 arrays and in long-double
+    arrays, which it must bring back to the same doubles."""
 
     @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
-    def test_arbitrary_bit_patterns(self, bits):
+    def test_arbitrary_bit_patterns(self, held, bits):
         values = finite(bits)
-        assert items(values) == reprs(values)
+        assert items(values, held) == reprs(values)
 
-    def test_many_random_bit_patterns(self):
+    def test_many_random_bit_patterns(self, held):
         bits = np.random.default_rng(20261019).integers(0, 2**64, 200_000, dtype=np.uint64)
         values = finite(bits)
-        assert items(values) == reprs(values)
+        assert items(values, held) == reprs(values)
 
-    def test_zeros_subnormals_and_extremes(self):
+    def test_zeros_subnormals_and_extremes(self, held):
         subnormals = [5e-324, 1e-323, 2.5e-320, 1e-310, np.nextafter(2.2250738585072014e-308, 0)]
         values = [0.0, -0.0, 2.2250738585072014e-308, LARGEST, *subnormals]
         values += [-v for v in values]
-        assert items(values) == reprs(values)
+        assert items(values, held) == reprs(values)
 
-    def test_every_power_of_two(self):
+    def test_every_power_of_two(self, held):
         # 2**-52 and 2**-51 fill the norm_error column; a power of two has a
         # neighbour twice as close below as above.
         values = 2.0 ** np.arange(-1074, 1024)
-        assert items(values) == reprs(values)
-        assert items(-values) == reprs(-values)
+        assert items(values, held) == reprs(values)
+        assert items(-values, held) == reprs(-values)
 
-    def test_powers_of_ten_and_neighbours(self):
+    def test_powers_of_ten_and_neighbours(self, held):
         values = with_neighbours(POWERS)
-        assert items(values) == reprs(values)
+        assert items(values, held) == reprs(values)
 
-    def test_exact_ties_and_their_neighbours(self):
+    def test_exact_ties_and_their_neighbours(self, held):
         values = with_neighbours(exact_ties())
-        assert items(values) == reprs(values)
+        assert items(values, held) == reprs(values)
 
-    def test_fixed_and_scientific_switch(self):
+    def test_fixed_and_scientific_switch(self, held):
         values = with_neighbours([1e-4, 1e-5, 1e15, 1e16, 9.9999e-5, 1.5e16, 123456789012345.6])
         values = np.concatenate([values, -values])
-        assert items(values) == reprs(values)
+        assert items(values, held) == reprs(values)
 
-    def test_integers_and_every_digit_count(self):
+    def test_integers_and_every_digit_count(self, held):
         rng = np.random.default_rng(5)
         integers = [1.0, 9.0, 10.0, 100.0, 8.0, 1234.0, 2.0**53, 2.0**53 + 2, 1e22, 1e23]
         digits = [float(rng.integers(1, 10**n)) for n in range(1, 18) for _ in range(40)]
         values = [d * 10.0**k for d in integers + digits for k in (-20, -7, -3, 0, 2, 9, 30)]
-        assert items(values) == reprs(values)
+        assert items(values, held) == reprs(values)
 
-    def test_every_value_sent_to_python(self):
+    def test_every_value_sent_to_python(self, held):
         # The value set on which the numpy renderer this one replaced sent
         # every value to Python's repr: random bit patterns and the powers
         # of ten, zeros left out.
         rng = np.random.default_rng(13)
         values = np.concatenate([finite(rng.integers(0, 2**64, 693, dtype=np.uint64)), POWERS])
         values = values[values != 0]
-        assert items(values) == reprs(values)
+        assert items(values, held) == reprs(values)
 
 
 def test_near_ties_of_17_digits_are_settled_without_python():
