@@ -7,13 +7,13 @@ summary and series, the series as one list per column. Every file is exactly
 what `f"{v:.11e}"` rows and `json.dumps(..., indent=2)` would give, but the
 long lists (CSV rows, the JSON series columns and the envelope's "t" and
 "amplitude") are streamed from their columns ROW_CHUNK rows at a time. A
-CSV chunk is rendered in numpy by _Scientific, which leaves a 0 byte for
-each absent character (_squeeze drops them) and the few values it cannot
-settle exactly to Python's own formatting, which _python alone does. A JSON
-list chunk is written by orjson, imported and checked on the first list
-written, in the digits of repr(float(v)); _repr_notation puts the few
-numbers whose notation differs into repr's, and indent=2's separator joins
-the items. Threads share both writers. A series or envelope value that is
+CSV chunk is rendered in numpy by _Scientific, in float64 on every
+platform, with a 0 byte for each absent character, dropped at the end; the
+few values it cannot settle exactly go to Python's own formatting, which
+_python alone does. A JSON list chunk is written by orjson, imported and
+checked on the first list written, in the digits of repr(float(v));
+_repr_notation puts the few numbers whose notation differs into repr's, and
+indent=2's separator joins the items. Threads share both writers. A series or envelope value that is
 not finite is refused before any file is opened.
 The reader streams too, READ_CHUNK bytes of text at a time, and decodes each
 JSON column after the first straight into an array of the first's length.
@@ -57,64 +57,12 @@ class NonFiniteOutputError(ValueError):
     """A series or envelope value to write is not finite."""
 
 
-# Rendered text stands a 0 byte for each absent character; _squeeze drops them.
 _EXPONENTS = range(-324, 309)  # decimal exponents of the finite doubles
 _SCALES = range(-300, 339)  # 11 minus an exponent, with up to 3 corrections
 
 
 def _table(texts, dtype) -> np.ndarray:
     return np.frombuffer("".join(texts).encode(), dtype)
-
-
-def _squeeze(text: np.ndarray) -> bytes:
-    return text.tobytes().translate(None, b"\0")
-
-
-def _python(values: np.ndarray, form, width: int) -> np.ndarray:
-    """form(v) for each of `values` as a row of `width` bytes, padded with 0
-    bytes: the one place a value is formatted in Python."""
-    text = np.array([form(v) for v in values.tolist()], f"S{width}")
-    return text.view(np.uint8).reshape(-1, width)
-
-
-@functools.cache
-def _four_digits() -> np.ndarray:
-    """The ASCII digits of 0000 to 9999 as little-endian 4-byte words."""
-    four = np.empty((10, 10, 10, 10, 4), np.uint8)
-    for i in range(4):
-        four[..., i] = np.arange(48, 58).reshape((10,) + (1,) * (3 - i))
-    return four.view("<u4").ravel()
-
-
-@functools.cache
-def _powers(work) -> np.ndarray:
-    """10**k correctly rounded in `work`, for k in _SCALES."""
-    return np.array([f"1e{k}" for k in _SCALES]).astype(work)
-
-
-def _scaled(v: np.ndarray, powers: np.ndarray, digits: int):
-    """|v| * 10**k in the dtype of `powers` (0 is taken as 1), k corrected at
-    most three times until the product's floor m has `digits` digits.
-
-    Returns |v|, k, the product s, m, s - m (exact, then rounded to float64)
-    and where k did not settle; a non-finite product never does.
-    """
-    a = np.abs(v)
-    a[a == 0] = 1.0
-    k = (digits - 1 - np.floor(np.log10(a))).astype(np.intp)
-    w = a.astype(powers.dtype)
-    s, m, redo = np.empty_like(w), np.empty(a.shape, np.int64), slice(None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(4):
-            s[redo] = w[redo] * powers[k[redo] - _SCALES.start]
-            m[redo] = s[redo].astype(np.int64)  # floor(s) for a finite s
-            off = (m < 10 ** (digits - 1)).astype(np.intp) - (m >= 10**digits)
-            redo = np.flatnonzero(off)
-            if not redo.size:
-                break
-            k[redo] += off[redo]
-        frac = (s - m).astype(np.float64)
-    return a, k, s, m, frac, off != 0
 
 
 # One CSV value as 20 bytes: sign, "d.dd", 4 + 4 digits, the last digit and
@@ -126,34 +74,58 @@ _LAYOUT = np.dtype(
 )
 
 
+def _python(values: np.ndarray) -> np.ndarray:
+    """f"{v:.11e}" for each of `values` as a row of the layout's bytes before
+    its separator, padded with 0 bytes: the one place a value is formatted in
+    Python."""
+    width = _LAYOUT.itemsize - 1
+    text = np.array([f"{v:.11e}" for v in values.tolist()], f"S{width}")
+    return text.view(np.uint8).reshape(-1, width)
+
+
 class _Scientific:
     """Columns of doubles as CSV bytes: f"{v:.11e}" for each value, "," between
     the values of a row and "\n" after it.
 
-    The mantissa is |v| * 10**k rounded to an integer, with 10**k correctly
-    rounded in `work` and k corrected until the product lies in [1e11, 1e12),
-    where it is off by at most 1e12 * eps of `work`. Python formats each value
+    The mantissa is |v| * 10**k rounded to an integer, computed in float64
+    on every platform and from columns of any float dtype: 10**k correctly
+    rounded (inf past 1e308), k corrected until the product lies in [1e11,
+    1e12), where it is off by at most 1e12 * eps. Python formats each value
     whose product lies within `band` (twice that) of a half-integer, or whose
-    k does not settle within three corrections (a non-finite product never
-    does), so the bytes are exact for any `work`.
+    k does not settle within three corrections (an overflowing product never
+    does), so the bytes are exact.
     """
 
-    def __init__(self, work=np.longdouble):
-        self.powers = _powers(work)
-        self.band = 2e12 * float(np.finfo(work).eps)
+    def __init__(self):
+        self.powers = np.array([float(f"1e{k}") for k in _SCALES])
+        self.band = 2e12 * float(np.finfo(np.float64).eps)
         self.lead = _table((f"{i // 100}.{i % 100:02d}" for i in range(1000)), "<u4")
-        self.four = _four_digits()
+        digits = np.indices((10,) * 4, np.uint8) + ord("0")  # ASCII, 0000 to 9999
+        self.four = np.moveaxis(digits, 0, -1).copy().view("<u4").ravel()
         self.last = _table((f"{i}e" for i in range(10)), "<u2")
         self.exps = _table(
             ("-+"[e >= 0] + f"{abs(e):02d}".rjust(3, "\0") for e in _EXPONENTS), "<u4"
         )
 
     def __call__(self, *columns: np.ndarray) -> bytes:
-        rows = np.column_stack(columns)  # one chunk's rows, never the series'
+        rows = np.column_stack(columns).astype(np.float64, copy=False)  # one chunk's rows
         v = rows.ravel()
-        zero = v == 0  # scaled as 1.0, then given mantissa 0
-        _, k, _, m, frac, slow = _scaled(v, self.powers, 12)
-        slow |= abs(frac - 0.5) <= self.band
+        a = np.abs(v)
+        zero = a == 0  # scaled as 1.0, then given mantissa 0
+        a[zero] = 1.0
+        k = (11 - np.floor(np.log10(a))).astype(np.intp)
+        s, m, redo = np.empty_like(a), np.empty(a.size, np.int64), slice(None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(4):
+                s[redo] = a[redo] * self.powers[k[redo] - _SCALES.start]
+                m[redo] = s[redo].astype(np.int64)  # floor(s) for a finite s
+                off = (m < 10**11).astype(np.intp) - (m >= 10**12)
+                redo = np.flatnonzero(off)
+                if not redo.size:
+                    break
+                k[redo] += off[redo]
+            frac = s - m  # exact for a settled product
+        slow = (off != 0) | (abs(frac - 0.5) <= self.band)
         m += frac > 0.5
         m[slow | zero], k[slow] = 0, 11
         carry = m == 10**12  # rounded up to the next power of ten
@@ -172,8 +144,8 @@ class _Scientific:
         sep = out["sep"].reshape(rows.shape)
         sep[:, :-1], sep[:, -1] = ord(","), ord("\n")
         text = out.view(np.uint8).reshape(v.size, _LAYOUT.itemsize)
-        text[slow, :-1] = _python(v[slow], "{:.11e}".format, _LAYOUT.itemsize - 1)
-        return _squeeze(text)
+        text[slow, :-1] = _python(v[slow])
+        return text.tobytes().translate(None, b"\0")
 
 
 # The CSV value renderer, its tables built on first use.

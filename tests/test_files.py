@@ -16,9 +16,9 @@ from bhdimer import files
 from bhdimer.cli import main
 from bhdimer.observables import ObservableSeries
 
-# np.float64 as the working type stands for a platform whose long double is
-# a plain double: more values go to Python, the bytes must not change.
-WORKS = [np.longdouble, np.float64]
+# The dtype of the arrays a renderer is handed: it computes in float64 from
+# either and must give the same bytes for the same doubles.
+HELD = [np.longdouble, np.float64]
 
 LARGEST = np.finfo(np.float64).max
 POWERS = np.array([10.0**k for k in range(-323, 309)])
@@ -26,29 +26,25 @@ POWERS = np.array([10.0**k for k in range(-323, 309)])
 
 @pytest.fixture
 def sent(monkeypatch):
-    """How many values _Scientific has sent to files._python so far."""
-    sizes = []
+    """The values _Scientific has sent to files._python so far."""
+    parts = []
     python = files._python
 
-    def counted(values, form, width):
-        sizes.append(values.size)  # one append per call, safe across threads
-        return python(values, form, width)
+    def recorded(values):
+        parts.append(values)  # one append per call, safe across threads
+        return python(values)
 
-    monkeypatch.setattr(files, "_python", counted)
-    return lambda: sum(sizes)
-
-
-@functools.cache
-def renderer(work) -> files._Scientific:
-    return files._Scientific(work)
+    monkeypatch.setattr(files, "_python", recorded)
+    return lambda: np.concatenate([np.empty(0), *parts])
 
 
 def expected(values) -> bytes:
     return "".join(f"{v:.11e}\n" for v in values).encode()
 
 
-def render(work, values) -> bytes:
-    return renderer(work)(np.asarray(values, dtype=np.float64))
+def render(held, values) -> bytes:
+    """`values` through the CSV renderer as one column of dtype `held`."""
+    return files._csv_renderer()(np.asarray(values, dtype=np.float64).astype(held))
 
 
 def finite(bits) -> np.ndarray:
@@ -56,61 +52,79 @@ def finite(bits) -> np.ndarray:
     return values[np.isfinite(values)]
 
 
-@pytest.mark.parametrize("work", WORKS)
+@pytest.mark.parametrize("held", HELD)
 class TestScientific:
     @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
-    def test_arbitrary_bit_patterns(self, work, bits):
+    def test_arbitrary_bit_patterns(self, held, bits):
         values = finite(bits)
-        assert render(work, values) == expected(values)
+        assert render(held, values) == expected(values)
 
-    def test_many_random_bit_patterns(self, work):
+    def test_many_random_bit_patterns(self, held):
         bits = np.random.default_rng(20261018).integers(0, 2**64, 200_000, dtype=np.uint64)
         values = finite(bits)
-        assert render(work, values) == expected(values)
+        assert render(held, values) == expected(values)
 
-    def test_zeros_subnormals_and_extremes(self, work):
+    def test_zeros_subnormals_and_extremes(self, held):
         subnormals = [5e-324, 1e-323, 2.5e-320, 1e-310, np.nextafter(2.2250738585072014e-308, 0)]
         values = [0.0, -0.0, 2.2250738585072014e-308, LARGEST, *subnormals]
         values += [-v for v in values]
-        assert render(work, values) == expected(values)
+        assert render(held, values) == expected(values)
 
-    def test_powers_of_ten_and_neighbours(self, work):
+    def test_powers_of_ten_and_neighbours(self, held):
+        # Below 1e-297, 10**(11 - e) is past 1e308: inf in the table.
         values = np.concatenate(
             [POWERS, np.nextafter(POWERS, np.inf), np.nextafter(POWERS, 0), -POWERS]
         )
-        assert render(work, values) == expected(values)
+        assert render(held, values) == expected(values)
 
-    def test_exact_multiples_of_powers_of_ten(self, work):
+    def test_exact_multiples_of_powers_of_ten(self, held):
         rng = np.random.default_rng(7)
         digits = np.concatenate([[1, 9, 10**11, 10**12 - 1], rng.integers(1, 10**12, 2000)])
         values = [float(d) * 10.0**k for d in digits for k in (-30, -11, -1, 0, 3, 11, 40)]
-        assert render(work, values) == expected(values)
+        assert render(held, values) == expected(values)
 
-    def test_rounding_boundaries_and_ties(self, work):
+    def test_rounding_boundaries_and_ties(self, held):
         boundary = np.array([9.999999999995 * 10.0**k for k in range(-300, 300)])
         ties = [123456789012.5, 123456789013.5, 100000000000.5, 999999999999.5, 0.5, 2.5]
         values = np.concatenate(
             [boundary, np.nextafter(boundary, np.inf), np.nextafter(boundary, 0), ties]
         )
-        assert render(work, values) == expected(values)
+        assert render(held, values) == expected(values)
 
-    def test_every_value_sent_to_python(self, work, sent):
-        scientific = files._Scientific(work)
+    def test_every_value_sent_to_python(self, held, sent):
+        scientific = files._Scientific()
         scientific.band = 1.0  # every scaled fraction lies within 1 of 1/2
         rng = np.random.default_rng(11)
         values = np.concatenate([finite(rng.integers(0, 2**64, 693, dtype=np.uint64)), POWERS])
         rows = values[: len(values) // 7 * 7].reshape(-1, 7)
         lines = [",".join(f"{v:.11e}" for v in row) + "\n" for row in rows]
-        assert scientific(*rows.T) == "".join(lines).encode()
-        assert sent() == rows.size
+        assert scientific(*rows.astype(held).T) == "".join(lines).encode()
+        got = sent()  # the doubles, whatever the columns' dtype
+        assert got.dtype == np.float64 and np.array_equal(got, rows.ravel())
 
 
-def test_fig_rabi_is_rendered_without_python(tmp_path, capsys, sent):
-    # A band wide enough to send every value to Python still gives the right
-    # bytes, only about 3x slower; this count is what shows it.
-    assert main(["--preset", "fig-rabi", "--n", "400", "--out", str(tmp_path / "r.csv")]) == 0
+# 2e12 times the eps of float64: the CSV renderer's band.
+BAND = Fraction(2 * 10**12, 2**52)
+
+
+def test_fig_rabi_is_rendered_mostly_without_python(tmp_path, capsys, sent):
+    # Python formats only the values the float64 product cannot settle: each
+    # within 2 BAND of a half-integer (the product's error is BAND / 2), or
+    # with a 10**k past 1e308. A band wide enough to send every value still
+    # gives the right bytes, only about 3x slower; these checks show it.
+    out = tmp_path / "r.csv"
+    assert main(["--preset", "fig-rabi", "--n", "400", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert sent() == 0
+    values = sent()
+    for v in values.tolist():
+        text = f"{v:.11e}"
+        e = int(text[text.index("e") + 1 :])
+        if float(f"1e{12 - e}") == math.inf:  # k = 11 - e, or one correction past it
+            continue
+        scaled = abs(Fraction(v)) * Fraction(10) ** (11 - e)
+        assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) <= 2 * BAND, text
+    rows = out.read_bytes().count(b"\n") - 1
+    assert values.size <= 0.002 * rows * len(ObservableSeries.COLUMNS)
 
 
 def items(values, held=np.float64) -> bytes:
@@ -137,9 +151,6 @@ def exact_ties() -> np.ndarray:
         q = -(-2 * 10**16 // 5**k) | 1  # the least odd q with q * 5**k / 2 >= 1e16
         values += [math.ldexp(q + i, -k - 1) for i in range(0, 8, 2) if (q + i) * 5**k < 2e17]
     return np.array(values)
-
-
-HELD = [np.longdouble, np.float64]
 
 
 @pytest.mark.parametrize("held", HELD)
@@ -192,9 +203,9 @@ class TestShortest:
         assert items(values, held) == reprs(values)
 
     def test_every_value_sent_to_python(self, held):
-        # The value set on which the numpy renderer this one replaced sent
-        # every value to Python's repr: random bit patterns and the powers
-        # of ten, zeros left out.
+        # Random bit patterns and the powers of ten, zeros left out: a value
+        # at nearly every decimal exponent, each in the digits orjson writes
+        # and, through _repr_notation where it differs, in repr's notation.
         rng = np.random.default_rng(13)
         values = np.concatenate([finite(rng.integers(0, 2**64, 693, dtype=np.uint64)), POWERS])
         values = values[values != 0]
@@ -217,9 +228,22 @@ def test_near_ties_of_17_digits_are_settled_without_python():
     assert items(ties) == reprs(ties)
 
 
-def test_renderers_share_their_tables():
-    assert files._Scientific().powers is files._Scientific().powers
-    assert files._Scientific().four is files._four_digits()
+def test_csv_renderer_builds_its_tables_once(tmp_path, capsys, monkeypatch):
+    # Every CSV file written takes the one renderer: its tables are built for
+    # the first file and kept for the later ones.
+    built = []
+
+    class Counted(files._Scientific):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(files, "_csv_renderer", functools.cache(Counted))
+    argv = ["--n", "8", "--ratios", "1,2", "--initials", "cat;me", "--steps", "50"]
+    assert main([*argv, "--out", str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    assert len(list((tmp_path / "sweep").glob("*.csv"))) == 4
+    assert len(built) == 1
 
 
 def test_fallback_count_kept_across_threads(monkeypatch):
@@ -249,8 +273,9 @@ def test_fallback_count_kept_across_threads(monkeypatch):
 
 
 def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys):
-    # A JSON run at N=100: its series and envelope lists are what json
-    # writes for the values it reads back.
+    # A JSON run at N=100, its series and envelope lists written by orjson
+    # alone, no value formatted by Python: the file is what json writes for
+    # the values it reads back.
     out = tmp_path / "s.json"
     argv = ["--preset", "fig-selftrap", "--n", "100", "--steps", "4000", "--format", "json"]
     assert main([*argv, "--out", str(out)]) == 0
@@ -262,12 +287,13 @@ def test_fig_selftrap_is_rendered_mostly_without_python(tmp_path, capsys):
 
 
 def test_multiples_near_an_interval_end_are_settled_without_python():
-    # repr's multiple d of 10**j lies within `band` inside an end of the
-    # rounding interval of |v| * 10**k, and no multiple of 10**(j + 1) lies
-    # within 2 band of the interval: digits a writer that searches a
-    # widened interval could get wrong. With v = M * 2**E, the ends times
-    # 2**(2 - E) are (4M -+ 2) * 10**k, or (4M - 1) * 10**k below a power of
-    # two. `band` is 2e17 times the eps of x86-64's long double.
+    # orjson's list writer against repr where repr's digits lie near an end
+    # of the rounding interval: repr's multiple d of 10**j lies within `band`
+    # inside an end of the interval of |v| * 10**k, and no multiple of
+    # 10**(j + 1) lies within 2 band of it, so a writer that misplaced the
+    # ends by `band` would write other digits. With v = M * 2**E, the ends
+    # times 2**(2 - E) are (4M -+ 2) * 10**k, or (4M - 1) * 10**k below a
+    # power of two. `band`, 2e17 / 2**63 (about 0.022), only picks the values.
     band = Fraction(2 * 10**17, 2**63)
     rng = np.random.default_rng(31)
     near = []
@@ -290,9 +316,10 @@ def test_multiples_near_an_interval_end_are_settled_without_python():
 
 
 def test_a_band_near_one_third_is_settled_exactly():
-    # Uniform values over six decades, and arbitrary bit patterns with the
-    # powers of two around 1: where a band of 0.3 flagged many near-ties
-    # and multiples near an end.
+    # orjson's list writer against repr on uniform values over six decades,
+    # and on arbitrary bit patterns with the powers of two around 1: sets
+    # rich in 17-digit near-ties of the last digit and in repr digits near
+    # an end of the rounding interval.
     rng = np.random.default_rng(37)
     uniform = rng.uniform(1e-3, 1e3, 50_000)
     others = np.concatenate(
