@@ -10,11 +10,13 @@ long lists (CSV rows, the JSON series columns and the envelope's "t" and
 CSV chunk is rendered in numpy by _Scientific, in float64 on every
 platform, with a 0 byte for each absent character, dropped at the end; the
 few values it cannot settle exactly go to Python's own formatting, which
-_python alone does. A JSON list chunk is written by orjson, imported and
-checked on the first list written, in the digits of repr(float(v));
-_repr_notation puts the few numbers whose notation differs into repr's, and
-indent=2's separator joins the items. Threads share both writers. A series or envelope value that is
-not finite is refused before any file is opened.
+_python alone does. A JSON list chunk is written by orjson, in the digits
+of repr(float(v)) and already in its indent=2 layout: the chunk is nested
+in objects to the list's depth. orjson is imported on the first list
+written and checked at each depth on its first use; _repr_notation puts the
+few numbers whose notation differs into repr's. Threads share both writers.
+A series or envelope value that is not finite is refused before any file is
+opened.
 The reader streams too, READ_CHUNK bytes of text at a time, and decodes each
 JSON column after the first straight into an array of the first's length.
 orjson, imported on the first JSON read, decodes a column a piece at a time
@@ -61,8 +63,10 @@ _EXPONENTS = range(-324, 309)  # decimal exponents of the finite doubles
 _SCALES = range(-300, 339)  # 11 minus an exponent, with up to 3 corrections
 
 
-def _table(texts, dtype) -> np.ndarray:
-    return np.frombuffer("".join(texts).encode(), dtype)
+def _table(dtype, *columns) -> np.ndarray:
+    """A table of `dtype` entries whose bytes are `columns` in order, each an
+    array of one byte per entry or one byte for all."""
+    return np.stack(np.broadcast_arrays(*columns), -1).astype(np.uint8).view(dtype).ravel()
 
 
 # One CSV value as 20 bytes: sign, "d.dd", 4 + 4 digits, the last digit and
@@ -99,13 +103,15 @@ class _Scientific:
     def __init__(self):
         self.powers = np.array([float(f"1e{k}") for k in _SCALES])
         self.band = 2e12 * float(np.finfo(np.float64).eps)
-        self.lead = _table((f"{i // 100}.{i % 100:02d}" for i in range(1000)), "<u4")
-        digits = np.indices((10,) * 4, np.uint8) + ord("0")  # ASCII, 0000 to 9999
-        self.four = np.moveaxis(digits, 0, -1).copy().view("<u4").ravel()
-        self.last = _table((f"{i}e" for i in range(10)), "<u2")
-        self.exps = _table(
-            ("-+"[e >= 0] + f"{abs(e):02d}".rjust(3, "\0") for e in _EXPONENTS), "<u4"
-        )
+        # The ASCII digits of 0 to 9999, each of the four a column.
+        thousands, hundreds, tens, ones = np.indices((10,) * 4, np.uint8).reshape(4, -1) + ord("0")
+        self.lead = _table("<u4", hundreds, ord("."), tens, ones)[:1000]  # "0.00" to "9.99"
+        self.four = _table("<u4", thousands, hundreds, tens, ones)  # "0000" to "9999"
+        self.last = _table("<u2", ones, ord("e"))[:10]
+        # "-" or "+", then 2 or 3 digits: a 0 byte for an absent hundreds.
+        e = np.arange(_EXPONENTS.start, _EXPONENTS.stop)
+        sign, a = np.where(e < 0, ord("-"), ord("+")), np.abs(e)
+        self.exps = _table("<u4", sign, np.where(a < 100, 0, hundreds[a]), tens[a], ones[a])
 
     def __call__(self, *columns: np.ndarray) -> bytes:
         rows = np.column_stack(columns).astype(np.float64, copy=False)  # one chunk's rows
@@ -184,16 +190,25 @@ def _repr_notation(text: bytes) -> bytes:
     return text.replace(b"\0", b"") if dots.size else text
 
 
-def _render_list(dumps, separator: bytes, values: np.ndarray) -> bytes:
-    """`values` as list items, each led by `separator`: repr's text of each,
-    from dumps, orjson's dumps of a float64 array. Only a value with a
-    decimal exponent from -9 to -5 or above 15 needs _repr_notation."""
+def _render_list(dumps, depth: int, values: np.ndarray) -> bytes:
+    """`values` as the items of a list at `depth` in json's indent=2 text,
+    each led by "," and a line break, and indented by 2 * depth spaces:
+    repr's text of each, from dumps, orjson's indent=2 dumps of a float64
+    array, nested in depth - 1 objects so that orjson indents the items
+    itself. Only a value with a decimal exponent from -9 to -5 or above 15
+    needs _repr_notation, run on the whole text so that a number's last
+    byte is never clipped off."""
     values = np.ascontiguousarray(values, np.float64)
-    text = dumps(values)
+    if not values.size:
+        return b""
+    nested = values
+    for _ in range(depth - 1):
+        nested = {"": nested}
+    text = dumps(nested)
     magnitude = np.abs(values)
     if ((magnitude >= 1e-9) & (magnitude < 1e-4) | (magnitude >= 1e16)).any():
         text = _repr_notation(text)
-    return separator + text[1:-1].replace(b",", separator) if values.size else b""
+    return b"," + text[text.index(b"[") + 1 : text.rindex(b"\n", 0, text.rindex(b"]"))]
 
 
 # A value per case of notation: zeros, fixed (exponents -4 to 15), each one
@@ -206,33 +221,36 @@ _CANARY = np.array([
 
 
 @functools.cache
-def _list_writer():
-    """orjson's dumps of a float64 array, imported on the first list written
-    and checked then: _render_list must give repr's text of _CANARY."""
+def _list_writer(depth: int):
+    """The renderer of list items at `depth`: _render_list with orjson's
+    indent=2 dumps, imported on the first list written and checked at each
+    depth on its first use, before any file is opened. It must give json's
+    item text of _CANARY."""
     import orjson  # here, so that a run that writes no list never loads it
 
-    dumps = functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
-    if _render_list(dumps, b",", _CANARY) != "".join(f",{v!r}" for v in _CANARY.tolist()).encode():
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2
+    render = functools.partial(_render_list, functools.partial(orjson.dumps, option=option), depth)
+    lead = ",\n" + " " * 2 * depth
+    if render(_CANARY) != "".join(f"{lead}{v!r}" for v in _CANARY.tolist()).encode():
         raise RuntimeError(
-            f"orjson {orjson.__version__} writes numbers in a notation that "
-            "files._repr_notation does not turn into repr's"
+            f"orjson {orjson.__version__} writes numbers in a notation or a layout that "
+            f"files._render_list does not turn into json's indent=2 items at depth {depth}"
         )
-    return dumps
+    return render
 
 
 def _json_parts(payload: dict, lists: dict) -> list:
     """json.dumps(payload, indent=2) + "\n" as writer parts: `lists` maps each
     placeholder string in the payload, in text order, to the values of the
     non-empty list it stands for, streamed as a ((values,), render, 1) part:
-    each item led by indent=2's "," and line break, the first "," skipped."""
+    render is the list writer at the list's depth, its first "," skipped."""
     text = json.dumps(payload, indent=2) + "\n"
     parts = []
     for name, values in lists.items():
         head, text = text.split(json.dumps(name), 1)
         line = head[head.rfind("\n") + 1 :]
         indent = len(line) - len(line.lstrip(" "))
-        separator = f",\n{' ' * (indent + 2)}".encode()
-        render = functools.partial(_render_list, _list_writer(), separator)
+        render = _list_writer(indent // 2 + 1)
         parts += [head + "[", ((values,), render, 1), "\n" + " " * indent + "]"]
     parts.append(text)
     return parts

@@ -128,14 +128,17 @@ def test_fig_rabi_is_rendered_mostly_without_python(tmp_path, capsys, sent):
 
 
 def items(values, held=np.float64) -> bytes:
-    """`values` through the JSON list renderer, each item led by a line break,
+    """`values` through the JSON list writer at the series columns' depth,
     handed to it in an array of dtype `held`."""
     values = np.asarray(values, dtype=np.float64).astype(held)
-    return files._render_list(files._list_writer(), b"\n", values)
+    return files._list_writer(3)(values)
 
 
 def reprs(values) -> bytes:
-    return "".join(f"\n{v!r}" for v in np.asarray(values, dtype=np.float64).tolist()).encode()
+    """json's indent=2 item text of `values` in a series column, each item
+    led by "," and a line break."""
+    values = np.asarray(values, dtype=np.float64).tolist()
+    return "".join(f",\n      {v!r}" for v in values).encode()
 
 
 def with_neighbours(values) -> np.ndarray:
@@ -255,7 +258,7 @@ def test_fallback_count_kept_across_threads(monkeypatch):
     results = [[] for _ in range(8)]
 
     def render(out):
-        out.extend(files._render_list(files._list_writer(), b"\n", values) for _ in range(20))
+        out.extend(files._list_writer(3)(values) for _ in range(20))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -363,8 +366,8 @@ def test_runs_of_equal_values_across_chunks(tmp_path):
 def test_chunks_with_and_without_the_exponent_word(tmp_path):
     # Chunks of a streamed list with and without a number whose notation
     # _repr_notation rewrites: all fixed notation, one such value first,
-    # one last, and only zeros of either sign. The envelope's items are led
-    # by a deeper separator than the series'.
+    # one last, and only zeros of either sign. The envelope's items are
+    # indented deeper than the series'.
     chunk = 7 * files.ROW_CHUNK
     column = np.linspace(1.0, 2.0, 4 * chunk)
     column[chunk] = 1e-7
@@ -421,14 +424,13 @@ def test_notation_of_every_exponent_in_lists_of_one_to_three(tmp_path):
                 assert out.read_text() == expected
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_list_writer_in_another_notation_is_refused(tmp_path, monkeypatch, fmt):
-    # orjson writing "1E-7" where 3.8.3 writes "1e-7" fails the list
-    # writer's check on first use, before any file or directory is made.
+def assert_refused(tmp_path, monkeypatch, fmt, old: bytes, new: bytes):
+    """An orjson writing `new` where this one writes `old` fails the list
+    writer's check on first use, before any file or directory is made."""
     import orjson
 
     dumps = orjson.dumps
-    monkeypatch.setattr(orjson, "dumps", lambda *a, **k: dumps(*a, **k).replace(b"e-7", b"E-7"))
+    monkeypatch.setattr(orjson, "dumps", lambda *a, **k: dumps(*a, **k).replace(old, new))
     monkeypatch.setattr(files, "_list_writer", functools.cache(files._list_writer.__wrapped__))
     series = ObservableSeries(*np.ones((7, 3)))
     out = tmp_path / "run" / f"s.{fmt}"
@@ -436,3 +438,15 @@ def test_a_list_writer_in_another_notation_is_refused(tmp_path, monkeypatch, fmt
     with pytest.raises(RuntimeError, match=rf"orjson {orjson.__version__} writes numbers"):
         files.write_output(out, fmt, {}, series, summary, np.ones((3, 2)))
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_list_writer_in_another_notation_is_refused(tmp_path, monkeypatch, fmt):
+    # "1E-7" where orjson 3.8.3 writes "1e-7".
+    assert_refused(tmp_path, monkeypatch, fmt, b"e-7", b"E-7")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_list_writer_in_another_indentation_is_refused(tmp_path, monkeypatch, fmt):
+    # A tab for each two spaces of indent=2, at every depth.
+    assert_refused(tmp_path, monkeypatch, fmt, b"  ", b"\t")
